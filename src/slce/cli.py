@@ -14,6 +14,7 @@ import sys
 
 from .criteria import (
     ALL_CHECKS,
+    CriterionRecord,
     multiplicity_profile,
     normalize_checks,
     odd_prime_powers,
@@ -26,7 +27,7 @@ from .cyclo import (
     quadratic_gauss_closed,
     semiprimitive_gauss_closed,
 )
-from .errors import SlceError
+from .errors import InternalInconsistency, SlceError
 from .ff import DEFAULT_SIZE_CAP, build_field
 from .polybin import berlekamp_massey, lc_via_gcd
 from .seq import autocorrelation, balance_report, characteristic_poly, generate_slce
@@ -122,9 +123,7 @@ def cmd_verify(args):
     try:
         if args.format == "csv":
             writer = csv.writer(out)
-            writer.writerow(records[0].CSV_FIELDS if records else
-                            ("q", "p", "m", "k", "e", "check", "index",
-                             "predicted", "ground_truth", "match"))
+            writer.writerow(CriterionRecord.CSV_FIELDS)
             for r in records:
                 writer.writerow(r.to_row())
         else:
@@ -294,6 +293,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InternalInconsistency as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 3
     except (SlceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

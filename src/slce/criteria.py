@@ -19,6 +19,7 @@ Galois orbit of beta, rather than stipulating one pairing.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,8 +33,14 @@ from .cyclo import (
     quadratic_gauss_closed,
     reduce_mod_P,
 )
-from .errors import HOutOfRange, NotBinary, NotSemiprimitive, PreconditionUnmet
-from .ff import ResidueField, build_field, build_residue_field
+from .errors import (
+    HOutOfRange,
+    InternalInconsistency,
+    NotBinary,
+    NotSemiprimitive,
+    PreconditionUnmet,
+)
+from .ff import _residue_field, build_field, build_residue_field
 from .numth import divisors, is_prime, two_adic_split, units
 from .polybin import BinaryPoly, binom_mod2, bit_length_h, index_set
 from .seq import characteristic_poly, generate_slce
@@ -69,7 +76,8 @@ class AnalysisContext:
         self.beta = self.rf.gamma ** self.e
         self.chi = Character(field, self.e * (field.q - 1) // k)
         self.spec = IdealSpec(self.rf, 0)
-        assert reduce_mod_P(self.chi.value(field.alpha), self.spec) == self.beta
+        if reduce_mod_P(self.chi.value(field.alpha), self.spec) != self.beta:
+            raise InternalInconsistency(f"chi(alpha) does not reduce to beta in {self!r}")
         self._kcounts = {}
         self._rows = {}
         self._ones = seq.ones_positions()
@@ -157,7 +165,8 @@ def _eta_sign_at_minus_one(T, j, h):
     exp = (j * (T // 2)) % (1 << h) if h else 0
     if exp == 0:
         return 1
-    assert exp == 1 << (h - 1)
+    if exp != 1 << (h - 1):
+        raise InternalInconsistency(f"eta_{{{j}/2^{h}}}(-1) is not a sign")
     return -1
 
 
@@ -322,15 +331,6 @@ def prop_check(ctx, which):
 # multiplicity profile
 
 
-@lru_cache(maxsize=None)
-def _residue_field_any(k):
-    # the k = 1 "residue field" is GF(2) itself: Phi_1 = X + 1 mod 2,
-    # gamma = 1; the public builder rejects k = 1, the profile needs it
-    if k == 1:
-        return ResidueField(1, 0b11, 1)
-    return build_residue_field(k)
-
-
 @dataclass(frozen=True)
 class MultiplicityProfile:
     """Multiplicity of every odd-order root beta = gamma^e (order k | T')
@@ -351,7 +351,7 @@ def multiplicity_profile(seq):
     ones = seq.ones_positions()
     entries = {}
     for k in divisors(seq.Tprime):
-        gp = _residue_field_any(k).gamma_pow_bits()
+        gp = _residue_field(k).gamma_pow_bits()
         for e in units(k):
             mult = cap
             for t in range(cap):
@@ -401,10 +401,12 @@ def semiprimitive_params(p, m, k, h):
         raise NotSemiprimitive(f"m = {m} is not of the form 2vw for v = {v}")
     w = m // (2 * v)
     vprime = _minimal_v(p, k, m)
-    assert vprime is not None and m % (2 * vprime) == 0
+    if vprime is None or m % (2 * vprime) != 0:
+        raise InternalInconsistency(f"k = {k} is not semiprimitive although 2^{h} k is")
     wprime = m // (2 * vprime)
     u, _ = two_adic_split(p**m - 1)
-    assert h < u, "the twist level is always below the 2-adic valuation of T"
+    if h >= u:
+        raise InternalInconsistency("the twist level must lie below the 2-adic valuation of T")
     return SemiprimitiveParams(p, m, k, h, v, w, vprime, wprime)
 
 
@@ -577,11 +579,15 @@ def run_verify(q_max, p_filter=None, checks=ALL_CHECKS, size_cap=None, jobs=1):
 
     Records come back sorted by (q, k, e, check, index); the summary counts
     contexts, checks and mismatches. Worker parallelism never changes the
-    output because the merge re-sorts canonically.
+    output because the merge re-sorts canonically; at most one worker per
+    field and per CPU is started.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     fields = [(p, m) for p, m, _ in odd_prime_powers(q_max)
               if p_filter is None or p == p_filter]
-    if jobs > 1 and len(fields) > 1:
+    jobs = min(jobs, len(fields), os.cpu_count() or 1)
+    if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:

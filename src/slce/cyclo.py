@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import polybin
-from .errors import ConductorMismatch, NotSemiprimitive, SizeExceeded
+from .errors import ConductorMismatch, InternalInconsistency, NotSemiprimitive, SizeExceeded
 from .ff import build_field
 from .numth import divisors
 
@@ -42,7 +42,8 @@ def _int_poly_div_exact(a, b):
             q[i - db] = c
             for j in range(db + 1):
                 a[i - db + j] -= c * b[j]
-    assert all(c == 0 for c in a), "division was not exact"
+    if any(a):
+        raise InternalInconsistency("integer polynomial division was not exact")
     return q
 
 
@@ -496,7 +497,8 @@ def semiprimitive_gauss_closed(p, m, N, size_cap=None):
     formula_sign = -1 if exponent % 2 else 1
     field = build_field(p, m) if size_cap is None else build_field(p, m, size_cap)
     g = gauss_sum_numeric(Character(field, (field.q - 1) // N))
-    assert abs(g.imag) < 1e-6 * magnitude and abs(abs(g.real) - magnitude) < 1e-6 * magnitude
+    if abs(g.imag) >= 1e-6 * magnitude or abs(abs(g.real) - magnitude) >= 1e-6 * magnitude:
+        raise InternalInconsistency(f"numeric G(chi) = {g} is not +-{magnitude}")
     numeric_sign = 1 if g.real > 0 else -1
     value = numeric_sign * magnitude
     return SemiprimitiveGaussValue(value, magnitude, formula_sign, numeric_sign, v, w)
@@ -567,6 +569,10 @@ def ideal_membership(x, spec, two_exponent=None):
             ybits |= 1 << i
     if ybits == 0:
         return True
-    lift = polybin._frobenius_pow(spec.fcan, 1 << spec.h)
-    g = polybin._gcd2(lift, polybin.phi_mod2(N))
-    return polybin._mod2(ybits, g) == 0
+    return polybin._mod2(ybits, _ideal_generator(spec.fcan, spec.h, N)) == 0
+
+
+@lru_cache(maxsize=None)
+def _ideal_generator(fcan, h, N):
+    # the image of P O_L in GF(2)[X]/(Phi_N mod 2): gcd(f_can^(2^h), Phi_N)
+    return polybin._gcd2(polybin._frobenius_pow(fcan, 1 << h), polybin.phi_mod2(N))

@@ -59,3 +59,7 @@ class HOutOfRange(SlceError):
 
 class PreconditionUnmet(SlceError):
     """A stated precondition (e.g. q mod 4 branch) does not hold."""
+
+
+class InternalInconsistency(SlceError):
+    """A computed invariant failed: an implementation bug, not bad input."""

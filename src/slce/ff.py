@@ -24,7 +24,15 @@ import math
 from functools import lru_cache
 
 from . import polybin
-from .errors import CompositeP, DivisionByZero, EvenK, KisOne, LogOfZero, SizeExceeded
+from .errors import (
+    CompositeP,
+    DivisionByZero,
+    EvenK,
+    InternalInconsistency,
+    KisOne,
+    LogOfZero,
+    SizeExceeded,
+)
 from .numth import is_prime, multiplicative_order, prime_factors
 
 DEFAULT_SIZE_CAP = 1 << 16
@@ -222,7 +230,7 @@ class ExtField:
             coeffs.append(1)
             if _is_irreducible(coeffs, p):
                 return tuple(coeffs)
-        raise AssertionError("no irreducible polynomial found")
+        raise InternalInconsistency("no irreducible polynomial found")
 
     def _raw_mul(self, a, b):
         # code-level multiply straight from the modulus; used only before
@@ -260,7 +268,7 @@ class ExtField:
         for code in range(2, q):
             if all(self._raw_pow(code, (q - 1) // r) != 1 for r in rs):
                 return code
-        raise AssertionError("no primitive element found")
+        raise InternalInconsistency("no primitive element found")
 
     def _build_tables(self):
         q = self.q
@@ -271,7 +279,8 @@ class ExtField:
             pow_table[n] = x
             dlog[x] = n
             x = self._raw_mul(x, self.alpha_code)
-        assert x == 1, "alpha does not have order q - 1"
+        if x != 1:
+            raise InternalInconsistency("alpha does not have order q - 1")
         self._pow = pow_table
         self._dlog = dlog
 
@@ -359,9 +368,6 @@ class ExtField:
             mult *= self.p
         return FieldElement(self, code)
 
-    def elements(self):
-        return (FieldElement(self, c) for c in range(self.q))
-
     def dlog(self, x):
         return self.dlog_code(self.coerce_code(x))
 
@@ -379,7 +385,8 @@ class ExtField:
                 acc = 0
                 for i in range(m):
                     acc = self.add_codes(acc, self._pow[n * p**i % (self.q - 1)])
-                assert acc < p, "trace landed outside the prime subfield"
+                if acc >= p:
+                    raise InternalInconsistency("trace landed outside the prime subfield")
                 basis.append(acc)
             self._trace_basis = basis
         acc, c = 0, code
@@ -552,7 +559,8 @@ class ResidueField:
             out = [1]
             for _ in range(self.k - 1):
                 out.append(self.mul_bits(out[-1], g))
-            assert self.mul_bits(out[-1], g) == 1
+            if self.mul_bits(out[-1], g) != 1:
+                raise InternalInconsistency(f"gamma does not have order {self.k}")
             self._gamma_pows = out
         return self._gamma_pows
 
@@ -565,6 +573,10 @@ class ResidueField:
 
 @lru_cache(maxsize=None)
 def _residue_field(k):
+    # k = 1 gives GF(2) itself: Phi_1 = X + 1 mod 2 and gamma = 1. Only the
+    # multiplicity profile needs it; the public builder rejects k = 1.
+    if k == 1:
+        return ResidueField(1, 0b11, 1)
     f = multiplicative_order(2, k)
     fcan = polybin.factor_phi_mod2(k)[0]
     return ResidueField(k, fcan.value, f)

@@ -16,7 +16,7 @@ divisibility criteria.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BothZero, EvenK, ZeroPolynomial
+from .errors import BothZero, EvenK, InternalInconsistency, ZeroPolynomial
 from .numth import euler_phi, multiplicative_order
 
 # ---------------------------------------------------------------------------
@@ -58,6 +58,13 @@ def _mod2(a, b):
     while _deg(a) >= db:
         a ^= b << (_deg(a) - db)
     return a
+
+
+def _exact_div2(a, b):
+    q, r = _divmod2(a, b)
+    if r:
+        raise InternalInconsistency("polynomial division was not exact")
+    return q
 
 
 def _gcd2(a, b):
@@ -253,8 +260,7 @@ def lc_via_gcd(S, T):
         raise ValueError("deg S must be < T")
     xt1 = (1 << T) | 1  # X^T - 1 = X^T + 1 over GF(2)
     g = _gcd2(xt1, S.value)
-    c, r = _divmod2(xt1, g)
-    assert r == 0
+    c = _exact_div2(xt1, g)
     return LinearComplexityResult(T - _deg(g), BinaryPoly(c), "gcd_formula")
 
 
@@ -310,8 +316,7 @@ def phi_mod2(n):
     rem = (1 << n) | 1
     for d in range(1, n):
         if n % d == 0:
-            rem, r = _divmod2(rem, phi_mod2(d))
-            assert r == 0
+            rem = _exact_div2(rem, phi_mod2(d))
     return rem
 
 
@@ -321,32 +326,49 @@ def factor_phi_mod2(k):
 
     All factors have degree f = ord_k(2); there are phi(k)/f of them and
     they come back sorted by their int encoding (low-order coefficients
-    weigh least), so the first entry is the canonical factor. Factors are
-    found by trial division over candidate polynomials in encoding order;
-    reducible candidates cannot divide since every irreducible factor has
-    degree exactly f.
+    weigh least), so the first entry is the canonical factor.
+
+    Factors are split off by Berlekamp's trace algorithm: for j = 1, 2, ...
+    take T_j = sum of X^(j 2^i mod k) over i < f and split every pending
+    factor g by gcd(g, T_j mod g). Since X^k = 1 at every root zeta^a of
+    Phi_k, T_j(zeta^a) is the trace Tr(zeta^(aj)), which lies in GF(2) and
+    is constant on each irreducible factor. The functional
+    P -> Tr(P(zeta^a)) is nonzero on the CRT component of zeta^a's minimal
+    polynomial in GF(2)[X]/(X^k - 1) and zero on every other component, so
+    two distinct factors differ at some monomial X^j with 0 < j < k. T_j
+    and T_(2j) agree at every root, so one j per 2-cyclotomic coset
+    suffices, and the loop ends within k - 1 rounds.
     """
     if k % 2 == 0:
         raise EvenK("k must be odd")
     f = multiplicative_order(2, k)
-    rem = phi_mod2(k)
     count = euler_phi(k) // f
-    if count == 1:
-        return (BinaryPoly(rem),)
-    out = []
-    c = (1 << f) | 1
-    while len(out) < count:
-        if _deg(rem) == f:
-            out.append(rem)
-            rem = 1
+    factors = [phi_mod2(k)]
+    seen = set()
+    for j in range(1, k):
+        if len(factors) == count:
             break
-        if _mod2(rem, c) == 0:
-            out.append(c)
-            rem, r = _divmod2(rem, c)
-            assert r == 0
-        c += 2  # factors of Phi_k have constant term 1
-    assert rem == 1 and len(out) == count
-    return tuple(BinaryPoly(v) for v in out)
+        if j in seen:
+            continue
+        trace, e = 0, j
+        for _ in range(f):
+            seen.add(e)
+            trace ^= 1 << e
+            e = 2 * e % k
+        split = []
+        for g in factors:
+            d = _gcd2(g, _mod2(trace, g)) if _deg(g) > f else 1
+            if 0 < _deg(d) < _deg(g):
+                split += [d, _exact_div2(g, d)]
+            else:
+                split.append(g)
+        factors = split
+    if len(factors) != count or any(_deg(g) != f for g in factors):
+        raise InternalInconsistency(
+            f"trace splitting left {len(factors)} factors of Phi_{k} mod 2, "
+            f"expected {count} of degree {f}"
+        )
+    return tuple(BinaryPoly(g) for g in sorted(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,11 @@ class TestComplexity:
         total = sum(r["multiplicity"] for r in doc["multiplicity_profile"])
         assert total == doc["T"] - doc["L"] == doc["capped_multiplicity_total"]
 
+    def test_q191_finishes(self, capsys):
+        # Phi_95 mod 2 has two factors of degree 36
+        code, out, _ = run_cli(capsys, "complexity", "--p", "191")
+        assert code == 0 and json.loads(out)["consistent"] is True
+
 
 class TestVerify:
     def test_clean_sweep_exit_0(self, capsys):
@@ -92,6 +97,43 @@ class TestVerify:
         run_cli(capsys, "verify", "--qmax", "26", "--output", str(a))
         run_cli(capsys, "verify", "--qmax", "26", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, _, err = run_cli(capsys, "verify", "--qmax", "29", "--jobs", jobs)
+        assert code == 2 and "jobs" in err
+
+    def test_jobs_clamped_to_fields_and_cpus(self, capsys, monkeypatch):
+        import multiprocessing
+        import os
+
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, args):
+                return [fn(*a) for a in args]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        # one field (q = 3): no pool at all
+        code, _, _ = run_cli(capsys, "verify", "--qmax", "3", "--jobs", "2")
+        assert code == 0 and started == []
+        # one CPU: no pool at all
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        code, _, _ = run_cli(capsys, "verify", "--qmax", "29", "--jobs", "2")
+        assert code == 0 and started == []
+        # two CPUs and twelve fields: two workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, _, _ = run_cli(capsys, "verify", "--qmax", "29", "--jobs", "2")
+        assert code == 0 and started == [2]
 
     def test_unknown_theorem_token(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--qmax", "20",
@@ -197,6 +239,14 @@ class TestExitCode3:
         monkeypatch.setattr(cli_mod, "run_verify", fake_verify)
         code, out, err = run_cli(capsys, "verify", "--qmax", "8")
         assert code == 3
+
+    def test_internal_inconsistency_exits_3(self, capsys, monkeypatch):
+        import slce.criteria as criteria_mod
+
+        # chi(alpha) must reduce to beta mod P; break that invariant
+        monkeypatch.setattr(criteria_mod, "reduce_mod_P", lambda x, spec: spec.rf.zero)
+        code, out, err = run_cli(capsys, "verify", "--qmax", "7")
+        assert code == 3 and "internal inconsistency" in err
 
     def test_complexity_inconsistency_exits_3(self, capsys, monkeypatch):
         import slce.cli as cli_mod

@@ -1,12 +1,15 @@
 """Binary polynomial algebra: gcd, Berlekamp-Massey, Hasse derivatives,
 Lucas parity, cyclotomic factors mod 2."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slce.errors import BothZero, EvenK, ZeroPolynomial
+from slce.errors import BothZero, EvenK, InternalInconsistency, ZeroPolynomial
 from slce.ff import build_residue_field
+from slce.numth import euler_phi, multiplicative_order
 from slce.polybin import (
     BinaryPoly,
     berlekamp_massey,
@@ -244,6 +247,70 @@ class TestFactorPhiMod2:
             assert xk1 % g == 0
             prod = prod * g
         assert prod == phi_mod2(k)
+
+
+def trial_division_factors(k):
+    """Oracle: the factors of Phi_k mod 2 by trial division over candidate
+    polynomials of degree f in encoding order (exponential in f)."""
+    f = multiplicative_order(2, k)
+    rem = phi_mod2(k)
+    count = euler_phi(k) // f
+    out = []
+    c = (1 << f) | 1
+    while len(out) < count:
+        if rem.bit_length() - 1 == f:
+            out.append(rem)
+            break
+        q, r = divmod(BinaryPoly(rem), BinaryPoly(c))
+        if not r:
+            out.append(c)
+            rem = q.value
+        c += 2
+    return out
+
+
+class TestFactorPhiTraceSplitting:
+    @pytest.mark.parametrize(
+        "k", [k for k in range(3, 256, 2) if multiplicative_order(2, k) <= 12]
+    )
+    def test_matches_trial_division(self, k):
+        assert [g.value for g in factor_phi_mod2(k)] == trial_division_factors(k)
+
+    @pytest.mark.parametrize("k", [69, 95])
+    def test_factorization_invariants(self, k):
+        f = multiplicative_order(2, k)
+        factors = factor_phi_mod2(k)
+        assert len(factors) == euler_phi(k) // f
+        values = [g.value for g in factors]
+        assert values == sorted(values)
+        prod = BinaryPoly(1)
+        for g in factors:
+            assert g.degree == f
+            # X^(2^f) = X mod g: every root lies in GF(2^f)
+            x = BinaryPoly(X)
+            for _ in range(f):
+                x = x * x % g
+            assert x == BinaryPoly(X) % g
+            prod = prod * g
+        assert prod == phi_mod2(k)
+
+    def test_k69_canonical_factor_unchanged(self):
+        # the value trial division gives; it pins every order-69 residue field
+        assert factor_phi_mod2(69)[0].value == 0x533067
+
+    def test_k3279_bounded_time(self):
+        start = time.perf_counter()
+        factors = factor_phi_mod2.__wrapped__(3279)
+        assert time.perf_counter() - start < 5.0
+        assert len(factors) == 6 and all(g.degree == 364 for g in factors)
+
+    def test_wrong_factor_count_raises(self, monkeypatch):
+        import slce.polybin as polybin_mod
+
+        # claims four cubic factors of Phi_7 mod 2; there are two
+        monkeypatch.setattr(polybin_mod, "euler_phi", lambda n: 12)
+        with pytest.raises(InternalInconsistency):
+            factor_phi_mod2.__wrapped__(7)
 
 
 class TestIndexSets:
