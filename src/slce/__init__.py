@@ -5,7 +5,6 @@ from .cyclo import (
     Character,
     CycInt,
     IdealSpec,
-    char_value,
     cyclotomic_polynomial,
     gauss_sum_numeric,
     ideal_membership,

@@ -32,6 +32,7 @@ from .cyclo import (
     k_sum_counts,
     quadratic_gauss_closed,
     reduce_mod_P,
+    semiprimitive_vw,
 )
 from .errors import (
     HOutOfRange,
@@ -86,7 +87,7 @@ class AnalysisContext:
         return self.spec if h == 0 else IdealSpec(self.rf, h)
 
     def conductor(self, h):
-        return self.k if h == 0 else (1 << h) * self.k
+        return self.ideal_spec(h).conductor
 
     def ksum_counts(self, h):
         """Exponent-count vectors of K(eta_{j/2^h} chi) for j < 2^h, in
@@ -162,7 +163,7 @@ def _rho_plus_one_signs(field):
 
 def _eta_sign_at_minus_one(T, j, h):
     # eta_{j/2^h}(-1) = zeta_{2^h}^(j T/2); always +-1
-    exp = (j * (T // 2)) % (1 << h) if h else 0
+    exp = (j * (T // 2)) % (1 << h)
     if exp == 0:
         return 1
     if exp != 1 << (h - 1):
@@ -179,31 +180,30 @@ def _check_t(ctx, t):
 # ground truth
 
 
+def _masked_sum(ones, gp, k, e, mask, value):
+    # sum of gamma^(n e) over the ones positions n with n & mask == value,
+    # as bits of GF(2^f); gp is the gamma-power table of the order-k field
+    acc = 0
+    for n in ones:
+        if n & mask == value:
+            acc ^= gp[n * e % k]
+    return acc
+
+
 def derivative_vanishes_direct(ctx, t):
     """Does sum C(n,t) s_n beta^n vanish in GF(2^f)? This is the direct
-    witness for the t-th Hasse derivative of S vanishing at beta."""
+    witness for the t-th Hasse derivative of S vanishing at beta; by Lucas,
+    C(n,t) is odd exactly when the bits of t are among those of n."""
     _check_t(ctx, t)
-    gp = ctx.rf.gamma_pow_bits()
-    k, e = ctx.k, ctx.e
-    acc = 0
-    for n in ctx._ones:
-        if n & t == t:
-            acc ^= gp[n * e % k]
-    return acc == 0
+    return _masked_sum(ctx._ones, ctx.rf.gamma_pow_bits(), ctx.k, ctx.e, t, t) == 0
 
 
 def coset_sum(ctx, i, h):
     """E_i = sum of s_n beta^n over n = i mod 2^h."""
     if not 0 <= h <= ctx.seq.u or not 0 <= i < (1 << h):
         raise ValueError("need 0 <= i < 2^h <= 2^u")
-    gp = ctx.rf.gamma_pow_bits()
-    k, e = ctx.k, ctx.e
     mask = (1 << h) - 1
-    acc = 0
-    for n in ctx._ones:
-        if n & mask == i:
-            acc ^= gp[n * e % k]
-    return ctx.rf.element(acc)
+    return ctx.rf.element(_masked_sum(ctx._ones, ctx.rf.gamma_pow_bits(), ctx.k, ctx.e, mask, i))
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +353,8 @@ def multiplicity_profile(seq):
     for k in divisors(seq.Tprime):
         gp = _residue_field(k).gamma_pow_bits()
         for e in units(k):
-            mult = cap
-            for t in range(cap):
-                acc = 0
-                for n in ones:
-                    if n & t == t:
-                        acc ^= gp[n * e % k]
-                if acc:
-                    mult = t
-                    break
-            entries[(k, e)] = mult
+            entries[(k, e)] = next(
+                (t for t in range(cap) if _masked_sum(ones, gp, k, e, t, t)), cap)
     return MultiplicityProfile(entries, T - sum(entries.values()))
 
 
@@ -385,25 +377,12 @@ class SemiprimitiveParams:
     wprime: int
 
 
-def _minimal_v(p, target, bound):
-    for v in range(1, bound + 1):
-        if (pow(p, v) + 1) % target == 0:
-            return v
-    return None
-
-
 def semiprimitive_params(p, m, k, h):
-    target = (1 << h) * k
-    v = _minimal_v(p, target, m)
-    if v is None:
-        raise NotSemiprimitive(f"no v <= {m} with {target} | p^v + 1")
-    if m % (2 * v) != 0:
-        raise NotSemiprimitive(f"m = {m} is not of the form 2vw for v = {v}")
-    w = m // (2 * v)
-    vprime = _minimal_v(p, k, m)
-    if vprime is None or m % (2 * vprime) != 0:
-        raise InternalInconsistency(f"k = {k} is not semiprimitive although 2^{h} k is")
-    wprime = m // (2 * vprime)
+    v, w = semiprimitive_vw(p, m, (1 << h) * k)
+    try:
+        vprime, wprime = semiprimitive_vw(p, m, k)
+    except NotSemiprimitive as exc:
+        raise InternalInconsistency(f"k = {k} is not semiprimitive although 2^{h} k is") from exc
     u, _ = two_adic_split(p**m - 1)
     if h >= u:
         raise InternalInconsistency("the twist level must lie below the 2-adic valuation of T")
@@ -425,7 +404,7 @@ def lemma1_check(p, m, k, h, e=1):
     if math.gcd(e, k) != 1:
         raise ValueError(f"e = {e} is not a unit mod {k}")
     qm1 = field.q - 1
-    N = k if h == 0 else (1 << h) * k
+    N = (1 << h) * k
     g = quadratic_gauss_closed(p, m).as_int()
     a = e * qm1 // k
     step = qm1 >> h
@@ -536,7 +515,6 @@ def analyze_field(p, m, checks=ALL_CHECKS, size_cap=None):
     """All criterion records for one field, sorted canonically."""
     field = build_field(p, m) if size_cap is None else build_field(p, m, size_cap)
     seq = generate_slce(field, 2)
-    profile = multiplicity_profile(seq)
     q, u = field.q, seq.u
     records = []
 
@@ -547,8 +525,8 @@ def analyze_field(p, m, checks=ALL_CHECKS, size_cap=None):
         ))
 
     for ctx in admissible_contexts(seq):
-        mult = profile.entries[(ctx.k, ctx.e)]
         direct = [derivative_vanishes_direct(ctx, t) for t in range(1 << u)]
+        mult = next((t for t, vanishes in enumerate(direct) if not vanishes), 1 << u)
         for check in checks:
             if check == "thm1":
                 for t in range(1 << u):
@@ -577,9 +555,10 @@ def analyze_field(p, m, checks=ALL_CHECKS, size_cap=None):
 def run_verify(q_max, p_filter=None, checks=ALL_CHECKS, size_cap=None, jobs=1):
     """Criterion records over every admissible context with q <= q_max.
 
-    Records come back sorted by (q, k, e, check, index); the summary counts
-    contexts, checks and mismatches. Worker parallelism never changes the
-    output because the merge re-sorts canonically; at most one worker per
+    Records come back sorted by (q, k, e, check, index): fields run in
+    ascending q, each q once, and analyze_field sorts its own records, so
+    worker parallelism never changes the output (starmap keeps order). The
+    summary counts contexts, checks and mismatches; at most one worker per
     field and per CPU is started.
     """
     if jobs < 1:
@@ -597,7 +576,6 @@ def run_verify(q_max, p_filter=None, checks=ALL_CHECKS, size_cap=None, jobs=1):
     else:
         chunks = [analyze_field(p, m, checks, size_cap) for p, m in fields]
     records = [r for chunk in chunks for r in chunk]
-    records.sort(key=lambda r: (r.q, r.k, r.e, r.check, r.index))
     contexts = len({(r.q, r.k, r.e) for r in records})
     mismatches = sum(1 for r in records if not r.match)
     summary = {"contexts": contexts, "checks": len(records), "mismatches": mismatches}

@@ -325,10 +325,6 @@ class Character:
         return f"Character(GF({self.field.q}), a={self.a}, order={self.order})"
 
 
-def char_value(chi, x):
-    return chi.value(x)
-
-
 # ---------------------------------------------------------------------------
 # Jacobi and Gauss sums
 
@@ -470,11 +466,15 @@ class SemiprimitiveGaussValue:
         return self.formula_sign != self.numeric_sign
 
 
-def _minimal_v(p, N, bound):
-    for v in range(1, bound + 1):
-        if (pow(p, v) + 1) % N == 0:
-            return v
-    return None
+def semiprimitive_vw(p, m, N):
+    """(v, w) with v minimal such that N | p^v + 1, and m = 2vw; raises
+    NotSemiprimitive when either fails."""
+    v = next((v for v in range(1, m + 1) if (p**v + 1) % N == 0), None)
+    if v is None:
+        raise NotSemiprimitive(f"no v <= {m} with p^v = -1 mod {N}")
+    if m % (2 * v) != 0:
+        raise NotSemiprimitive(f"m = {m} is not 2vw for v = {v}")
+    return v, m // (2 * v)
 
 
 def semiprimitive_gauss_closed(p, m, N, size_cap=None):
@@ -486,12 +486,7 @@ def semiprimitive_gauss_closed(p, m, N, size_cap=None):
     """
     if N <= 2:
         raise ValueError("N must exceed 2")
-    v = _minimal_v(p, N, m)
-    if v is None:
-        raise NotSemiprimitive(f"no v <= {m} with p^v = -1 mod {N}")
-    if m % (2 * v) != 0:
-        raise NotSemiprimitive(f"m = {m} is not 2vw for v = {v}")
-    w = m // (2 * v)
+    v, w = semiprimitive_vw(p, m, N)
     magnitude = p ** (m // 2)
     exponent = (w - 1) + p * w * ((p**v + 1) // N)
     formula_sign = -1 if exponent % 2 else 1
@@ -526,7 +521,7 @@ class IdealSpec:
 
     @property
     def conductor(self):
-        return self.k if self.h == 0 else (1 << self.h) * self.k
+        return (1 << self.h) * self.k
 
     @property
     def power(self):

@@ -20,6 +20,7 @@ concrete home for odd-order roots of X^T - 1 and for reductions of
 cyclotomic integers modulo a prime over 2.
 """
 
+import copy
 import math
 from functools import lru_cache
 
@@ -427,10 +428,7 @@ def with_primitive_element(field, alpha):
     code = field.coerce_code(alpha)
     if code == 0 or math.gcd(field.dlog_code(code), field.q - 1) != 1:
         raise ValueError("not a primitive element")
-    other = object.__new__(ExtField)
-    other.p, other.m, other.q = field.p, field.m, field.q
-    other._p_minus_1 = field.p - 1
-    other.modulus = field.modulus
+    other = copy.copy(field)
     other.alpha_code = code
     other._build_tables()
     other._trace_basis = None
@@ -563,9 +561,6 @@ class ResidueField:
                 raise InternalInconsistency(f"gamma does not have order {self.k}")
             self._gamma_pows = out
         return self._gamma_pows
-
-    def modulus_poly(self):
-        return polybin.BinaryPoly(self.modulus)
 
     def __repr__(self):
         return f"ResidueField(k={self.k}, f={self.f})"

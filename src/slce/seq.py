@@ -52,12 +52,15 @@ class SlceSequence:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def generate_slce(field, d=2):
-    """The SLCE sequence over GF(q) for a prime alphabet size d | q - 1."""
-    q = field.q
+def _check_alphabet(q, d):
     if not is_prime(d) or (q - 1) % d != 0:
         raise BadAlphabet(f"d = {d} must be a prime divisor of q - 1 = {q - 1}")
-    T = q - 1
+
+
+def generate_slce(field, d=2):
+    """The SLCE sequence over GF(q) for a prime alphabet size d | q - 1."""
+    _check_alphabet(field.q, d)
+    T = field.q - 1
     terms = []
     for n in range(T):
         y = field.add_one_code(field.pow_alpha(n))
@@ -69,12 +72,15 @@ def generate_slce(field, d=2):
 def sequence_from_json(doc, size_cap=None):
     """Rebuild a sequence from its JSON form, regenerating the field."""
     field = build_field(doc["p"], doc["m"], size_cap or DEFAULT_SIZE_CAP)
-    terms = tuple(doc["terms"])
+    d, terms = doc["d"], tuple(doc["terms"])
+    _check_alphabet(field.q, d)
     T = field.q - 1
     if len(terms) != T:
         raise ValueError("term count does not match the period q - 1")
+    if any(not 0 <= s < d for s in terms):
+        raise ValueError(f"every term must lie in [0, {d})")
     u, Tprime = two_adic_split(T)
-    return SlceSequence(field, doc["d"], terms, T, u, Tprime)
+    return SlceSequence(field, d, terms, T, u, Tprime)
 
 
 def characteristic_poly(s):

@@ -141,3 +141,21 @@ class TestSerialization:
         doc["terms"] = doc["terms"][:-1]
         with pytest.raises(ValueError):
             sequence_from_json(doc)
+
+    def test_term_range_check(self):
+        # 5 and 9 would read as 1 in S(X) but as themselves in autocorrelation
+        doc = {"p": 7, "m": 1, "d": 2, "terms": [5, 0, 9, 0, 1, 1]}
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            sequence_from_json(doc)
+        doc["terms"] = [1, 0, -1, 0, 1, 1]
+        with pytest.raises(ValueError):
+            sequence_from_json(doc)
+
+    def test_alphabet_check(self):
+        # d must be a prime divisor of q - 1, as generate_slce demands
+        for d in (4, 5, 1):
+            doc = {"p": 7, "m": 1, "d": d, "terms": [0] * 6}
+            with pytest.raises(BadAlphabet):
+                sequence_from_json(doc)
+        doc = generate_slce(build_field(7, 1), 3).to_json()
+        assert sequence_from_json(doc).d == 3
