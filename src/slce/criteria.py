@@ -87,7 +87,7 @@ class AnalysisContext:
         return self.spec if h == 0 else IdealSpec(self.rf, h)
 
     def conductor(self, h):
-        return self.ideal_spec(h).conductor
+        return (1 << h) * self.k
 
     def ksum_counts(self, h):
         """Exponent-count vectors of K(eta_{j/2^h} chi) for j < 2^h, in
@@ -353,8 +353,12 @@ def multiplicity_profile(seq):
     for k in divisors(seq.Tprime):
         gp = _residue_field(k).gamma_pow_bits()
         for e in units(k):
-            entries[(k, e)] = next(
-                (t for t in range(cap) if _masked_sum(ones, gp, k, e, t, t)), cap)
+            mult = cap
+            for t in range(cap):
+                if _masked_sum(ones, gp, k, e, t, t):
+                    mult = t
+                    break
+            entries[(k, e)] = mult
     return MultiplicityProfile(entries, T - sum(entries.values()))
 
 
@@ -515,6 +519,7 @@ def analyze_field(p, m, checks=ALL_CHECKS, size_cap=None):
     """All criterion records for one field, sorted canonically."""
     field = build_field(p, m) if size_cap is None else build_field(p, m, size_cap)
     seq = generate_slce(field, 2)
+    profile = multiplicity_profile(seq)
     q, u = field.q, seq.u
     records = []
 
@@ -525,8 +530,8 @@ def analyze_field(p, m, checks=ALL_CHECKS, size_cap=None):
         ))
 
     for ctx in admissible_contexts(seq):
+        mult = profile.entries[(ctx.k, ctx.e)]
         direct = [derivative_vanishes_direct(ctx, t) for t in range(1 << u)]
-        mult = next((t for t, vanishes in enumerate(direct) if not vanishes), 1 << u)
         for check in checks:
             if check == "thm1":
                 for t in range(1 << u):

@@ -469,8 +469,10 @@ class SemiprimitiveGaussValue:
 def semiprimitive_vw(p, m, N):
     """(v, w) with v minimal such that N | p^v + 1, and m = 2vw; raises
     NotSemiprimitive when either fails."""
-    v = next((v for v in range(1, m + 1) if (p**v + 1) % N == 0), None)
-    if v is None:
+    for v in range(1, m + 1):
+        if (p**v + 1) % N == 0:
+            break
+    else:
         raise NotSemiprimitive(f"no v <= {m} with p^v = -1 mod {N}")
     if m % (2 * v) != 0:
         raise NotSemiprimitive(f"m = {m} is not 2vw for v = {v}")

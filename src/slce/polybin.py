@@ -114,9 +114,6 @@ class BinaryPoly:
         """Degree; -1 is the sentinel for the zero polynomial."""
         return _deg(self.value)
 
-    def coeff(self, i):
-        return (self.value >> i) & 1
-
     def __bool__(self):
         return self.value != 0
 

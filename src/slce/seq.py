@@ -53,7 +53,7 @@ class SlceSequence:
 
 
 def _check_alphabet(q, d):
-    if not is_prime(d) or (q - 1) % d != 0:
+    if (q - 1) % d != 0 or not is_prime(d):
         raise BadAlphabet(f"d = {d} must be a prime divisor of q - 1 = {q - 1}")
 
 

@@ -153,7 +153,7 @@ class TestSerialization:
 
     def test_alphabet_check(self):
         # d must be a prime divisor of q - 1, as generate_slce demands
-        for d in (4, 5, 1):
+        for d in (4, 5, 1, 2**61 - 1):  # a large prime d is refused without testing it
             doc = {"p": 7, "m": 1, "d": d, "terms": [0] * 6}
             with pytest.raises(BadAlphabet):
                 sequence_from_json(doc)
