@@ -1,8 +1,11 @@
 """Golden output: the stdout bytes of verify, sweep and complexity at small
-q must not change under refactors. The digests were taken from the code
-before the masked-sum and semiprimitive-helper consolidation."""
+q must not change under refactors. The first four digests were taken from
+the code before the masked-sum and semiprimitive-helper consolidation, the
+rest (parallel verify, JSON sweep, header-only tables, the --output file)
+before verify and sweep moved onto one streaming field runner and writer."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -17,11 +20,33 @@ GOLDEN = [
      "53a8c93ebc0d0529a653d5f295c641434847ca2e355e71194dc6e99b89d265f0"),
     (("complexity", "--p", "127"),
      "ca1613d9f786bd2a0d479dd5dd4b8fa7a8ac00d576b4cf643bfac26abf3da930"),
+    (("verify", "--qmax", "128", "--jobs", "2"),
+     "536209a568da8a1903e6f5b24c296352f23a1d6140ec8fa3395b9a0969a3de90"),
+    (("sweep", "--qmax", "128", "--format", "json"),
+     "3d31c43afcfb19b09ecba9fd9e4a622ac09ba12c8e3b1caa9019ed08a828e658"),
+    (("sweep", "--qmax", "2"),  # header only
+     "7f6f04410031d4a1f9e13dd83bd7af4f50244270f08c0dd65c7403be2e4a619c"),
+    (("verify", "--qmax", "2", "--format", "csv"),  # header only
+     "f42f1edbda20e4d228231497813416fc9ea3cdfd5e034c8f7912d177745472d3"),
 ]
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_stdout_digest(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert _sha256(out.encode()) == digest
+
+
+def test_output_file_digest(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    assert main(["verify", "--qmax", "49", "--output", str(path)]) == 0
+    assert _sha256(path.read_bytes()) == (
+        "ffe5ca2235e920e06d3f617fb9cabb9c1c9c9994746310be32c77d1f21bbb6e6"
+    )
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"summary": {"checks": 1236, "contexts": 116, "mismatches": 0}}
