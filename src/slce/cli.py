@@ -11,13 +11,15 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
+from functools import partial
 
 from .criteria import (
     ALL_CHECKS,
     CriterionRecord,
+    map_fields,
     multiplicity_profile,
     normalize_checks,
-    odd_prime_powers,
     run_verify,
 )
 from .cyclo import (
@@ -113,25 +115,23 @@ def cmd_complexity(args):
 
 def cmd_verify(args):
     checks = normalize_checks(args.theorems.split(",")) if args.theorems else ALL_CHECKS
-    size_cap = _size_cap(args)
-    if args.qmax > size_cap:
-        raise SlceError(f"--qmax {args.qmax} exceeds the size cap {size_cap}")
-    records, summary = run_verify(
-        args.qmax, p_filter=args.p, checks=checks, size_cap=size_cap, jobs=args.jobs
+    records = run_verify(
+        args.qmax, p_filter=args.p, checks=checks, size_cap=_size_cap(args), jobs=args.jobs
     )
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        if args.format == "csv":
-            writer = csv.writer(out)
-            writer.writerow(CriterionRecord.CSV_FIELDS)
-            for r in records:
-                writer.writerow(r.to_row())
-        else:
-            for r in records:
-                out.write(_dump(r.to_json()) + "\n")
-    finally:
-        if args.output:
-            out.close()
+    summary = {"contexts": 0, "checks": 0, "mismatches": 0}
+
+    def rows():
+        # records arrive sorted, so each context's records are contiguous
+        context = None
+        for r in records:
+            if (r.q, r.k, r.e) != context:
+                context = (r.q, r.k, r.e)
+                summary["contexts"] += 1
+            summary["checks"] += 1
+            summary["mismatches"] += not r.match
+            yield r.to_json()
+
+    _write_rows(args, CriterionRecord.CSV_FIELDS, rows())
     dest = sys.stdout if args.output else sys.stderr
     print(_dump({"summary": summary}), file=dest)
     return 0 if summary["mismatches"] == 0 else 3
@@ -186,46 +186,49 @@ def cmd_jacobi(args):
     return 0
 
 
+SWEEP_FIELDS = ("q", "p", "m", "T", "u", "t_odd", "L", "lc_methods_agree", "ones",
+                "balanced", "s_half_zero", "min_poly_hex", "autocorr_offpeak")
+
+
+def sweep_row(p, m, size_cap=DEFAULT_SIZE_CAP):
+    """The statistics row of one field, keyed by SWEEP_FIELDS."""
+    field = build_field(p, m, size_cap)
+    s = generate_slce(field, 2)
+    S = characteristic_poly(s)
+    bm = berlekamp_massey(s.terms)
+    gc = lc_via_gcd(S, s.T)
+    ones = balance_report(s)[1]
+    offpeak = sorted({autocorrelation(s, tau) for tau in range(1, s.T)})
+    return {
+        "q": field.q, "p": p, "m": m, "T": s.T, "u": s.u, "t_odd": s.Tprime,
+        "L": gc.L, "lc_methods_agree": bm.L == gc.L,
+        "ones": ones, "balanced": ones * 2 == s.T,
+        "s_half_zero": s.terms[s.T // 2] == 0,
+        "min_poly_hex": gc.minimal_poly.to_hex(),
+        "autocorr_offpeak": "|".join(str(v) for v in offpeak),
+    }
+
+
 def cmd_sweep(args):
     size_cap = _size_cap(args)
-    if args.qmax > size_cap:
-        raise SlceError(f"--qmax {args.qmax} exceeds the size cap {size_cap}")
-    rows = []
-    for p, m, q in odd_prime_powers(args.qmax):
-        if args.p is not None and p != args.p:
-            continue
-        field = build_field(p, m, size_cap)
-        s = generate_slce(field, 2)
-        S = characteristic_poly(s)
-        bm = berlekamp_massey(s.terms)
-        gc = lc_via_gcd(S, s.T)
-        ones = balance_report(s)[1]
-        offpeak = sorted({autocorrelation(s, tau) for tau in range(1, s.T)})
-        rows.append({
-            "q": q, "p": p, "m": m, "T": s.T, "u": s.u, "t_odd": s.Tprime,
-            "L": gc.L, "lc_methods_agree": bm.L == gc.L,
-            "ones": ones, "balanced": ones * 2 == s.T,
-            "s_half_zero": s.terms[s.T // 2] == 0,
-            "min_poly_hex": gc.minimal_poly.to_hex(),
-            "autocorr_offpeak": "|".join(str(v) for v in offpeak),
-        })
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        if args.format == "json":
-            for row in rows:
-                out.write(_dump(row) + "\n")
-        else:
-            fields = ["q", "p", "m", "T", "u", "t_odd", "L", "lc_methods_agree",
-                      "ones", "balanced", "s_half_zero", "min_poly_hex",
-                      "autocorr_offpeak"]
+    rows = map_fields(partial(sweep_row, size_cap=size_cap), args.qmax, args.p, size_cap)
+    _write_rows(args, SWEEP_FIELDS, rows)
+    return 0
+
+
+def _write_rows(args, fields, rows):
+    """Write each row as it arrives to --output or stdout: CSV under a
+    header of fields, or one JSON object per line."""
+    dest = open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)
+    with dest as out:
+        if args.format == "csv":
             writer = csv.DictWriter(out, fieldnames=fields)
             writer.writeheader()
             for row in rows:
                 writer.writerow(row)
-    finally:
-        if args.output:
-            out.close()
-    return 0
+        else:
+            for row in rows:
+                out.write(_dump(row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ The verification sweep quantifies over every unit e, i.e. over the whole
 Galois orbit of beta, rather than stipulating one pairing.
 """
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .cyclo import (
     Character,
@@ -40,8 +41,9 @@ from .errors import (
     NotBinary,
     NotSemiprimitive,
     PreconditionUnmet,
+    SizeExceeded,
 )
-from .ff import _residue_field, build_field, build_residue_field
+from .ff import DEFAULT_SIZE_CAP, _residue_field, build_field, build_residue_field
 from .numth import divisors, is_prime, two_adic_split, units
 from .polybin import BinaryPoly, binom_mod2, bit_length_h, index_set
 from .seq import characteristic_poly, generate_slce
@@ -463,19 +465,11 @@ class CriterionRecord:
     ground_truth: bool
     match: bool
 
-    def to_json(self):
-        return {
-            "q": self.q, "p": self.p, "m": self.m, "k": self.k, "e": self.e,
-            "check": self.check, "index": self.index,
-            "predicted": self.predicted, "ground_truth": self.ground_truth,
-            "match": self.match,
-        }
-
     CSV_FIELDS = ("q", "p", "m", "k", "e", "check", "index",
                   "predicted", "ground_truth", "match")
 
-    def to_row(self):
-        return [getattr(self, f) for f in self.CSV_FIELDS]
+    def to_json(self):
+        return {f: getattr(self, f) for f in self.CSV_FIELDS}
 
 
 _CHECK_TOKENS = {
@@ -515,9 +509,39 @@ def odd_prime_powers(q_max):
     return sorted(out, key=lambda t: t[2])
 
 
-def analyze_field(p, m, checks=ALL_CHECKS, size_cap=None):
+def map_fields(fn, q_max, p_filter=None, size_cap=DEFAULT_SIZE_CAP, jobs=1):
+    """fn(p, m) for every odd prime power q = p^m <= q_max (characteristic
+    p_filter only, if given), lazily in ascending q, each result as soon as
+    its field finishes. The arguments are checked at the call. jobs > 1 maps
+    over a pool of at most one worker per field and per CPU, with Pool.imap,
+    which keeps the order; fn must then be picklable.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if q_max > size_cap:
+        raise SizeExceeded(f"q_max = {q_max} exceeds the size cap {size_cap}")
+    fields = [(p, m) for p, m, _ in odd_prime_powers(q_max)
+              if p_filter is None or p == p_filter]
+    jobs = min(jobs, len(fields), os.cpu_count() or 1)
+    if jobs <= 1:
+        return itertools.starmap(fn, fields)
+    return _pooled(fn, fields, jobs)
+
+
+def _pooled(fn, fields, jobs):
+    import multiprocessing
+
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(partial(_apply, fn), fields)
+
+
+def _apply(fn, field):
+    return fn(*field)
+
+
+def analyze_field(p, m, checks=ALL_CHECKS, size_cap=DEFAULT_SIZE_CAP):
     """All criterion records for one field, sorted canonically."""
-    field = build_field(p, m) if size_cap is None else build_field(p, m, size_cap)
+    field = build_field(p, m, size_cap)
     seq = generate_slce(field, 2)
     profile = multiplicity_profile(seq)
     q, u = field.q, seq.u
@@ -557,31 +581,9 @@ def analyze_field(p, m, checks=ALL_CHECKS, size_cap=None):
     return records
 
 
-def run_verify(q_max, p_filter=None, checks=ALL_CHECKS, size_cap=None, jobs=1):
-    """Criterion records over every admissible context with q <= q_max.
-
-    Records come back sorted by (q, k, e, check, index): fields run in
-    ascending q, each q once, and analyze_field sorts its own records, so
-    worker parallelism never changes the output (starmap keeps order). The
-    summary counts contexts, checks and mismatches; at most one worker per
-    field and per CPU is started.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    fields = [(p, m) for p, m, _ in odd_prime_powers(q_max)
-              if p_filter is None or p == p_filter]
-    jobs = min(jobs, len(fields), os.cpu_count() or 1)
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.starmap(
-                analyze_field, [(p, m, checks, size_cap) for p, m in fields]
-            )
-    else:
-        chunks = [analyze_field(p, m, checks, size_cap) for p, m in fields]
-    records = [r for chunk in chunks for r in chunk]
-    contexts = len({(r.q, r.k, r.e) for r in records})
-    mismatches = sum(1 for r in records if not r.match)
-    summary = {"contexts": contexts, "checks": len(records), "mismatches": mismatches}
-    return records, summary
+def run_verify(q_max, p_filter=None, checks=ALL_CHECKS, size_cap=DEFAULT_SIZE_CAP, jobs=1):
+    """Criterion records over every admissible context with q <= q_max, as a
+    lazy iterator sorted by (q, k, e, check, index) for any worker count:
+    map_fields yields the fields in ascending q, analyze_field sorts each."""
+    per_field = partial(analyze_field, checks=checks, size_cap=size_cap)
+    return itertools.chain.from_iterable(map_fields(per_field, q_max, p_filter, size_cap, jobs))

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import polybin
 from .errors import ConductorMismatch, InternalInconsistency, NotSemiprimitive, SizeExceeded
-from .ff import build_field
+from .ff import DEFAULT_SIZE_CAP, build_field
 from .numth import divisors
 
 CONDUCTOR_CAP = 1 << 16
@@ -479,7 +479,7 @@ def semiprimitive_vw(p, m, N):
     return v, m // (2 * v)
 
 
-def semiprimitive_gauss_closed(p, m, N, size_cap=None):
+def semiprimitive_gauss_closed(p, m, N, size_cap=DEFAULT_SIZE_CAP):
     """Closed form for G(chi), ord(chi) = N > 2, when some p^v = -1 mod N.
 
     v is minimal; requires m = 2vw. The sign comes from the parity of
@@ -492,7 +492,7 @@ def semiprimitive_gauss_closed(p, m, N, size_cap=None):
     magnitude = p ** (m // 2)
     exponent = (w - 1) + p * w * ((p**v + 1) // N)
     formula_sign = -1 if exponent % 2 else 1
-    field = build_field(p, m) if size_cap is None else build_field(p, m, size_cap)
+    field = build_field(p, m, size_cap)
     g = gauss_sum_numeric(Character(field, (field.q - 1) // N))
     if abs(g.imag) >= 1e-6 * magnitude or abs(abs(g.real) - magnitude) >= 1e-6 * magnitude:
         raise InternalInconsistency(f"numeric G(chi) = {g} is not +-{magnitude}")

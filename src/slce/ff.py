@@ -22,7 +22,7 @@ cyclotomic integers modulo a prime over 2.
 
 import copy
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import polybin
 from .errors import (
@@ -34,7 +34,7 @@ from .errors import (
     LogOfZero,
     SizeExceeded,
 )
-from .numth import is_prime, multiplicative_order, prime_factors
+from .numth import is_prime, multiplicative_order, power, prime_factors
 
 DEFAULT_SIZE_CAP = 1 << 16
 
@@ -59,18 +59,6 @@ def _pp_mulmod(a, b, modulus, p):
                 prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
     out = prod[:m]
     out += [0] * (m - len(out))
-    return out
-
-
-def _pp_powmod(a, e, modulus, p):
-    m = len(modulus) - 1
-    out = [1] + [0] * (m - 1)
-    base = a[:]
-    while e:
-        if e & 1:
-            out = _pp_mulmod(out, base, modulus, p)
-        base = _pp_mulmod(base, base, modulus, p)
-        e >>= 1
     return out
 
 
@@ -105,8 +93,9 @@ def _is_irreducible(coeffs, p):
         return True
     if coeffs[0] == 0:
         return False  # divisible by X
+    mulmod = partial(_pp_mulmod, modulus=coeffs, p=p)
     for d in range(1, m // 2 + 1):
-        diff = _pp_powmod([0, 1], p**d, coeffs, p)  # X^(p^d) mod f, length m >= 2
+        diff = power([0, 1], p**d, mulmod, [1] + [0] * (m - 1))  # X^(p^d) mod f, length m >= 2
         diff[1] = (diff[1] - 1) % p
         if len(_pp_gcd(coeffs[:], diff, p)) != 1:
             return False
@@ -253,21 +242,11 @@ class ExtField:
             code = code * p + r
         return code
 
-    def _raw_pow(self, a, e):
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return out
-
     def _find_alpha(self):
         q = self.q
         rs = prime_factors(q - 1)
         for code in range(2, q):
-            if all(self._raw_pow(code, (q - 1) // r) != 1 for r in rs):
+            if all(power(code, (q - 1) // r, self._raw_mul) != 1 for r in rs):
                 return code
         raise InternalInconsistency("no primitive element found")
 
@@ -411,10 +390,18 @@ class ExtField:
         return f"ExtField(p={self.p}, m={self.m})"
 
 
-@lru_cache(maxsize=None)
+_FIELDS = {}  # (p, m) -> the canonical GF(p^m)
+
+
 def build_field(p, m, size_cap=DEFAULT_SIZE_CAP):
-    """Construct (and cache) the canonical GF(p^m)."""
-    return ExtField(p, m, size_cap)
+    """The canonical GF(p^m), built once per (p, m) however the cap is
+    spelled; q is checked against size_cap on every call."""
+    field = _FIELDS.get((p, m))
+    if field is None:
+        field = _FIELDS[p, m] = ExtField(p, m, size_cap)
+    elif field.q > size_cap:
+        raise SizeExceeded(f"q = {field.q} exceeds the size cap {size_cap}")
+    return field
 
 
 def dlog(field, x):
@@ -481,7 +468,7 @@ class RFElement:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return RFElement(self.field, self.field.pow_bits(self.bits, n))
+        return RFElement(self.field, power(self.bits, n, self.field.mul_bits))
 
     def order(self):
         if self.bits == 0:
@@ -523,17 +510,6 @@ class ResidueField:
 
     def mul_bits(self, a, b):
         return polybin._mod2(polybin._mul2(a, b), self.modulus)
-
-    def pow_bits(self, a, n):
-        if n < 0:
-            raise ValueError("negative power in a residue field")
-        out, base = 1, a
-        while n:
-            if n & 1:
-                out = self.mul_bits(out, base)
-            base = self.mul_bits(base, base)
-            n >>= 1
-        return out
 
     @property
     def zero(self):

@@ -34,6 +34,19 @@ def prime_factors(n):
     return out
 
 
+def power(x, n, mul, one=1):
+    """x^n for n >= 0 by square-and-multiply under the product mul."""
+    if n < 0:
+        raise ValueError("negative power")
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        n >>= 1
+    return out
+
+
 def euler_phi(n):
     phi = n
     for p in prime_factors(n):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BothZero, EvenK, InternalInconsistency, ZeroPolynomial
-from .numth import euler_phi, multiplicative_order
+from .numth import euler_phi, multiplicative_order, power
 
 # ---------------------------------------------------------------------------
 # raw int helpers
@@ -147,15 +147,7 @@ class BinaryPoly:
         return BinaryPoly(_mod2(self.value, BinaryPoly(other).value))
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out, base = 1, self.value
-        while n:
-            if n & 1:
-                out = _mul2(out, base)
-            base = _mul2(base, base)
-            n >>= 1
-        return BinaryPoly(out)
+        return BinaryPoly(power(self.value, n, _mul2))
 
     def evaluate(self, x):
         """Horner evaluation at x, an element of any field of characteristic 2.

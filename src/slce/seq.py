@@ -69,9 +69,9 @@ def generate_slce(field, d=2):
     return SlceSequence(field, d, tuple(terms), T, u, Tprime)
 
 
-def sequence_from_json(doc, size_cap=None):
+def sequence_from_json(doc, size_cap=DEFAULT_SIZE_CAP):
     """Rebuild a sequence from its JSON form, regenerating the field."""
-    field = build_field(doc["p"], doc["m"], size_cap or DEFAULT_SIZE_CAP)
+    field = build_field(doc["p"], doc["m"], size_cap)
     d, terms = doc["d"], tuple(doc["terms"])
     _check_alphabet(field.q, d)
     T = field.q - 1

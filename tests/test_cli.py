@@ -119,8 +119,8 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def starmap(self, fn, args):
-                return [fn(*a) for a in args]
+            def imap(self, fn, args):
+                return map(fn, args)
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         # one field (q = 3): no pool at all
@@ -138,7 +138,30 @@ class TestVerify:
     def test_unknown_theorem_token(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--qmax", "20",
                                "--theorems", "thm9")
-        assert code == 2 or "unknown" in err
+        assert code == 2 and "unknown" in err
+
+    @pytest.mark.parametrize("bad", [
+        ("verify", "--qmax", "20", "--format", "csv", "--jobs", "0"),
+        ("verify", "--qmax", "100000"),
+        ("verify", "--qmax", "20", "--theorems", "thm9"),
+        ("sweep", "--qmax", "100000"),
+    ], ids=" ".join)
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_bad_input_writes_nothing(self, tmp_path, capsys, bad, to_file):
+        path = tmp_path / "out"
+        argv = bad + (("--output", str(path)) if to_file else ())
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "error" in err
+        assert not path.exists()
+
+    def test_summary_counts_printed_records(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--qmax", "31")
+        recs = [json.loads(line) for line in out.splitlines()]
+        summary = json.loads(err.strip().splitlines()[-1])["summary"]
+        assert code == 0 and recs
+        assert summary["checks"] == len(recs)
+        assert summary["contexts"] == len({(r["q"], r["k"], r["e"]) for r in recs})
+        assert summary["mismatches"] == sum(not r["match"] for r in recs)
 
     def test_full_sweep_qmax_128(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--qmax", "128",
@@ -234,7 +257,7 @@ class TestExitCode3:
         fake = [CriterionRecord(7, 7, 1, 3, 1, "thm1", 0, True, False, False)]
 
         def fake_verify(*args, **kwargs):
-            return fake, {"contexts": 1, "checks": 1, "mismatches": 1}
+            return iter(fake)
 
         monkeypatch.setattr(cli_mod, "run_verify", fake_verify)
         code, out, err = run_cli(capsys, "verify", "--qmax", "8")
@@ -247,6 +270,22 @@ class TestExitCode3:
         monkeypatch.setattr(criteria_mod, "reduce_mod_P", lambda x, spec: spec.rf.zero)
         code, out, err = run_cli(capsys, "verify", "--qmax", "7")
         assert code == 3 and "internal inconsistency" in err
+
+    def test_failure_mid_run_keeps_written_rows(self, capsys, monkeypatch):
+        import slce.criteria as criteria_mod
+        from slce.errors import InternalInconsistency
+
+        analyze_field = criteria_mod.analyze_field
+
+        def failing_at_q9(p, m, *args, **kwargs):
+            if p**m == 9:
+                raise InternalInconsistency("broken at q = 9")
+            return analyze_field(p, m, *args, **kwargs)
+
+        monkeypatch.setattr(criteria_mod, "analyze_field", failing_at_q9)
+        code, out, err = run_cli(capsys, "verify", "--qmax", "13")
+        assert code == 3 and "q = 9" in err and "summary" not in err
+        assert {json.loads(line)["q"] for line in out.splitlines()} == {7}
 
     def test_complexity_inconsistency_exits_3(self, capsys, monkeypatch):
         import slce.cli as cli_mod

@@ -3,6 +3,7 @@
 import pytest
 
 from slce.criteria import (
+    analyze_field,
     admissible_contexts,
     all_ones_power_divides,
     coset_sum,
@@ -293,26 +294,39 @@ class TestDeepTwoAdicRamification:
 
 class TestRunVerify:
     def test_small_sweep_clean(self):
-        records, summary = run_verify(31)
-        assert summary["mismatches"] == 0
-        assert summary["checks"] == len(records)
+        records = list(run_verify(31))
+        assert all(r.match for r in records)
         assert records == sorted(
             records, key=lambda r: (r.q, r.k, r.e, r.check, r.index)
         )
 
     def test_vacuous_sweep(self):
-        records, summary = run_verify(6)
-        assert records == [] and summary["contexts"] == 0
+        records = list(run_verify(6))
+        assert records == []
 
     def test_parallel_matches_serial(self):
-        serial, s1 = run_verify(29, jobs=1)
-        parallel, s2 = run_verify(29, jobs=2)
-        assert s1 == s2
+        serial = list(run_verify(29, jobs=1))
+        parallel = list(run_verify(29, jobs=2))
         assert serial == parallel
 
     def test_p_filter(self):
-        records, _ = run_verify(49, p_filter=7)
+        records = list(run_verify(49, p_filter=7))
         assert {r.p for r in records} == {7}
+
+    def test_lazy_per_field(self, monkeypatch):
+        import slce.criteria as criteria_mod
+
+        analyzed = []
+
+        def counting(p, m, *args, **kwargs):
+            analyzed.append((p, m))
+            return analyze_field(p, m, *args, **kwargs)
+
+        monkeypatch.setattr(criteria_mod, "analyze_field", counting)
+        records = run_verify(49, p_filter=7)
+        assert analyzed == []
+        assert next(records).q == 7
+        assert analyzed == [(7, 1)]
 
     def test_odd_prime_powers(self):
         qs = [q for _, _, q in odd_prime_powers(30)]

@@ -2,8 +2,17 @@
 
 import pytest
 
+from slce.cyclo import Character, jacobi_sum
 from slce.errors import CompositeP, DivisionByZero, EvenK, KisOne, LogOfZero, SizeExceeded
-from slce.ff import build_field, build_residue_field, dlog, with_primitive_element
+from slce.ff import (
+    DEFAULT_SIZE_CAP,
+    ExtField,
+    build_field,
+    build_residue_field,
+    dlog,
+    with_primitive_element,
+)
+from slce.seq import generate_slce, sequence_from_json
 
 
 def brute_order(g, p):
@@ -41,9 +50,22 @@ class TestBuildField:
         with pytest.raises(SizeExceeded):
             build_field(3, 2, size_cap=8)
 
+    def test_one_object_per_field(self):
+        F = build_field(7, 1)
+        assert build_field(7, 1, DEFAULT_SIZE_CAP) is F
+        assert build_field(7, 1, size_cap=DEFAULT_SIZE_CAP) is F
+        jacobi_sum(Character(F, 1), Character(build_field(7, 1, 1000), 2))
+        doc = generate_slce(F, 2).to_json()
+        assert sequence_from_json(doc).field is F
+        assert sequence_from_json(doc, size_cap=1000).field is F
+        # a cached field still answers to a smaller cap
+        build_field(3, 2)
+        with pytest.raises(SizeExceeded):
+            build_field(3, 2, size_cap=8)
+
     def test_deterministic(self):
-        a = build_field.__wrapped__(3, 4)
-        b = build_field.__wrapped__(3, 4)
+        a = ExtField(3, 4)
+        b = ExtField(3, 4)
         assert a.modulus == b.modulus
         assert a.alpha_code == b.alpha_code
         assert a._pow == b._pow
