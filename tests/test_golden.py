@@ -1,8 +1,11 @@
 """Golden output: the stdout bytes of verify, sweep and complexity at small
 q must not change under refactors. The first four digests were taken from
 the code before the masked-sum and semiprimitive-helper consolidation, the
-rest (parallel verify, JSON sweep, header-only tables, the --output file)
-before verify and sweep moved onto one streaming field runner and writer."""
+next ones (parallel verify, JSON sweep, header-only tables, the --output
+file) before verify and sweep moved onto one streaming field runner and
+writer, and the last three (a 2-adic depth-4 verify, Jacobi sums at the
+sparse conductor 256 = X^128 + 1 and the dense conductor 4098) before
+reduction modulo Phi_N became sparse long division."""
 
 import hashlib
 import json
@@ -28,6 +31,12 @@ GOLDEN = [
      "7f6f04410031d4a1f9e13dd83bd7af4f50244270f08c0dd65c7403be2e4a619c"),
     (("verify", "--qmax", "2", "--format", "csv"),  # header only
      "f42f1edbda20e4d228231497813416fc9ea3cdfd5e034c8f7912d177745472d3"),
+    (("verify", "--p", "5", "--qmax", "625", "--jobs", "1"),
+     "87428f85fbf9067044c21c111762f21ef0b63b955f633e410af3508655fd850a"),
+    (("jacobi", "--p", "257", "--a1", "1", "--a2", "1"),
+     "d9783c5ad77afc1e54a71165d22d26ba2e92bfc36beb0f9a02a1fc568d8c7edb"),
+    (("jacobi", "--p", "4099", "--a1", "1", "--a2", "1"),
+     "ed9a6268b9b8a3a3fcd1854e470d9de49b5f3cbe964641b406fe600ecb4309f8"),
 ]
 
 
