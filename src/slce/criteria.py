@@ -43,7 +43,7 @@ from .errors import (
     PreconditionUnmet,
     SizeExceeded,
 )
-from .ff import DEFAULT_SIZE_CAP, _residue_field, build_field, build_residue_field
+from .ff import DEFAULT_SIZE_CAP, _residue_field, build_field, build_residue_field, field_order
 from .numth import divisors, is_prime, two_adic_split, units
 from .polybin import BinaryPoly, binom_mod2, bit_length_h, index_set
 from .seq import characteristic_poly, generate_slce
@@ -511,15 +511,18 @@ def odd_prime_powers(q_max):
 
 def map_fields(fn, q_max, p_filter=None, size_cap=DEFAULT_SIZE_CAP, jobs=1):
     """fn(p, m) for every odd prime power q = p^m <= q_max (characteristic
-    p_filter only, if given), lazily in ascending q, each result as soon as
-    its field finishes. The arguments are checked at the call. jobs > 1 maps
-    over a pool of at most one worker per field and per CPU, with Pool.imap,
-    which keeps the order; fn must then be picklable.
+    p_filter only, if given: an odd prime <= size_cap), lazily in ascending
+    q, each result as soon as its field finishes. The arguments are checked
+    at the call. jobs > 1 maps over a pool of at most one worker per field
+    and per CPU, with Pool.imap, which keeps the order; fn must then be
+    picklable.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if q_max > size_cap:
         raise SizeExceeded(f"q_max = {q_max} exceeds the size cap {size_cap}")
+    if p_filter is not None:
+        field_order(p_filter, 1, size_cap)
     fields = [(p, m) for p, m, _ in odd_prime_powers(q_max)
               if p_filter is None or p == p_filter]
     jobs = min(jobs, len(fields), os.cpu_count() or 1)

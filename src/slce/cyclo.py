@@ -30,19 +30,28 @@ CONDUCTOR_CAP = 1 << 16
 # cyclotomic polynomials over Z
 
 
-def _int_poly_div_exact(a, b):
-    # exact division of integer polynomials, b monic; coefficient lists,
-    # constant term first
+def _int_divmod(a, b):
+    # long division of the integer polynomial a by the monic b (coefficient
+    # lists, constant term first, len(a) >= deg b): (quotient, remainder of
+    # length deg b). Each step visits only the nonzero lower coefficients of
+    # b, so reducing modulo a sparse Phi_N costs its few terms per exponent.
     a = list(a)
     db = len(b) - 1
+    lower = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
     q = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
         if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    if any(a):
+            base = i - db
+            q[base] = c
+            for j, bj in lower:
+                a[base + j] -= c * bj
+    return q, a[:db]
+
+
+def _int_poly_div_exact(a, b):
+    q, r = _int_divmod(a, b)
+    if any(r):
         raise InternalInconsistency("integer polynomial division was not exact")
     return q
 
@@ -63,31 +72,6 @@ def cyclotomic_polynomial(N):
     return tuple(rem)
 
 
-@lru_cache(maxsize=None)
-def _conductor_data(N):
-    # (phi, pow_table): pow_table[e] = coordinates of z^e for every exponent
-    # that can appear while folding sums (e < N) or schoolbook products
-    # (e < 2 phi - 1)
-    cyc = cyclotomic_polynomial(N)
-    phi = len(cyc) - 1
-    limit = max(N, 2 * phi - 1)
-    pows = []
-    for e in range(phi):
-        v = [0] * phi
-        v[e] = 1
-        pows.append(tuple(v))
-    cur = list(pows[-1])
-    for _ in range(phi, limit):
-        top = cur[phi - 1]
-        nxt = [0] + cur[: phi - 1]
-        if top:
-            for i in range(phi):
-                nxt[i] -= top * cyc[i]
-        pows.append(tuple(nxt))
-        cur = nxt
-    return phi, tuple(pows)
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic integers
 
@@ -98,7 +82,7 @@ class CycInt:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor, coeffs):
-        phi, _ = _conductor_data(conductor)
+        phi = len(cyclotomic_polynomial(conductor)) - 1
         coeffs = tuple(coeffs)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coordinates for conductor {conductor}")
@@ -109,34 +93,25 @@ class CycInt:
 
     @classmethod
     def zero(cls, N):
-        phi, _ = _conductor_data(N)
-        return cls(N, (0,) * phi)
+        return cls(N, (0,) * (len(cyclotomic_polynomial(N)) - 1))
 
     @classmethod
     def from_int(cls, N, c):
-        phi, _ = _conductor_data(N)
-        return cls(N, (c,) + (0,) * (phi - 1))
+        return cls(N, (c,) + (0,) * (len(cyclotomic_polynomial(N)) - 2))
 
     @classmethod
     def root(cls, N, e):
         """z_N^e."""
-        phi, pows = _conductor_data(N)
-        return cls(N, pows[e % N])
+        counts = [0] * N
+        counts[e % N] = 1
+        return cls(N, _int_divmod(counts, cyclotomic_polynomial(N))[1])
 
     @classmethod
     def from_exponent_counts(cls, N, counts):
         """sum counts[e] * z_N^e for e in [0, N)."""
-        phi, pows = _conductor_data(N)
         if len(counts) != N:
             raise ValueError("counts must have length N")
-        out = list(counts[:phi])
-        for e in range(phi, N):
-            c = counts[e]
-            if c:
-                pe = pows[e]
-                for i in range(phi):
-                    out[i] += c * pe[i]
-        return cls(N, out)
+        return cls(N, _int_divmod(counts, cyclotomic_polynomial(N))[1])
 
     # -- ring operations ------------------------------------------------------
 
@@ -177,22 +152,14 @@ class CycInt:
         o = self._match(other)
         if o is None:
             return NotImplemented
-        phi, pows = _conductor_data(self.conductor)
         a, b = self.coeffs, o.coeffs
-        conv = [0] * (2 * phi - 1)
+        conv = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        out = list(conv[:phi])
-        for e in range(phi, 2 * phi - 1):
-            c = conv[e]
-            if c:
-                pe = pows[e]
-                for i in range(phi):
-                    out[i] += c * pe[i]
-        return CycInt(self.conductor, out)
+        return CycInt(self.conductor, _int_divmod(conv, cyclotomic_polynomial(self.conductor))[1])
 
     __rmul__ = __mul__
 

@@ -180,6 +180,24 @@ class FieldElement:
         return f"FieldElement(GF({self.field.q}), code={self.code})"
 
 
+def field_order(p, m, size_cap=DEFAULT_SIZE_CAP):
+    """q = p^m after checking that p is an odd prime, m >= 1 and q <= size_cap.
+    The cap is checked before primality and without forming p^m past it, so
+    a huge p or m is refused at once."""
+    if p < 3 or p % 2 == 0:
+        raise CompositeP(f"p must be an odd prime, got {p}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    q = 1
+    for _ in range(m):
+        q *= p
+        if q > size_cap:
+            raise SizeExceeded(f"q = {p}^{m} exceeds the size cap {size_cap}")
+    if not is_prime(p):
+        raise CompositeP(f"p must be an odd prime, got {p}")
+    return q
+
+
 class ExtField:
     """GF(p^m) with canonical modulus, canonical primitive element, and a
     dense power/dlog table. Immutable after construction."""
@@ -190,14 +208,7 @@ class ExtField:
     )
 
     def __init__(self, p, m, size_cap=DEFAULT_SIZE_CAP):
-        if not is_prime(p) or p == 2:
-            raise CompositeP(f"p must be an odd prime, got {p}")
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        q = p**m
-        if q > size_cap:
-            raise SizeExceeded(f"q = {q} exceeds the size cap {size_cap}")
-        self.p, self.m, self.q = p, m, q
+        self.p, self.m, self.q = p, m, field_order(p, m, size_cap)
         self._p_minus_1 = p - 1
         self.modulus = self._find_modulus()
         self.alpha_code = self._find_alpha()

@@ -145,6 +145,9 @@ class TestVerify:
         ("verify", "--qmax", "100000"),
         ("verify", "--qmax", "20", "--theorems", "thm9"),
         ("sweep", "--qmax", "100000"),
+        ("verify", "--qmax", "100", "--p", "9"),
+        ("verify", "--qmax", "100", "--p", "2"),
+        ("sweep", "--qmax", "100", "--p", "15"),
     ], ids=" ".join)
     @pytest.mark.parametrize("to_file", [False, True])
     def test_bad_input_writes_nothing(self, tmp_path, capsys, bad, to_file):
@@ -242,6 +245,20 @@ class TestSizeCap:
     def test_cap_enforced(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--qmax", "100000")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--p", "3", "--m", "10000000"),
+        ("generate", "--p", "1000000000000000003"),
+        ("verify", "--qmax", "100", "--p", "1000000000000000003"),
+    ], ids=" ".join)
+    def test_cap_checked_before_power_and_primality(self, capsys, argv):
+        import time
+
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "exceeds the size cap 65536" in err
+        assert len(err) < 200
+        assert time.perf_counter() - start < 2
 
     def test_hard_override_warns(self, capsys):
         code, out, err = run_cli(capsys, "generate", "--p", "3", "--m", "1",

@@ -61,6 +61,68 @@ class TestCyclotomicPolynomial:
             assert prod == 2**N - 1
 
 
+def table_fold(N, counts):
+    """Reference fold: the coordinates of z^e for every e < N, built one
+    shift at a time (z^e = X * z^(e-1) reduced by the top coordinate), then
+    summed with weights counts[e]."""
+    cyc = cyclotomic_polynomial(N)
+    phi = len(cyc) - 1
+    pows = [[int(i == e) for i in range(phi)] for e in range(phi)]
+    cur = pows[-1]
+    for _ in range(phi, N):
+        top = cur[phi - 1]
+        cur = [0] + cur[: phi - 1]
+        for i in range(phi):
+            cur[i] -= top * cyc[i]
+        pows.append(cur)
+    out = [0] * phi
+    for e, c in enumerate(counts):
+        for i in range(phi):
+            out[i] += c * pows[e][i]
+    return tuple(out)
+
+
+FOLD_CONDUCTORS = [1, 2, 3, 9, 96, 105, 210, 362, 576, 624]
+
+
+class TestReductionModPhi:
+    @pytest.mark.parametrize("N", FOLD_CONDUCTORS)
+    def test_fold_matches_power_table(self, N):
+        import random
+
+        rng = random.Random(N)
+        for density in (0.05, 0.5, 1.0):
+            counts = [rng.randrange(-9, 10) if rng.random() < density else 0
+                      for _ in range(N)]
+            assert CycInt.from_exponent_counts(N, counts).coeffs == table_fold(N, counts)
+
+    @pytest.mark.parametrize("N", FOLD_CONDUCTORS)
+    def test_root_is_numeric_root_of_unity(self, N):
+        for e in range(N):
+            ref = cmath.exp(2j * math.pi * e / N)
+            assert abs(CycInt.root(N, e).to_complex() - ref) < 1e-9
+
+    @pytest.mark.parametrize("N", [9, 105, 210, 576])
+    def test_product_matches_cyclic_convolution(self, N):
+        # x * y reduces a length 2 phi - 1 convolution; the same product as
+        # exponent counts mod N goes through the fold
+        import random
+
+        rng = random.Random(N)
+        phi = len(cyclotomic_polynomial(N)) - 1
+        a = [rng.randrange(-9, 10) for _ in range(phi)]
+        b = [rng.randrange(-9, 10) for _ in range(phi)]
+        counts = [0] * N
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                counts[(i + j) % N] += ai * bj
+        assert CycInt(N, a) * CycInt(N, b) == CycInt.from_exponent_counts(N, counts)
+
+    def test_counts_length_checked(self):
+        with pytest.raises(ValueError):
+            CycInt.from_exponent_counts(6, [1, 2, 3])
+
+
 class TestCycIntArithmetic:
     def test_primitive_cube_roots_sum(self):
         assert CycInt.root(3, 1) + CycInt.root(3, 2) == -1

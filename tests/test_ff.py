@@ -10,6 +10,7 @@ from slce.ff import (
     build_field,
     build_residue_field,
     dlog,
+    field_order,
     with_primitive_element,
 )
 from slce.seq import generate_slce, sequence_from_json
@@ -49,6 +50,20 @@ class TestBuildField:
     def test_size_cap(self):
         with pytest.raises(SizeExceeded):
             build_field(3, 2, size_cap=8)
+
+    def test_field_order(self):
+        assert field_order(3, 4) == 81
+        assert field_order(3, 2, size_cap=9) == 9
+        with pytest.raises(SizeExceeded, match=r"q = 3\^3 exceeds the size cap 26"):
+            field_order(3, 3, size_cap=26)
+        for p in (-3, 0, 1, 2, 4, 9, 15):
+            with pytest.raises(CompositeP):
+                field_order(p, 1)
+        with pytest.raises(ValueError):
+            field_order(3, 0)
+        # 2^61 - 1 is prime but over the cap: refused without trial division
+        with pytest.raises(SizeExceeded):
+            field_order((1 << 61) - 1, 1)
 
     def test_one_object_per_field(self):
         F = build_field(7, 1)
