@@ -5,7 +5,10 @@ next ones (parallel verify, JSON sweep, header-only tables, the --output
 file) before verify and sweep moved onto one streaming field runner and
 writer, and the last three (a 2-adic depth-4 verify, Jacobi sums at the
 sparse conductor 256 = X^128 + 1 and the dense conductor 4098) before
-reduction modulo Phi_N became sparse long division."""
+reduction modulo Phi_N became sparse long division. The 3^5 verify was
+taken before each Galois orbit was evaluated once: there the 110 units
+mod k = 121 form one orbit, so a wrong copy to the orbit's members shows
+at once."""
 
 import hashlib
 import json
@@ -37,6 +40,8 @@ GOLDEN = [
      "d9783c5ad77afc1e54a71165d22d26ba2e92bfc36beb0f9a02a1fc568d8c7edb"),
     (("jacobi", "--p", "4099", "--a1", "1", "--a2", "1"),
      "ed9a6268b9b8a3a3fcd1854e470d9de49b5f3cbe964641b406fe600ecb4309f8"),
+    (("verify", "--p", "3", "--qmax", "243", "--jobs", "1"),
+     "94bd2e2de027e36b7d8aaad9aa99b8e0a86aea9d343bd45d2ad1032ab6b60417"),
 ]
 
 
