@@ -14,8 +14,12 @@ and must surface as a mismatch record, never be suppressed.
 
 Naming: beta = gamma^e in the canonical GF(2^f); the paired character chi
 sends alpha to z_k^e, so chi reduces to beta modulo the canonical prime.
-The verification sweep quantifies over every unit e, i.e. over the whole
-Galois orbit of beta, rather than stipulating one pairing.
+The verification sweep covers every unit e rather than stipulating one
+pairing, but evaluates each Galois orbit {e, 2e, 4e, ...} mod k once, at
+its smallest e, and copies the verdicts to the other members. Each route
+is Frobenius-invariant on its own: S^[t](beta^2) = S^[t](beta)^2, and
+z_k -> z_k^2 fixes the canonical prime. analyze_field(..., all_units=True)
+makes every e its own orbit and so evaluates every unit, as an audit.
 """
 
 import itertools
@@ -151,6 +155,22 @@ def admissible_contexts(seq):
             continue
         for e in units(k):
             yield AnalysisContext(seq, k, e)
+
+
+def galois_orbits(k, all_units=False):
+    """(smallest e, members) for every orbit of the units e mod k under
+    e -> 2e, ascending in the smallest e; with all_units, (e, (e,)) for
+    every unit e."""
+    seen = set()
+    for e in units(k):
+        if all_units:
+            yield e, (e,)
+        elif e not in seen:
+            members = [e]
+            while (x := 2 * members[-1] % k) != e:
+                members.append(x)
+            seen.update(members)
+            yield e, tuple(members)
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +365,9 @@ class MultiplicityProfile:
         return sum(self.entries.values())
 
 
-def multiplicity_profile(seq):
+def multiplicity_profile(seq, all_units=False):
+    """The masked sums run at the smallest e of each Galois orbit, whose
+    multiplicity every member shares; all_units runs them at every e."""
     if seq.d != 2:
         raise NotBinary("multiplicity profile is defined for d = 2")
     T, u = seq.T, seq.u
@@ -354,13 +376,14 @@ def multiplicity_profile(seq):
     entries = {}
     for k in divisors(seq.Tprime):
         gp = _residue_field(k).gamma_pow_bits()
-        for e in units(k):
+        for e, members in galois_orbits(k, all_units):
             mult = cap
             for t in range(cap):
                 if _masked_sum(ones, gp, k, e, t, t):
                     mult = t
                     break
-            entries[(k, e)] = mult
+            for member in members:
+                entries[(k, member)] = mult
     return MultiplicityProfile(entries, T - sum(entries.values()))
 
 
@@ -542,44 +565,50 @@ def _apply(fn, field):
     return fn(*field)
 
 
-def analyze_field(p, m, checks=ALL_CHECKS, size_cap=DEFAULT_SIZE_CAP):
-    """All criterion records for one field, sorted canonically."""
+def analyze_field(p, m, checks=ALL_CHECKS, size_cap=DEFAULT_SIZE_CAP, all_units=False):
+    """All criterion records for one field, sorted canonically. Each Galois
+    orbit of units e mod k is evaluated at its smallest e and its records
+    are copied to every member; all_units evaluates every e."""
     field = build_field(p, m, size_cap)
     seq = generate_slce(field, 2)
-    profile = multiplicity_profile(seq)
+    profile = multiplicity_profile(seq, all_units)
     q, u = field.q, seq.u
     records = []
 
-    def rec(ctx, check, index, predicted, ground_truth, match=None):
-        records.append(CriterionRecord(
-            q, p, m, ctx.k, ctx.e, check, index, predicted, ground_truth,
-            (predicted == ground_truth) if match is None else match,
-        ))
+    def rec(members, check, index, predicted, ground_truth, match=None):
+        # the same verdict for every member of the orbit of the loop's k
+        match = (predicted == ground_truth) if match is None else match
+        records.extend(CriterionRecord(q, p, m, k, e, check, index, predicted, ground_truth, match)
+                       for e in members)
 
-    for ctx in admissible_contexts(seq):
-        mult = profile.entries[(ctx.k, ctx.e)]
-        direct = [derivative_vanishes_direct(ctx, t) for t in range(1 << u)]
-        for check in checks:
-            if check == "thm1":
-                for t in range(1 << u):
-                    rec(ctx, check, t, thm1_check(ctx, t), direct[t])
-            elif check == "thm2":
-                for t in range(1 << u):
-                    rec(ctx, check, t, thm2_check(ctx, t), direct[t])
-            elif check == "thm3":
-                for h in range(1, u + 1):
-                    rec(ctx, check, h, thm3_check(ctx, h), mult >= (1 << h))
-            elif check == "necessary":
-                for h in range(1, u + 1):
-                    pred = necessary_condition_check(ctx, h)
-                    gt = mult >= (1 << h)
-                    rec(ctx, check, h, pred, gt, match=not (gt and not pred))
-            else:
-                which = int(check[-1])
-                t = which - 1
-                if which >= 3 and q % 4 != 1:
-                    continue
-                rec(ctx, check, t, prop_check(ctx, which), direct[t])
+    for k in divisors(seq.Tprime):
+        if k == 1:
+            continue
+        for e, members in galois_orbits(k, all_units):
+            ctx = AnalysisContext(seq, k, e)
+            mult = profile.entries[(k, e)]
+            direct = [derivative_vanishes_direct(ctx, t) for t in range(1 << u)]
+            for check in checks:
+                if check == "thm1":
+                    for t in range(1 << u):
+                        rec(members, check, t, thm1_check(ctx, t), direct[t])
+                elif check == "thm2":
+                    for t in range(1 << u):
+                        rec(members, check, t, thm2_check(ctx, t), direct[t])
+                elif check == "thm3":
+                    for h in range(1, u + 1):
+                        rec(members, check, h, thm3_check(ctx, h), mult >= (1 << h))
+                elif check == "necessary":
+                    for h in range(1, u + 1):
+                        pred = necessary_condition_check(ctx, h)
+                        gt = mult >= (1 << h)
+                        rec(members, check, h, pred, gt, match=not (gt and not pred))
+                else:
+                    which = int(check[-1])
+                    t = which - 1
+                    if which >= 3 and q % 4 != 1:
+                        continue
+                    rec(members, check, t, prop_check(ctx, which), direct[t])
     records.sort(key=lambda r: (r.q, r.k, r.e, r.check, r.index))
     return records
 

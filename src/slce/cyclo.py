@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import polybin
 from .errors import ConductorMismatch, InternalInconsistency, NotSemiprimitive, SizeExceeded
-from .ff import DEFAULT_SIZE_CAP, build_field
+from .ff import DEFAULT_SIZE_CAP, build_field, field_order
 from .numth import divisors
 
 CONDUCTOR_CAP = 1 << 16
@@ -437,7 +437,7 @@ def semiprimitive_vw(p, m, N):
     """(v, w) with v minimal such that N | p^v + 1, and m = 2vw; raises
     NotSemiprimitive when either fails."""
     for v in range(1, m + 1):
-        if (p**v + 1) % N == 0:
+        if (pow(p, v, N) + 1) % N == 0:
             break
     else:
         raise NotSemiprimitive(f"no v <= {m} with p^v = -1 mod {N}")
@@ -455,6 +455,7 @@ def semiprimitive_gauss_closed(p, m, N, size_cap=DEFAULT_SIZE_CAP):
     """
     if N <= 2:
         raise ValueError("N must exceed 2")
+    field_order(p, m, size_cap)
     v, w = semiprimitive_vw(p, m, N)
     magnitude = p ** (m // 2)
     exponent = (w - 1) + p * w * ((p**v + 1) // N)

@@ -8,6 +8,7 @@ from slce.criteria import (
     all_ones_power_divides,
     coset_sum,
     derivative_vanishes_direct,
+    galois_orbits,
     lemma1_check,
     make_context,
     multiplicity_profile,
@@ -23,6 +24,7 @@ from slce.criteria import (
 )
 from slce.errors import HOutOfRange, NotSemiprimitive, PreconditionUnmet
 from slce.ff import build_field, primitive_elements, with_primitive_element
+from slce.numth import units
 from slce.polybin import lc_via_gcd
 from slce.seq import characteristic_poly, generate_slce
 
@@ -117,12 +119,20 @@ class TestPointwiseCriteria:
                 assert thm2_check(ctx, t) == want
 
     def test_galois_orbit_consistency(self):
-        for p, m in [(7, 1), (31, 1), (5, 2), (127, 1)]:
+        # every check, and the ground truth, gives the same verdict at e and 2e
+        for p, m in [(7, 1), (31, 1), (5, 2), (13, 1), (127, 1)]:
             s = generate_slce(build_field(p, m), 2)
+            props = (1, 2, 3, 4) if s.field.q % 4 == 1 else (1, 2)
             for ctx in admissible_contexts(s):
                 partner = make_context(s, ctx.k, 2 * ctx.e % ctx.k)
                 for t in range(min(4, 1 << s.u)):
-                    assert thm1_check(ctx, t) == thm1_check(partner, t)
+                    for fn in (derivative_vanishes_direct, thm1_check, thm2_check):
+                        assert fn(ctx, t) == fn(partner, t), (fn.__name__, ctx, t)
+                for h in range(1, s.u + 1):
+                    for fn in (thm3_check, necessary_condition_check):
+                        assert fn(ctx, h) == fn(partner, h), (fn.__name__, ctx, h)
+                for which in props:
+                    assert prop_check(ctx, which) == prop_check(partner, which), (which, ctx)
 
 
 class TestMultiplicityCriterion:
@@ -217,6 +227,60 @@ class TestMultiplicityProfile:
         r = lc_via_gcd(characteristic_poly(s), s.T)
         assert prof.L == r.L
         assert prof.capped_total() == s.T - r.L
+
+
+class TestGaloisOrbits:
+    @pytest.mark.parametrize("k", [1, 3, 7, 9, 21, 63, 121, 255])
+    def test_orbits_partition_units(self, k):
+        orbits = list(galois_orbits(k))
+        members = [e for _, coset in orbits for e in coset]
+        assert sorted(members) == units(k)
+        reps = [e for e, _ in orbits]
+        assert reps == sorted(reps)
+        for e, coset in orbits:
+            assert e == min(coset) == coset[0]
+            assert set(coset) == {e * 2**i % k for i in range(len(coset))}
+
+    def test_k121_is_one_orbit(self):
+        # 2 generates the units mod 121, so all 110 form one orbit
+        assert [(e, len(c)) for e, c in galois_orbits(121)] == [(1, 110)]
+
+    def test_all_units_makes_singletons(self):
+        assert list(galois_orbits(21, all_units=True)) == [(e, (e,)) for e in units(21)]
+
+    @pytest.mark.parametrize(
+        "p,m", [(p, m) for p, m, q in odd_prime_powers(128)] + [(3, 5), (5, 4)])
+    def test_reduced_equals_all_units(self, p, m):
+        assert analyze_field(p, m) == analyze_field(p, m, all_units=True)
+        s = generate_slce(build_field(p, m), 2)
+        assert multiplicity_profile(s) == multiplicity_profile(s, all_units=True)
+
+    def test_full_profile_is_orbit_invariant(self):
+        for p, m in [(31, 1), (5, 3), (3, 5)]:
+            entries = multiplicity_profile(generate_slce(build_field(p, m), 2),
+                                           all_units=True).entries
+            for (k, e), mult in entries.items():
+                assert entries[(k, 2 * e % k)] == mult
+
+    def test_one_context_per_orbit(self, monkeypatch):
+        import slce.criteria as criteria_mod
+
+        built = []
+
+        class Counting(criteria_mod.AnalysisContext):
+            __slots__ = ()
+
+            def __init__(self, seq, k, e):
+                built.append((k, e))
+                super().__init__(seq, k, e)
+
+        monkeypatch.setattr(criteria_mod, "AnalysisContext", Counting)
+        records = analyze_field(127, 1)  # T' = 63, and 2^6 = 1 mod 63
+        orbits = {(k, frozenset(e * 2**i % k for i in range(6)))
+                  for k in (3, 7, 9, 21, 63) for e in units(k)}
+        assert len(built) == len(set(built)) == len(orbits) == 12
+        assert {(k, min(c)) for k, c in orbits} == set(built)
+        assert {(r.k, r.e) for r in records} == {(k, e) for k, c in orbits for e in c}
 
 
 class TestAlphaInvariance:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,9 @@ from slce.cyclo import (
     quadratic_gauss_closed,
     reduce_mod_P,
     semiprimitive_gauss_closed,
+    semiprimitive_vw,
 )
-from slce.errors import ConductorMismatch, NotSemiprimitive
+from slce.errors import ConductorMismatch, NotSemiprimitive, SizeExceeded
 from slce.ff import build_field, build_residue_field
 
 
@@ -394,6 +396,18 @@ class TestClosedForms:
     def test_not_semiprimitive(self):
         with pytest.raises(NotSemiprimitive):
             semiprimitive_gauss_closed(7, 2, 3)
+
+    def test_large_m_refused_at_once(self):
+        # 3^v is 3 or 1 mod 8, never -1 mod 8; 3 = -1 mod 4, so v = 1 and
+        # w = m / 2 at N = 4. No exact p^v or p^(m/2) may be formed.
+        start = time.perf_counter()
+        with pytest.raises(NotSemiprimitive):
+            semiprimitive_vw(3, 20000, 8)
+        with pytest.raises(SizeExceeded):
+            semiprimitive_gauss_closed(3, 20000, 8)
+        with pytest.raises(SizeExceeded):
+            semiprimitive_gauss_closed(3, 10**7, 4)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestReduceModP:
