@@ -8,7 +8,9 @@ sparse conductor 256 = X^128 + 1 and the dense conductor 4098) before
 reduction modulo Phi_N became sparse long division. The 3^5 verify was
 taken before each Galois orbit was evaluated once: there the 110 units
 mod k = 121 form one orbit, so a wrong copy to the orbit's members shows
-at once."""
+at once. The 128-field sweep up to q = 640 (the benchmark's sweep workload)
+and complexity at q = 4099 were taken before Berlekamp-Massey and the
+autocorrelation moved onto popcount kernels."""
 
 import hashlib
 import json
@@ -42,6 +44,10 @@ GOLDEN = [
      "ed9a6268b9b8a3a3fcd1854e470d9de49b5f3cbe964641b406fe600ecb4309f8"),
     (("verify", "--p", "3", "--qmax", "243", "--jobs", "1"),
      "94bd2e2de027e36b7d8aaad9aa99b8e0a86aea9d343bd45d2ad1032ab6b60417"),
+    (("sweep", "--qmax", "640"),
+     "97f1b7c85fe1ace1f20dd994e6882b7443b2e64259eefc19ca2e72521ec4625c"),
+    (("complexity", "--p", "4099"),
+     "095fdcb44040f8dc8313ceeb90db68c22854b96e3924797b21966ec0b99d028f"),
 ]
 
 
