@@ -62,6 +62,14 @@ def _dump(obj):
     return json.dumps(obj, sort_keys=True)
 
 
+def _linear_complexity(s):
+    """Berlekamp-Massey and the gcd formula on one binary sequence, and
+    whether they agree on both L and c(X)."""
+    bm = berlekamp_massey(s.terms)
+    gc = lc_via_gcd(characteristic_poly(s), s.T)
+    return bm, gc, bm.L == gc.L and bm.minimal_poly == gc.minimal_poly
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -80,13 +88,9 @@ def cmd_generate(args):
 def cmd_complexity(args):
     field = build_field(args.p, args.m, _size_cap(args))
     s = generate_slce(field, 2)
-    S = characteristic_poly(s)
-    bm = berlekamp_massey(s.terms)
-    gc = lc_via_gcd(S, s.T)
+    bm, gc, agree = _linear_complexity(s)
     profile = multiplicity_profile(s)
-    consistent = (
-        bm.L == gc.L == profile.L and bm.minimal_poly == gc.minimal_poly
-    )
+    consistent = agree and gc.L == profile.L
     report = {
         "q": field.q,
         "p": field.p,
@@ -194,14 +198,12 @@ def sweep_row(p, m, size_cap=DEFAULT_SIZE_CAP):
     """The statistics row of one field, keyed by SWEEP_FIELDS."""
     field = build_field(p, m, size_cap)
     s = generate_slce(field, 2)
-    S = characteristic_poly(s)
-    bm = berlekamp_massey(s.terms)
-    gc = lc_via_gcd(S, s.T)
+    _, gc, agree = _linear_complexity(s)
     ones = balance_report(s)[1]
     offpeak = sorted({autocorrelation(s, tau) for tau in range(1, s.T)})
     return {
         "q": field.q, "p": p, "m": m, "T": s.T, "u": s.u, "t_odd": s.Tprime,
-        "L": gc.L, "lc_methods_agree": bm.L == gc.L,
+        "L": gc.L, "lc_methods_agree": agree,
         "ones": ones, "balanced": ones * 2 == s.T,
         "s_half_zero": s.terms[s.T // 2] == 0,
         "min_poly_hex": gc.minimal_poly.to_hex(),

@@ -406,13 +406,14 @@ class SemiprimitiveParams:
     wprime: int
 
 
-def semiprimitive_params(p, m, k, h):
+def semiprimitive_params(p, m, k, h, size_cap=DEFAULT_SIZE_CAP):
+    q = field_order(p, m, size_cap)
     v, w = semiprimitive_vw(p, m, (1 << h) * k)
     try:
         vprime, wprime = semiprimitive_vw(p, m, k)
     except NotSemiprimitive as exc:
         raise InternalInconsistency(f"k = {k} is not semiprimitive although 2^{h} k is") from exc
-    u, _ = two_adic_split(p**m - 1)
+    u, _ = two_adic_split(q - 1)
     if h >= u:
         raise InternalInconsistency("the twist level must lie below the 2-adic valuation of T")
     return SemiprimitiveParams(p, m, k, h, v, w, vprime, wprime)

@@ -215,24 +215,23 @@ def berlekamp_massey(bits):
     that reproduces the periodic extension (not merely the prefix) is
     found. Returns the length L and the connection polynomial
     c(X) = 1 + c_1 X + ... + c_L X^L with s_n = sum c_i s_{n-i}.
+
+    The discrepancy at step n is the parity of c & window, where bit i of
+    window is s_(n-i). deg c <= L <= T = len(bits) throughout, so window
+    keeps only its low T + 1 bits.
     """
-    seq = [int(b) & 1 for b in bits]
+    seq = [int(b) for b in bits]
     if not seq:
         raise ValueError("empty sequence")
-    seq = seq + seq
-    n_total = len(seq)
+    if not set(seq) <= {0, 1}:
+        raise ValueError("every term must be 0 or 1")
+    mask = (1 << (len(seq) + 1)) - 1
     c, b = 1, 1  # connection poly and previous connection poly, as bit-vectors
     L, m = 0, -1
-    for n in range(n_total):
-        d = 0
-        cc = c
-        i = 0
-        while cc:
-            if cc & 1:
-                d ^= seq[n - i]
-            cc >>= 1
-            i += 1
-        if d:
+    window = 0
+    for n, s_n in enumerate(seq + seq):
+        window = ((window << 1) | s_n) & mask
+        if (c & window).bit_count() & 1:
             t = c
             c ^= b << (n - m)
             if 2 * L <= n:

@@ -12,6 +12,7 @@ d > 2 sequences can be generated but only serialized.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BadAlphabet, NotBinary
 from .ff import DEFAULT_SIZE_CAP, ExtField, build_field
@@ -28,6 +29,11 @@ class SlceSequence:
     u: int
     Tprime: int
 
+    @cached_property
+    def bits(self):
+        """One period as an int whose bit n is s_n (binary sequences only)."""
+        return int(self.to_bitstring()[::-1], 2)
+
     def ones_positions(self):
         """Positions n with s_n = 1 (binary sequences only)."""
         if self.d != 2:
@@ -36,7 +42,7 @@ class SlceSequence:
 
     def to_bitstring(self):
         if self.d != 2:
-            raise NotBinary("bitstring output is defined for d = 2")
+            raise NotBinary("the bit form of a sequence is defined for d = 2")
         return "".join(str(b) for b in self.terms)
 
     def to_json(self):
@@ -85,23 +91,16 @@ def sequence_from_json(doc, size_cap=DEFAULT_SIZE_CAP):
 
 def characteristic_poly(s):
     """S(X) = sum s_n X^n over one period, as a polynomial over GF(2)."""
-    if s.d != 2:
-        raise NotBinary("characteristic polynomial is defined for d = 2")
-    v = 0
-    for n, b in enumerate(s.terms):
-        if b:
-            v |= 1 << n
-    return BinaryPoly(v)
+    return BinaryPoly(s.bits)
 
 
 def autocorrelation(s, tau):
-    """Periodic autocorrelation sum of (-1)^(s_{n+tau} - s_n) for d = 2."""
-    if s.d != 2:
-        raise NotBinary("autocorrelation uses the +-1 convention, d = 2 only")
-    T = s.T
+    """Periodic autocorrelation sum of (-1)^(s_{n+tau} - s_n) for d = 2:
+    T - 2 popcount(v xor v rotated by tau), with v = s.bits."""
+    v, T = s.bits, s.T
     tau %= T
-    mismatches = sum(1 for n in range(T) if s.terms[n] != s.terms[(n + tau) % T])
-    return T - 2 * mismatches
+    rotated = (v >> tau) | ((v << (T - tau)) & ((1 << T) - 1))
+    return T - 2 * (v ^ rotated).bit_count()
 
 
 def balance_report(s):

@@ -62,6 +62,14 @@ class TestComplexity:
         code, out, _ = run_cli(capsys, "complexity", "--p", "191")
         assert code == 0 and json.loads(out)["consistent"] is True
 
+    def test_q8209_in_seconds(self, capsys):
+        import time
+
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "complexity", "--p", "8209")
+        assert code == 0 and json.loads(out)["consistent"] is True
+        assert time.perf_counter() - start < 10
+
 
 class TestVerify:
     def test_clean_sweep_exit_0(self, capsys):
@@ -239,6 +247,21 @@ class TestSweep:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["q"] for r in rows] == [3, 5, 7, 9]
         assert all(r["balanced"] and r["s_half_zero"] for r in rows)
+
+
+    def test_methods_agree_compares_minimal_polys(self, monkeypatch):
+        import slce.cli as cli_mod
+        from slce.polybin import LinearComplexityResult
+
+        berlekamp_massey = cli_mod.berlekamp_massey
+
+        def wrong_poly(bits):
+            r = berlekamp_massey(bits)  # right L, wrong c(X)
+            return LinearComplexityResult(r.L, r.minimal_poly + 0b10, r.method)
+
+        assert cli_mod.sweep_row(13, 1)["lc_methods_agree"] is True
+        monkeypatch.setattr(cli_mod, "berlekamp_massey", wrong_poly)
+        assert cli_mod.sweep_row(13, 1)["lc_methods_agree"] is False
 
 
 class TestSizeCap:

@@ -22,7 +22,7 @@ from slce.criteria import (
     thm2_check,
     thm3_check,
 )
-from slce.errors import HOutOfRange, NotSemiprimitive, PreconditionUnmet
+from slce.errors import HOutOfRange, NotSemiprimitive, PreconditionUnmet, SizeExceeded
 from slce.ff import build_field, primitive_elements, with_primitive_element
 from slce.numth import units
 from slce.polybin import lc_via_gcd
@@ -313,6 +313,19 @@ class TestSemiprimitive:
             lemma1_check(7, 2, 3, 1)
         with pytest.raises(NotSemiprimitive):
             semiprimitive_predict(7, 2, 3, 1)
+
+    def test_size_cap_checked_before_powers(self):
+        import time
+
+        start = time.perf_counter()
+        with pytest.raises(SizeExceeded, match="size cap 65536"):
+            semiprimitive_predict(3, 10**7, 5, 1)
+        with pytest.raises(SizeExceeded):
+            semiprimitive_params(7, 10**7, 3, 1)  # no v exists: the search would run to m
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(SizeExceeded):
+            semiprimitive_params(3, 4, 5, 1, size_cap=80)
+        assert semiprimitive_params(3, 4, 5, 1, size_cap=81).wprime == 1
 
     def test_lemma1_cases(self):
         assert lemma1_check(5, 2, 3, 1)

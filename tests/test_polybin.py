@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slce.criteria import map_fields
 from slce.errors import BothZero, EvenK, InternalInconsistency, ZeroPolynomial
-from slce.ff import build_residue_field
+from slce.ff import build_field, build_residue_field
 from slce.numth import euler_phi, multiplicative_order
 from slce.polybin import (
     BinaryPoly,
@@ -23,6 +24,7 @@ from slce.polybin import (
     poly_gcd,
     root_multiplicity,
 )
+from slce.seq import generate_slce
 
 X = 0b10
 
@@ -99,6 +101,52 @@ class TestBerlekampMassey:
         gc = lc_via_gcd(S, T)
         assert bm.L == gc.L
         assert bm.minimal_poly == gc.minimal_poly
+
+
+    def test_non_binary_terms_rejected(self):
+        for bits in ([2, 3], [0, 1, -1], [1, 0, 1, 4]):
+            with pytest.raises(ValueError, match="0 or 1"):
+                berlekamp_massey(bits)
+
+
+def bm_reference(bits):
+    """Oracle: Berlekamp-Massey over one period repeated twice, with the
+    discrepancy summed term by term over the set bits of c. Returns (L, c)."""
+    seq = list(bits) * 2
+    c, b = 1, 1
+    L, m = 0, -1
+    for n in range(len(seq)):
+        d = 0
+        cc, i = c, 0
+        while cc:
+            if cc & 1:
+                d ^= seq[n - i]
+            cc >>= 1
+            i += 1
+        if d:
+            t = c
+            c ^= b << (n - m)
+            if 2 * L <= n:
+                L, b, m = n + 1 - L, t, n
+    return L, c
+
+
+class TestBerlekampMasseyOracle:
+    """The popcount kernel against the per-bit loop it replaced."""
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_random_bits(self, bits):
+        r = berlekamp_massey(bits)
+        assert (r.L, r.minimal_poly.value) == bm_reference(bits)
+
+    def test_every_slce_sequence_up_to_512(self):
+        fields = list(map_fields(lambda p, m: (p, m), 512))
+        assert len(fields) == 108  # odd prime powers q <= 512
+        for p, m in fields:
+            terms = generate_slce(build_field(p, m), 2).terms
+            r = berlekamp_massey(terms)
+            assert (r.L, r.minimal_poly.value) == bm_reference(terms), (p, m)
 
 
 class TestLcViaGcd:

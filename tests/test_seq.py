@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from slce.criteria import map_fields
 from slce.errors import BadAlphabet, NotBinary
 from slce.ff import build_field
 from slce.numth import divisors
@@ -89,7 +90,36 @@ class TestStatistics:
         assert balance_report(s7)[1] == 3
 
 
+def autocorrelation_reference(terms, tau):
+    """Oracle: the position-by-position count of mismatches s_n != s_(n+tau)."""
+    T = len(terms)
+    mismatches = sum(1 for n in range(T) if terms[n] != terms[(n + tau) % T])
+    return T - 2 * mismatches
+
+
+class TestAutocorrelationOracle:
+    def test_every_shift_up_to_256(self):
+        fields = list(map_fields(lambda p, m: (p, m), 256))
+        assert len(fields) == 62  # odd prime powers q <= 256
+        for p, m in fields:
+            s = generate_slce(build_field(p, m), 2)
+            for tau in range(s.T):
+                assert autocorrelation(s, tau) == autocorrelation_reference(s.terms, tau), (p, m, tau)
+
+    def test_shift_taken_mod_T(self):
+        s = generate_slce(build_field(13, 1), 2)
+        for tau in range(s.T):
+            c = autocorrelation(s, tau)
+            assert autocorrelation(s, tau + 3 * s.T) == autocorrelation(s, tau - s.T) == c
+
+
 class TestCharacteristicPoly:
+    def test_bits_packs_one_period(self):
+        s = generate_slce(build_field(11, 1), 2)
+        assert [(s.bits >> n) & 1 for n in range(s.T)] == list(s.terms)
+        assert s.bits >> s.T == 0
+        assert characteristic_poly(s).value == s.bits
+
     def test_q5(self):
         s = generate_slce(build_field(5, 1), 2)
         assert characteristic_poly(s) == BinaryPoly(0b11)  # 1 + X
