@@ -248,7 +248,6 @@ class TestSweep:
         assert [r["q"] for r in rows] == [3, 5, 7, 9]
         assert all(r["balanced"] and r["s_half_zero"] for r in rows)
 
-
     def test_methods_agree_compares_minimal_polys(self, monkeypatch):
         import slce.cli as cli_mod
         from slce.polybin import LinearComplexityResult

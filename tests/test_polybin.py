@@ -102,7 +102,6 @@ class TestBerlekampMassey:
         assert bm.L == gc.L
         assert bm.minimal_poly == gc.minimal_poly
 
-
     def test_non_binary_terms_rejected(self):
         for bits in ([2, 3], [0, 1, -1], [1, 0, 1, 4]):
             with pytest.raises(ValueError, match="0 or 1"):

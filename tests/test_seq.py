@@ -104,7 +104,8 @@ class TestAutocorrelationOracle:
         for p, m in fields:
             s = generate_slce(build_field(p, m), 2)
             for tau in range(s.T):
-                assert autocorrelation(s, tau) == autocorrelation_reference(s.terms, tau), (p, m, tau)
+                expected = autocorrelation_reference(s.terms, tau)
+                assert autocorrelation(s, tau) == expected, (p, m, tau)
 
     def test_shift_taken_mod_T(self):
         s = generate_slce(build_field(13, 1), 2)
