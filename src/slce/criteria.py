@@ -406,8 +406,8 @@ class SemiprimitiveParams:
     wprime: int
 
 
-def semiprimitive_params(p, m, k, h, size_cap=DEFAULT_SIZE_CAP):
-    q = field_order(p, m, size_cap)
+def semiprimitive_params(p, m, k, h):
+    q = field_order(p, m)
     v, w = semiprimitive_vw(p, m, (1 << h) * k)
     try:
         vprime, wprime = semiprimitive_vw(p, m, k)

@@ -220,11 +220,12 @@ def berlekamp_massey(bits):
     window is s_(n-i). deg c <= L <= T = len(bits) throughout, so window
     keeps only its low T + 1 bits.
     """
-    seq = [int(b) for b in bits]
+    seq = list(bits)
     if not seq:
         raise ValueError("empty sequence")
-    if not set(seq) <= {0, 1}:
+    if any(b not in (0, 1) for b in seq):
         raise ValueError("every term must be 0 or 1")
+    seq = [int(b) for b in seq]
     mask = (1 << (len(seq) + 1)) - 1
     c, b = 1, 1  # connection poly and previous connection poly, as bit-vectors
     L, m = 0, -1

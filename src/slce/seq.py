@@ -83,8 +83,8 @@ def sequence_from_json(doc, size_cap=DEFAULT_SIZE_CAP):
     T = field.q - 1
     if len(terms) != T:
         raise ValueError("term count does not match the period q - 1")
-    if any(not 0 <= s < d for s in terms):
-        raise ValueError(f"every term must lie in [0, {d})")
+    if any(type(s) is not int or not 0 <= s < d for s in terms):
+        raise ValueError(f"every term must be an int in [0, {d})")
     u, Tprime = two_adic_split(T)
     return SlceSequence(field, d, terms, T, u, Tprime)
 

@@ -323,9 +323,6 @@ class TestSemiprimitive:
         with pytest.raises(SizeExceeded):
             semiprimitive_params(7, 10**7, 3, 1)  # no v exists: the search would run to m
         assert time.perf_counter() - start < 0.5
-        with pytest.raises(SizeExceeded):
-            semiprimitive_params(3, 4, 5, 1, size_cap=80)
-        assert semiprimitive_params(3, 4, 5, 1, size_cap=81).wprime == 1
 
     def test_lemma1_cases(self):
         assert lemma1_check(5, 2, 3, 1)

@@ -103,7 +103,7 @@ class TestBerlekampMassey:
         assert bm.minimal_poly == gc.minimal_poly
 
     def test_non_binary_terms_rejected(self):
-        for bits in ([2, 3], [0, 1, -1], [1, 0, 1, 4]):
+        for bits in ([2, 3], [0, 1, -1], [1, 0, 1, 4], [0.5, 1], [1, 1.9], [-0.3, 0]):
             with pytest.raises(ValueError, match="0 or 1"):
                 berlekamp_massey(bits)
 

@@ -181,6 +181,11 @@ class TestSerialization:
         doc["terms"] = [1, 0, -1, 0, 1, 1]
         with pytest.raises(ValueError):
             sequence_from_json(doc)
+        # JSON true and 1.0 compare equal to 1 but are not int terms
+        for bad in (True, 1.0):
+            doc["terms"] = [bad, 0, 0, 0, 1, 1]
+            with pytest.raises(ValueError, match="int"):
+                sequence_from_json(doc)
 
     def test_alphabet_check(self):
         # d must be a prime divisor of q - 1, as generate_slce demands
