@@ -10,7 +10,11 @@ taken before each Galois orbit was evaluated once: there the 110 units
 mod k = 121 form one orbit, so a wrong copy to the orbit's members shows
 at once. The 128-field sweep up to q = 640 (the benchmark's sweep workload)
 and complexity at q = 4099 were taken before Berlekamp-Massey and the
-autocorrelation moved onto popcount kernels."""
+autocorrelation moved onto popcount kernels. The last two were taken
+before membership in 2^c P O_L read its generator off the element's own
+ring: at q = 449 (u = 6) the twist level reaches 6 at k = 7, where Phi_7
+splits mod 2, and at q = 337 the order k = 21 is one where 2 does not
+generate the units mod k."""
 
 import hashlib
 import json
@@ -48,6 +52,10 @@ GOLDEN = [
      "97f1b7c85fe1ace1f20dd994e6882b7443b2e64259eefc19ca2e72521ec4625c"),
     (("complexity", "--p", "4099"),
      "095fdcb44040f8dc8313ceeb90db68c22854b96e3924797b21966ec0b99d028f"),
+    (("verify", "--p", "449", "--qmax", "449", "--jobs", "1"),
+     "90ca44dda4857c2a8d1073c73cb1e8b90851bfce83132fd727498d8d7eacdcda"),
+    (("verify", "--p", "337", "--qmax", "337", "--jobs", "1"),
+     "e228b6a0f142fb71b1f8e5f65e7948bdc406345f4d15dbc3a3a33f6fb1f18337"),
 ]
 
 
