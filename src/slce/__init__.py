@@ -4,14 +4,12 @@ character-sum divisibility criteria for root multiplicities."""
 from .cyclo import (
     Character,
     CycInt,
-    IdealSpec,
     cyclotomic_polynomial,
     gauss_sum_numeric,
     ideal_membership,
     jacobi_sum,
     k_sum,
     quadratic_gauss_closed,
-    reduce_mod_P,
     semiprimitive_gauss_closed,
 )
 from .criteria import (

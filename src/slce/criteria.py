@@ -31,12 +31,10 @@ from functools import lru_cache, partial
 from .cyclo import (
     Character,
     CycInt,
-    IdealSpec,
     ideal_membership,
     k_sum,
     k_sum_counts,
     quadratic_gauss_closed,
-    reduce_mod_P,
     semiprimitive_vw,
 )
 from .errors import (
@@ -58,11 +56,11 @@ from .seq import characteristic_poly, generate_slce
 
 
 class AnalysisContext:
-    """One (sequence, k, e) instance: beta = gamma^e of order k, paired
-    character chi = eta_{e/k}, canonical prime spec. Immutable; the K-sum
-    vectors and the root-of-unity matrix rows are cached per twist level h."""
+    """One (sequence, k, e) instance: beta = gamma^e of order k in the
+    canonical residue field rf, paired character chi = eta_{e/k}. Immutable;
+    K-sum vectors and root-of-unity matrix rows are cached per twist level h."""
 
-    __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi", "spec",
+    __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi",
                  "_kcounts", "_rows", "_ones")
 
     def __init__(self, seq, k, e):
@@ -82,15 +80,14 @@ class AnalysisContext:
         self.rf = build_residue_field(k)
         self.beta = self.rf.gamma ** self.e
         self.chi = Character(field, self.e * (field.q - 1) // k)
-        self.spec = IdealSpec(self.rf, 0)
-        if reduce_mod_P(self.chi.value(field.alpha), self.spec) != self.beta:
+        # chi(alpha) mod P: its coordinates' parities as a polynomial in gamma
+        coeffs = self.chi.value(field.alpha).coeffs
+        bits = sum(1 << i for i, c in enumerate(coeffs) if c & 1)
+        if self.rf.element(bits) != self.beta:
             raise InternalInconsistency(f"chi(alpha) does not reduce to beta in {self!r}")
         self._kcounts = {}
         self._rows = {}
         self._ones = seq.ones_positions()
-
-    def ideal_spec(self, h):
-        return self.spec if h == 0 else IdealSpec(self.rf, h)
 
     def conductor(self, h):
         return (1 << h) * self.k
@@ -107,11 +104,6 @@ class AnalysisContext:
                 for j in range(1 << h)
             ]
         return self._kcounts[h]
-
-    def ksum_vector(self, h):
-        """The same K sums folded into the power basis."""
-        N = self.conductor(h)
-        return [CycInt.from_exponent_counts(N, c) for c in self.ksum_counts(h)]
 
     def matrix_rows(self, h):
         """Row i of the root-of-unity matrix applied to the signed K sums:
@@ -250,7 +242,7 @@ def thm1_check(ctx, t):
             counts[n * e % k] += signs[n]
     counts[0] += binom_mod2(T // 2, t)
     value = CycInt.from_exponent_counts(k, counts)
-    return ideal_membership(value, ctx.spec)
+    return ideal_membership(value, ctx.rf, 1)
 
 
 def thm2_check(ctx, t):
@@ -273,7 +265,7 @@ def thm2_check(ctx, t):
         acc = [a + b for a, b in zip(acc, rows[i])]
     acc[0] += (1 << h) * binom_mod2(T // 2, t)
     total = CycInt.from_exponent_counts(N, acc)
-    return ideal_membership(total, ctx.ideal_spec(h))
+    return ideal_membership(total, ctx.rf, h + 1)
 
 
 def thm3_check(ctx, h):
@@ -288,12 +280,11 @@ def thm3_check(ctx, h):
     two_h = 1 << h
     rows = ctx.matrix_rows(h)
     d_index = (T // 2) % two_h
-    spec_h = ctx.ideal_spec(h)
     for i in range(two_h):
         acc = list(rows[i])
         if i == d_index:
             acc[0] += two_h
-        if not ideal_membership(CycInt.from_exponent_counts(N, acc), spec_h):
+        if not ideal_membership(CycInt.from_exponent_counts(N, acc), ctx.rf, h + 1):
             return False
     return True
 
@@ -304,11 +295,12 @@ def necessary_condition_check(ctx, h):
     if not 1 <= h <= ctx.seq.u:
         raise HOutOfRange(f"h = {h} outside 1..u = {ctx.seq.u}")
     N = ctx.conductor(h)
-    spec_h = ctx.ideal_spec(h)
-    return all(
-        ideal_membership(CycInt.from_int(N, 1) + Kj, spec_h, two_exponent=1)
-        for Kj in ctx.ksum_vector(h)
-    )
+    for counts in ctx.ksum_counts(h):
+        acc = list(counts)
+        acc[0] += 1
+        if not ideal_membership(CycInt.from_exponent_counts(N, acc), ctx.rf, 1):
+            return False
+    return True
 
 
 def prop_check(ctx, which):
@@ -317,23 +309,23 @@ def prop_check(ctx, which):
     require q = 1 mod 4 (otherwise t = 2, 3 are out of range anyway)."""
     q = ctx.field.q
     if which == 1:
-        K = ctx.ksum_vector(0)
-        value = CycInt.from_int(ctx.k, 1) + K[0]
-        return ideal_membership(value, ctx.spec, two_exponent=1)
+        acc = list(ctx.ksum_counts(0)[0])
+        acc[0] += 1
+        return ideal_membership(CycInt.from_exponent_counts(ctx.k, acc), ctx.rf, 1)
     if which == 2:
-        N = ctx.conductor(1)
-        K = ctx.ksum_vector(1)
+        K0, K1 = ctx.ksum_counts(1)
         if q % 4 == 1:
-            value = K[0] - K[1]
+            acc = [a - b for a, b in zip(K0, K1)]
         else:
-            value = CycInt.from_int(N, 2) + K[0] + K[1]
-        return ideal_membership(value, ctx.ideal_spec(1), two_exponent=2)
+            acc = [a + b for a, b in zip(K0, K1)]
+            acc[0] += 2
+        return ideal_membership(CycInt.from_exponent_counts(ctx.conductor(1), acc), ctx.rf, 2)
     if which not in (3, 4):
         raise ValueError("which must be in 1..4")
     if q % 4 != 1:
         raise PreconditionUnmet("props 3 and 4 require q = 1 mod 4")
     N = ctx.conductor(2)
-    K = ctx.ksum_vector(2)
+    K = [CycInt.from_exponent_counts(N, counts) for counts in ctx.ksum_counts(2)]
     z4 = CycInt.root(N, ctx.k)
     one = CycInt.from_int(N, 1)
     if which == 3:
@@ -346,7 +338,7 @@ def prop_check(ctx, which):
             value = K[0] + z4 * K[1] - K[2] - z4 * K[3]
         else:
             value = K[0] - z4 * K[1] - K[2] + z4 * K[3]
-    return ideal_membership(value, ctx.ideal_spec(2), two_exponent=3)
+    return ideal_membership(value, ctx.rf, 3)
 
 
 # ---------------------------------------------------------------------------

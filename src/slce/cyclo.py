@@ -1,5 +1,5 @@
 """Exact arithmetic in rings of cyclotomic integers, multiplicative
-characters, Gauss and Jacobi sums, and reduction modulo a prime over 2.
+characters, Gauss and Jacobi sums, and membership in 2^c P O_L.
 
 A cyclotomic integer of conductor N is stored by its coordinates in the
 power basis 1, z, ..., z^(phi(N)-1) where z is a fixed primitive N-th root
@@ -470,61 +470,24 @@ def semiprimitive_gauss_closed(p, m, N, size_cap=DEFAULT_SIZE_CAP):
 
 
 # ---------------------------------------------------------------------------
-# the prime over 2 and its ideals
+# the prime over 2
 
 
-@dataclass(frozen=True)
-class IdealSpec:
-    """The modulus 2^(h+1) P O_L, where P = (2, f_can(z_k)) is the canonical
-    prime over 2 in Z[z_k] and O_L = Z[z_{2^h k}] is the working ring."""
-
-    rf: object  # ResidueField
-    h: int
-
-    @property
-    def k(self):
-        return self.rf.k
-
-    @property
-    def fcan(self):
-        return self.rf.modulus
-
-    @property
-    def conductor(self):
-        return (1 << self.h) * self.k
-
-    @property
-    def power(self):
-        return 1 << (self.h + 1)
-
-
-def reduce_mod_P(x, spec):
-    """Image of x in O_K/P = GF(2^f): z_k -> gamma, coefficients mod 2."""
-    if spec.h != 0:
-        raise ConductorMismatch("reduction modulo P uses the h = 0 spec")
-    if x.conductor != spec.k:
-        raise ConductorMismatch(f"conductor {x.conductor} != k = {spec.k}")
-    bits = 0
-    for i, c in enumerate(x.coeffs):
-        if c & 1:
-            bits |= 1 << i
-    return spec.rf.element(bits)
-
-
-def ideal_membership(x, spec, two_exponent=None):
-    """Is x in 2^c P O_L, with O_L = Z[z_{2^h k}] and c = two_exponent
-    (default h + 1)?
+def ideal_membership(x, rf, c):
+    """Is x in 2^c P O_L? P = (2, f_can(z_k)) is the canonical prime over 2,
+    with f_can = rf.modulus, and O_L = Z[z_N] is x's own ring, N = 2^h k.
 
     Since O_L is torsion-free this splits as: every power-basis coordinate
     divisible by 2^c, and y = x / 2^c lying in P O_L. The latter only
-    depends on y mod 2: in GF(2)[X]/(Phi_N mod 2) the image of P O_L is
-    generated by f_can(X)^(2^h), so membership is divisibility of the
-    residue polynomial by gcd(f_can^(2^h), Phi_N mod 2).
+    depends on y mod 2. Mod 2, f_can(z_k) = f_can(X^(2^h)) = f_can^(2^h) and
+    Phi_N = Phi_k^(2^(h-1)) for h >= 1; Phi_k is squarefree mod 2, so the
+    image of P O_L in GF(2)[X]/(Phi_N) is generated by their gcd
+    f_can^(2^(h-1)), or f_can at h = 0, and y is in P O_L iff it divides y.
     """
-    N = spec.conductor
-    if x.conductor != N:
-        raise ConductorMismatch(f"conductor {x.conductor} != working ring {N}")
-    c = spec.h + 1 if two_exponent is None else two_exponent
+    N = x.conductor
+    h = (N & -N).bit_length() - 1
+    if N >> h != rf.k:
+        raise ConductorMismatch(f"conductor {N} is not 2^h k for k = {rf.k}")
     mod = 1 << c
     if any(coef % mod for coef in x.coeffs):
         return False
@@ -532,12 +495,5 @@ def ideal_membership(x, spec, two_exponent=None):
     for i, coef in enumerate(x.coeffs):
         if (coef >> c) & 1:
             ybits |= 1 << i
-    if ybits == 0:
-        return True
-    return polybin._mod2(ybits, _ideal_generator(spec.fcan, spec.h, N)) == 0
-
-
-@lru_cache(maxsize=None)
-def _ideal_generator(fcan, h, N):
-    # the image of P O_L in GF(2)[X]/(Phi_N mod 2): gcd(f_can^(2^h), Phi_N)
-    return polybin._gcd2(polybin._frobenius_pow(fcan, 1 << h), polybin.phi_mod2(N))
+    generator = rf.modulus if h == 0 else polybin._frobenius_pow(rf.modulus, 1 << (h - 1))
+    return polybin._mod2(ybits, generator) == 0

@@ -181,13 +181,14 @@ class FieldElement:
 
 
 def field_order(p, m, size_cap=DEFAULT_SIZE_CAP):
-    """q = p^m after checking that p is an odd prime, m >= 1 and q <= size_cap.
-    The cap is checked before primality and without forming p^m past it, so
-    a huge p or m is refused at once."""
-    if p < 3 or p % 2 == 0:
-        raise CompositeP(f"p must be an odd prime, got {p}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    """q = p^m after checking that p is an odd prime, m an int >= 1 and
+    q <= size_cap (a bool is not an int here). The cap is checked before
+    primality and without forming p^m past it, so a huge p or m is refused
+    at once."""
+    if type(p) is not int or p < 3 or p % 2 == 0:
+        raise CompositeP(f"p must be an odd prime, got {p!r}")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"m must be an int >= 1, got {m!r}")
     q = 1
     for _ in range(m):
         q *= p
@@ -406,12 +407,12 @@ _FIELDS = {}  # (p, m) -> the canonical GF(p^m)
 
 def build_field(p, m, size_cap=DEFAULT_SIZE_CAP):
     """The canonical GF(p^m), built once per (p, m) however the cap is
-    spelled; q is checked against size_cap on every call."""
+    spelled; p, m and q are checked by field_order on every call, so a key
+    that only compares equal to (p, m), such as (7, True), is refused."""
+    field_order(p, m, size_cap)
     field = _FIELDS.get((p, m))
     if field is None:
         field = _FIELDS[p, m] = ExtField(p, m, size_cap)
-    elif field.q > size_cap:
-        raise SizeExceeded(f"q = {field.q} exceeds the size cap {size_cap}")
     return field
 
 

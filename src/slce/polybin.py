@@ -42,10 +42,9 @@ def _mul2(a, b):
 def _divmod2(a, b):
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    db = _deg(b)
+    lb = b.bit_length()
     q = 0
-    while _deg(a) >= db:
-        s = _deg(a) - db
+    while (s := a.bit_length() - lb) >= 0:
         q |= 1 << s
         a ^= b << s
     return q, a
@@ -54,9 +53,9 @@ def _divmod2(a, b):
 def _mod2(a, b):
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    db = _deg(b)
-    while _deg(a) >= db:
-        a ^= b << (_deg(a) - db)
+    lb = b.bit_length()
+    while (s := a.bit_length() - lb) >= 0:
+        a ^= b << s
     return a
 
 

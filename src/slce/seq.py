@@ -59,6 +59,8 @@ class SlceSequence:
 
 
 def _check_alphabet(q, d):
+    if type(d) is not int:
+        raise ValueError(f"d must be an int, got {d!r}")
     if (q - 1) % d != 0 or not is_prime(d):
         raise BadAlphabet(f"d = {d} must be a prime divisor of q - 1 = {q - 1}")
 

@@ -304,9 +304,10 @@ class TestExitCode3:
 
     def test_internal_inconsistency_exits_3(self, capsys, monkeypatch):
         import slce.criteria as criteria_mod
+        from slce.cyclo import CycInt
 
         # chi(alpha) must reduce to beta mod P; break that invariant
-        monkeypatch.setattr(criteria_mod, "reduce_mod_P", lambda x, spec: spec.rf.zero)
+        monkeypatch.setattr(criteria_mod.Character, "value", lambda chi, x: CycInt.zero(chi.order))
         code, out, err = run_cli(capsys, "verify", "--qmax", "7")
         assert code == 3 and "internal inconsistency" in err
 

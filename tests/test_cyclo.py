@@ -1,4 +1,4 @@
-"""Cyclotomic integers, characters, Gauss/Jacobi sums, reduction mod P."""
+"""Cyclotomic integers, characters, Gauss/Jacobi sums, membership in 2^c P O_L."""
 
 import cmath
 import math
@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 from slce.cyclo import (
     Character,
     CycInt,
-    IdealSpec,
     cyclotomic_polynomial,
     gauss_sum_numeric,
     ideal_membership,
     jacobi_sum,
     k_sum,
     quadratic_gauss_closed,
-    reduce_mod_P,
     semiprimitive_gauss_closed,
     semiprimitive_vw,
 )
+from slce import polybin
 from slce.errors import ConductorMismatch, NotSemiprimitive, SizeExceeded
 from slce.ff import build_field, build_residue_field
 
@@ -410,95 +409,168 @@ class TestClosedForms:
         assert time.perf_counter() - start < 0.1
 
 
+def fcan_at_zk(rf, N):
+    """f_can(z_k) in conductor N = 2^h k, with z_k = z_N^(N/k)."""
+    counts = [0] * N
+    for i in range(rf.f + 1):
+        if (rf.modulus >> i) & 1:
+            counts[i * (N // rf.k)] += 1
+    return CycInt.from_exponent_counts(N, counts)
+
+
+def reduce_mod_p(x, rf):
+    """Test-local image of x in O_K / P = GF(2^f): z_k -> gamma, coefficients
+    mod 2 (conductor k only)."""
+    bits = 0
+    for i, c in enumerate(x.coeffs):
+        if c & 1:
+            bits |= 1 << i
+    return rf.element(bits)
+
+
+def gcd_membership(x, rf, c):
+    """Test-local membership in 2^c P O_L with the generator of P O_L mod 2
+    taken as gcd(f_can^(2^h), Phi_N mod 2), the form the closed form
+    f_can^(2^(h-1)) replaced."""
+    N = x.conductor
+    h = (N & -N).bit_length() - 1
+    if any(coef % (1 << c) for coef in x.coeffs):
+        return False
+    ybits = 0
+    for i, coef in enumerate(x.coeffs):
+        if (coef >> c) & 1:
+            ybits |= 1 << i
+    generator = polybin._gcd2(polybin._frobenius_pow(rf.modulus, 1 << h), polybin.phi_mod2(N))
+    return polybin._mod2(ybits, generator) == 0
+
+
 class TestReduceModP:
+    """Reduction modulo P seen through its kernel: x maps to 0 in O_K / P
+    exactly when x lies in P, which is membership at c = 0."""
+
     def test_examples(self):
         rf = build_residue_field(3)
-        spec = IdealSpec(rf, 0)
-        assert reduce_mod_P(CycInt.from_int(3, 2), spec) == rf.zero
-        assert reduce_mod_P(CycInt.root(3, 1), spec) == rf.gamma
+        assert ideal_membership(CycInt.from_int(3, 2), rf, 0)
+        assert not ideal_membership(CycInt.root(3, 1), rf, 0)
 
     def test_k7_collapse(self):
-        # 1 + z7 + z7^3 dies: gamma^3 = gamma + 1 under X^3 + X + 1
+        # 1 + z7 + z7^3 lies in P: gamma^3 = gamma + 1 under X^3 + X + 1
         rf = build_residue_field(7)
-        spec = IdealSpec(rf, 0)
         x = CycInt.from_exponent_counts(7, [1, 1, 0, 1, 0, 0, 0])
-        assert reduce_mod_P(x, spec) == rf.zero
-
-    def test_ring_homomorphism(self):
-        import random
-
-        rng = random.Random(7)
-        rf = build_residue_field(5)
-        spec = IdealSpec(rf, 0)
-        for _ in range(40):
-            a = CycInt(5, tuple(rng.randrange(-20, 20) for _ in range(4)))
-            b = CycInt(5, tuple(rng.randrange(-20, 20) for _ in range(4)))
-            assert reduce_mod_P(a + b, spec) == reduce_mod_P(a, spec) + reduce_mod_P(b, spec)
-            assert reduce_mod_P(a * b, spec) == reduce_mod_P(a, spec) * reduce_mod_P(b, spec)
+        assert ideal_membership(x, rf, 0)
 
     def test_kernel_contains_generators(self):
         for k in (3, 5, 7, 9):
             rf = build_residue_field(k)
-            spec = IdealSpec(rf, 0)
-            assert reduce_mod_P(CycInt.from_int(k, 2), spec) == rf.zero
-            # f_can evaluated at z_k
-            counts = [0] * k
-            for i in range(rf.f + 1):
-                if (rf.modulus >> i) & 1:
-                    counts[i] += 1
-            assert reduce_mod_P(CycInt.from_exponent_counts(k, counts), spec) == rf.zero
+            assert ideal_membership(CycInt.from_int(k, 2), rf, 0)
+            assert ideal_membership(fcan_at_zk(rf, k), rf, 0)
+
+    def test_ring_homomorphism(self):
+        # the kernel of a ring map is an ideal: closed under + and under
+        # multiplication by any element of Z[z_5], and 1 + P misses it
+        import random
+
+        rng = random.Random(7)
+        rf = build_residue_field(5)
+        f = fcan_at_zk(rf, 5)
+
+        def element():
+            return CycInt(5, tuple(rng.randrange(-20, 20) for _ in range(4)))
+
+        for _ in range(40):
+            a = 2 * element() + f * element()
+            b = 2 * element() + f * element()
+            assert ideal_membership(a, rf, 0) and ideal_membership(b, rf, 0)
+            assert ideal_membership(a + b, rf, 0)
+            assert ideal_membership(a * element(), rf, 0)
+            assert not ideal_membership(a + 1, rf, 0)
 
     def test_conductor_checks(self):
         rf = build_residue_field(3)
-        with pytest.raises(ConductorMismatch):
-            reduce_mod_P(CycInt.root(5, 1), IdealSpec(rf, 0))
-        with pytest.raises(ConductorMismatch):
-            reduce_mod_P(CycInt.root(3, 1), IdealSpec(rf, 1))
+        for N in (5, 9):
+            with pytest.raises(ConductorMismatch):
+                ideal_membership(CycInt.root(N, 1), rf, 0)
 
 
 class TestIdealMembership:
     def test_zero(self):
-        spec = IdealSpec(build_residue_field(3), 0)
-        assert ideal_membership(CycInt.zero(3), spec)
+        assert ideal_membership(CycInt.zero(3), build_residue_field(3), 1)
 
     def test_twice_unit_not_in(self):
-        spec = IdealSpec(build_residue_field(3), 0)
         x = CycInt.from_exponent_counts(3, [2, 2, 0])
-        assert not ideal_membership(x, spec)
+        assert not ideal_membership(x, build_residue_field(3), 1)
 
     def test_four_in_2p(self):
-        spec = IdealSpec(build_residue_field(3), 0)
-        assert ideal_membership(CycInt.from_int(3, 4), spec)
+        assert ideal_membership(CycInt.from_int(3, 4), build_residue_field(3), 1)
 
     def test_agrees_with_reduction_at_h0(self):
         import random
 
         rng = random.Random(11)
         rf = build_residue_field(7)
-        spec = IdealSpec(rf, 0)
         for _ in range(60):
             x = CycInt(7, tuple(rng.randrange(-8, 8) for _ in range(6)))
             if any(c % 2 for c in x.coeffs):
                 expect = False
             else:
                 half = CycInt(7, tuple(c // 2 for c in x.coeffs))
-                expect = reduce_mod_P(half, spec) == rf.zero
-            assert ideal_membership(x, spec) == expect
+                expect = reduce_mod_p(half, rf) == rf.zero
+            assert ideal_membership(x, rf, 1) == expect
 
     def test_h1_power_of_two_scaling(self):
         rf = build_residue_field(7)
-        spec1 = IdealSpec(rf, 1)
-        assert spec1.conductor == 14 and spec1.power == 4
         # 4 * (root of unity) is not in 4 P O_L; 4 * f_can(z14^2) is
-        assert not ideal_membership(4 * CycInt.root(14, 1), spec1)
-        counts = [0] * 14
-        for i in range(rf.f + 1):
-            if (rf.modulus >> i) & 1:
-                counts[2 * i % 14] += 1
-        fcan_at_z = CycInt.from_exponent_counts(14, counts)
-        assert ideal_membership(4 * fcan_at_z, spec1)
+        assert not ideal_membership(4 * CycInt.root(14, 1), rf, 2)
+        assert ideal_membership(4 * fcan_at_zk(rf, 14), rf, 2)
 
     def test_conductor_mismatch(self):
-        spec = IdealSpec(build_residue_field(3), 1)
-        with pytest.raises(ConductorMismatch):
-            ideal_membership(CycInt.root(3, 1), spec)
+        rf = build_residue_field(3)
+        ideal_membership(CycInt.root(12, 1), rf, 3)  # 12 = 2^2 * 3
+        for N in (10, 15, 18):
+            with pytest.raises(ConductorMismatch):
+                ideal_membership(CycInt.root(N, 1), rf, 1)
+
+
+class TestMembershipOracle:
+    """The closed-form generator f_can^(2^(h-1)) against the gcd generator,
+    on members, near-misses and random elements of 2^c Z[z_N]."""
+
+    @staticmethod
+    def samples(rng, rf, h, c):
+        N = (1 << h) * rf.k
+        ratio = N // rf.k
+        fterms = [i * ratio for i in range(rf.f + 1) if (rf.modulus >> i) & 1]
+        for kind in range(4):
+            for _ in range(3):
+                counts = [0] * N
+                if kind < 2:
+                    # f_can(z_k) r + 2 s, with r and s sums of a few roots
+                    for _ in range(rng.randrange(1, 4)):
+                        j, a = rng.randrange(N), rng.randrange(-3, 4)
+                        for i in fterms:
+                            counts[(i + j) % N] += a
+                    for _ in range(rng.randrange(4)):
+                        counts[rng.randrange(N)] += 2 * rng.randrange(-3, 4)
+                    if kind == 1:
+                        counts[rng.randrange(N)] += 1
+                else:
+                    counts = [rng.randrange(-3, 4) for _ in range(N)]
+                counts = [v << c for v in counts]
+                if kind == 3 and c:
+                    counts[rng.randrange(N)] += 1 << (c - 1)
+                yield CycInt.from_exponent_counts(N, counts)
+
+    @pytest.mark.parametrize("k", [3, 5, 7, 9, 15, 21, 63, 73, 105, 127])
+    def test_closed_form_matches_gcd(self, k):
+        import random
+
+        rng = random.Random(k)
+        rf = build_residue_field(k)
+        seen = set()
+        for h in range(5):
+            for c in sorted({0, 1, h + 1, h + 2}):
+                for x in self.samples(rng, rf, h, c):
+                    expect = gcd_membership(x, rf, c)
+                    assert ideal_membership(x, rf, c) == expect, (k, h, c)
+                    seen.add(expect)
+        assert seen == {False, True}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from slce import ff
 from slce.cyclo import Character, jacobi_sum
 from slce.errors import CompositeP, DivisionByZero, EvenK, KisOne, LogOfZero, SizeExceeded
 from slce.ff import (
@@ -64,6 +65,23 @@ class TestBuildField:
         # 2^61 - 1 is prime but over the cap: refused without trial division
         with pytest.raises(SizeExceeded):
             field_order((1 << 61) - 1, 1)
+
+    def test_non_int_parameters_refused(self, monkeypatch):
+        # a bool compares equal to 0 or 1 but is not an int parameter
+        for p in (7.0, True, "7"):
+            with pytest.raises(CompositeP):
+                field_order(p, 1)
+        for m in (1.0, True, "1"):
+            with pytest.raises(ValueError):
+                field_order(7, m)
+        # (7, True) == (7, 1) as a key: neither a fresh nor a cached GF(7)
+        # may be reached through it
+        monkeypatch.setattr(ff, "_FIELDS", {})
+        with pytest.raises(ValueError):
+            build_field(7, True)
+        assert type(build_field(7, 1).m) is int
+        with pytest.raises(ValueError):
+            build_field(7, True)
 
     def test_one_object_per_field(self):
         F = build_field(7, 1)

@@ -65,6 +65,36 @@ class TestGcd:
         assert a % g == 0 and b % g == 0
 
 
+def divmod_reference(a, b):
+    """The division loop as it was before it took a's bit length once per
+    turn: two degree reads per cleared leading bit."""
+    db = b.bit_length() - 1
+    q = 0
+    while a.bit_length() - 1 >= db:
+        s = a.bit_length() - 1 - db
+        q |= 1 << s
+        a ^= b << s
+    return q, a
+
+
+class TestDivmod:
+    @given(st.integers(0, 1 << 300), st.integers(1, 1 << 80))
+    @settings(max_examples=200, deadline=None)
+    def test_division_identity_and_oracle(self, a, b):
+        A, B = BinaryPoly(a), BinaryPoly(b)
+        q, r = divmod(A, B)
+        assert q * B + r == A
+        assert r.degree < B.degree
+        assert (q.value, r.value) == divmod_reference(a, b)
+        assert A % B == r
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(BinaryPoly(0b101), BinaryPoly(0))
+        with pytest.raises(ZeroDivisionError):
+            BinaryPoly(0b101) % 0
+
+
 class TestBerlekampMassey:
     def test_all_zero(self):
         r = berlekamp_massey([0, 0, 0, 0])

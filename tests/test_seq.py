@@ -5,7 +5,7 @@ import json
 import pytest
 
 from slce.criteria import map_fields
-from slce.errors import BadAlphabet, NotBinary
+from slce.errors import BadAlphabet, CompositeP, NotBinary
 from slce.ff import build_field
 from slce.numth import divisors
 from slce.polybin import BinaryPoly
@@ -186,6 +186,21 @@ class TestSerialization:
             doc["terms"] = [bad, 0, 0, 0, 1, 1]
             with pytest.raises(ValueError, match="int"):
                 sequence_from_json(doc)
+
+    def test_non_int_field_parameters(self, monkeypatch):
+        import slce.ff as ff
+
+        monkeypatch.setattr(ff, "_FIELDS", {})
+        terms = [1, 1, 0, 1, 0, 0]
+        with pytest.raises(CompositeP):
+            sequence_from_json({"p": 7.0, "m": 1, "d": 2, "terms": terms})
+        with pytest.raises(ValueError):
+            sequence_from_json({"p": 7, "m": True, "d": 2, "terms": terms})
+        assert type(build_field(7, 1).m) is int
+        for d in (3.0, True):
+            with pytest.raises(ValueError, match="int"):
+                sequence_from_json({"p": 7, "m": 1, "d": d, "terms": [0] * 6})
+        assert sequence_from_json({"p": 7, "m": 1, "d": 2, "terms": terms}).d == 2
 
     def test_alphabet_check(self):
         # d must be a prime divisor of q - 1, as generate_slce demands
