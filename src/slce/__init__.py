@@ -33,7 +33,7 @@ from .criteria import (
     thm3_check,
 )
 from .ff import (
-    DEFAULT_SIZE_CAP,
+    SIZE_CAP,
     ExtField,
     FieldElement,
     ResidueField,

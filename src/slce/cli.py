@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from functools import partial
 
 from .criteria import (
     ALL_CHECKS,
@@ -30,7 +29,7 @@ from .cyclo import (
     semiprimitive_gauss_closed,
 )
 from .errors import InternalInconsistency, SlceError
-from .ff import DEFAULT_SIZE_CAP, build_field
+from .ff import build_field
 from .polybin import berlekamp_massey, lc_via_gcd
 from .seq import autocorrelation, balance_report, characteristic_poly, generate_slce
 
@@ -38,24 +37,6 @@ from .seq import autocorrelation, balance_report, characteristic_poly, generate_
 def _add_field_args(parser):
     parser.add_argument("--p", type=int, required=True, help="odd prime characteristic")
     parser.add_argument("--m", type=int, default=1, help="extension degree (default 1)")
-
-
-def _add_cap_arg(parser):
-    parser.add_argument(
-        "--qmax-hard", type=int, default=None, metavar="Q",
-        help=f"override the global size cap q <= {DEFAULT_SIZE_CAP} (warns)",
-    )
-
-
-def _size_cap(args):
-    if args.qmax_hard is not None:
-        print(
-            f"warning: raising the size cap to {args.qmax_hard}; "
-            "tables and sums scale linearly with q",
-            file=sys.stderr,
-        )
-        return args.qmax_hard
-    return DEFAULT_SIZE_CAP
 
 
 def _dump(obj):
@@ -75,7 +56,7 @@ def _linear_complexity(s):
 
 
 def cmd_generate(args):
-    field = build_field(args.p, args.m, _size_cap(args))
+    field = build_field(args.p, args.m)
     s = generate_slce(field, args.d)
     fmt = args.format or ("bits" if args.d == 2 else "json")
     if fmt == "bits":
@@ -86,7 +67,7 @@ def cmd_generate(args):
 
 
 def cmd_complexity(args):
-    field = build_field(args.p, args.m, _size_cap(args))
+    field = build_field(args.p, args.m)
     s = generate_slce(field, 2)
     bm, gc, agree = _linear_complexity(s)
     profile = multiplicity_profile(s)
@@ -119,9 +100,7 @@ def cmd_complexity(args):
 
 def cmd_verify(args):
     checks = normalize_checks(args.theorems.split(",")) if args.theorems else ALL_CHECKS
-    records = run_verify(
-        args.qmax, p_filter=args.p, checks=checks, size_cap=_size_cap(args), jobs=args.jobs
-    )
+    records = run_verify(args.qmax, p_filter=args.p, checks=checks, jobs=args.jobs)
     summary = {"contexts": 0, "checks": 0, "mismatches": 0}
 
     def rows():
@@ -142,8 +121,7 @@ def cmd_verify(args):
 
 
 def cmd_gauss(args):
-    size_cap = _size_cap(args)
-    field = build_field(args.p, args.m, size_cap)
+    field = build_field(args.p, args.m)
     q = field.q
     if args.quadratic:
         closed = quadratic_gauss_closed(args.p, args.m)
@@ -157,7 +135,7 @@ def cmd_gauss(args):
         }))
         return 0
     if args.semiprimitive is not None:
-        res = semiprimitive_gauss_closed(args.p, args.m, args.semiprimitive, size_cap)
+        res = semiprimitive_gauss_closed(args.p, args.m, args.semiprimitive)
         print(_dump({
             "kind": "semiprimitive",
             "N": args.semiprimitive,
@@ -184,7 +162,7 @@ def cmd_gauss(args):
 
 
 def cmd_jacobi(args):
-    field = build_field(args.p, args.m, _size_cap(args))
+    field = build_field(args.p, args.m)
     J = jacobi_sum(Character(field, args.a1), Character(field, args.a2))
     print(_dump(J.to_json()))
     return 0
@@ -194,9 +172,9 @@ SWEEP_FIELDS = ("q", "p", "m", "T", "u", "t_odd", "L", "lc_methods_agree", "ones
                 "balanced", "s_half_zero", "min_poly_hex", "autocorr_offpeak")
 
 
-def sweep_row(p, m, size_cap=DEFAULT_SIZE_CAP):
+def sweep_row(p, m):
     """The statistics row of one field, keyed by SWEEP_FIELDS."""
-    field = build_field(p, m, size_cap)
+    field = build_field(p, m)
     s = generate_slce(field, 2)
     _, gc, agree = _linear_complexity(s)
     ones = balance_report(s)[1]
@@ -212,16 +190,19 @@ def sweep_row(p, m, size_cap=DEFAULT_SIZE_CAP):
 
 
 def cmd_sweep(args):
-    size_cap = _size_cap(args)
-    rows = map_fields(partial(sweep_row, size_cap=size_cap), args.qmax, args.p, size_cap)
+    rows = map_fields(sweep_row, args.qmax, args.p)
     _write_rows(args, SWEEP_FIELDS, rows)
     return 0
 
 
 def _write_rows(args, fields, rows):
     """Write each row as it arrives to --output or stdout: CSV under a
-    header of fields, or one JSON object per line."""
-    dest = open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)
+    header of fields, or one JSON object per line. An --output that cannot
+    be opened is bad input."""
+    try:
+        dest = open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise SlceError(f"cannot open --output {args.output}: {exc.strerror}") from exc
     with dest as out:
         if args.format == "csv":
             writer = csv.DictWriter(out, fieldnames=fields)
@@ -249,12 +230,10 @@ def build_parser():
     _add_field_args(g)
     g.add_argument("--d", type=int, default=2, help="alphabet size (prime, d | q-1)")
     g.add_argument("--format", choices=("bits", "json"), default=None)
-    _add_cap_arg(g)
     g.set_defaults(func=cmd_generate)
 
     c = sub.add_parser("complexity", help="linear complexity via all methods")
     _add_field_args(c)
-    _add_cap_arg(c)
     c.set_defaults(func=cmd_complexity)
 
     v = sub.add_parser("verify", help="run the criterion/ground-truth sweep")
@@ -265,7 +244,6 @@ def build_parser():
     v.add_argument("--output", default=None, help="write records here (default stdout)")
     v.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     v.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    _add_cap_arg(v)
     v.set_defaults(func=cmd_verify)
 
     ga = sub.add_parser("gauss", help="Gauss sums: numeric and closed forms")
@@ -273,14 +251,12 @@ def build_parser():
     ga.add_argument("--quadratic", action="store_true")
     ga.add_argument("--semiprimitive", type=int, default=None, metavar="N")
     ga.add_argument("--a", type=int, default=None, help="character index")
-    _add_cap_arg(ga)
     ga.set_defaults(func=cmd_gauss)
 
     j = sub.add_parser("jacobi", help="exact Jacobi sum J(eta_a1, eta_a2)")
     _add_field_args(j)
     j.add_argument("--a1", type=int, required=True)
     j.add_argument("--a2", type=int, required=True)
-    _add_cap_arg(j)
     j.set_defaults(func=cmd_jacobi)
 
     s = sub.add_parser("sweep", help="per-field statistics table")
@@ -288,7 +264,6 @@ def build_parser():
     s.add_argument("--p", type=int, default=None)
     s.add_argument("--output", default=None)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_cap_arg(s)
     s.set_defaults(func=cmd_sweep)
 
     return parser

@@ -26,7 +26,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 from .cyclo import (
     Character,
@@ -45,7 +45,7 @@ from .errors import (
     PreconditionUnmet,
     SizeExceeded,
 )
-from .ff import DEFAULT_SIZE_CAP, _residue_field, build_field, build_residue_field, field_order
+from .ff import SIZE_CAP, _residue_field, build_field, build_residue_field, field_order
 from .numth import divisors, is_prime, two_adic_split, units
 from .polybin import BinaryPoly, binom_mod2, bit_length_h, index_set
 from .seq import characteristic_poly, generate_slce
@@ -165,16 +165,6 @@ def galois_orbits(k, all_units=False):
             yield e, tuple(members)
 
 
-@lru_cache(maxsize=None)
-def _rho_plus_one_signs(field):
-    # signs[n] = rho(alpha^n + 1) as an int in {-1, 0, 1}; 0 at n = T/2
-    signs = []
-    for n in range(field.q - 1):
-        y = field.add_one_code(field.pow_alpha(n))
-        signs.append(0 if y == 0 else 1 - 2 * (field.dlog_code(y) & 1))
-    return tuple(signs)
-
-
 def _eta_sign_at_minus_one(T, j, h):
     # eta_{j/2^h}(-1) = zeta_{2^h}^(j T/2); always +-1
     exp = (j * (T // 2)) % (1 << h)
@@ -235,12 +225,15 @@ def thm1_check(ctx, t):
     evaluation everywhere."""
     _check_t(ctx, t)
     T, k, e = ctx.seq.T, ctx.k, ctx.e
-    signs = _rho_plus_one_signs(ctx.field)
+    half = T // 2
+    # -1 = alpha^(T/2), so alpha^n + 1 = 1 - alpha^(n + T/2): rho of it is
+    # (-1)^dlog read off the K sums' table, and 0 at n = T/2
+    one_minus_dlog = ctx.field.one_minus_dlog()
     counts = [0] * k
     for n in range(T):
-        if n & t == t:
-            counts[n * e % k] += signs[n]
-    counts[0] += binom_mod2(T // 2, t)
+        if n & t == t and n != half:
+            counts[n * e % k] += 1 - 2 * (one_minus_dlog[(n + half) % T] & 1)
+    counts[0] += binom_mod2(half, t)
     value = CycInt.from_exponent_counts(k, counts)
     return ideal_membership(value, ctx.rf, 1)
 
@@ -525,9 +518,9 @@ def odd_prime_powers(q_max):
     return sorted(out, key=lambda t: t[2])
 
 
-def map_fields(fn, q_max, p_filter=None, size_cap=DEFAULT_SIZE_CAP, jobs=1):
+def map_fields(fn, q_max, p_filter=None, jobs=1):
     """fn(p, m) for every odd prime power q = p^m <= q_max (characteristic
-    p_filter only, if given: an odd prime <= size_cap), lazily in ascending
+    p_filter only, if given: an odd prime <= SIZE_CAP), lazily in ascending
     q, each result as soon as its field finishes. The arguments are checked
     at the call. jobs > 1 maps over a pool of at most one worker per field
     and per CPU, with Pool.imap, which keeps the order; fn must then be
@@ -535,10 +528,10 @@ def map_fields(fn, q_max, p_filter=None, size_cap=DEFAULT_SIZE_CAP, jobs=1):
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if q_max > size_cap:
-        raise SizeExceeded(f"q_max = {q_max} exceeds the size cap {size_cap}")
+    if q_max > SIZE_CAP:
+        raise SizeExceeded(f"q_max = {q_max} exceeds the size cap {SIZE_CAP}")
     if p_filter is not None:
-        field_order(p_filter, 1, size_cap)
+        field_order(p_filter, 1)
     fields = [(p, m) for p, m, _ in odd_prime_powers(q_max)
               if p_filter is None or p == p_filter]
     jobs = min(jobs, len(fields), os.cpu_count() or 1)
@@ -558,11 +551,11 @@ def _apply(fn, field):
     return fn(*field)
 
 
-def analyze_field(p, m, checks=ALL_CHECKS, size_cap=DEFAULT_SIZE_CAP, all_units=False):
+def analyze_field(p, m, checks=ALL_CHECKS, all_units=False):
     """All criterion records for one field, sorted canonically. Each Galois
     orbit of units e mod k is evaluated at its smallest e and its records
     are copied to every member; all_units evaluates every e."""
-    field = build_field(p, m, size_cap)
+    field = build_field(p, m)
     seq = generate_slce(field, 2)
     profile = multiplicity_profile(seq, all_units)
     q, u = field.q, seq.u
@@ -606,9 +599,9 @@ def analyze_field(p, m, checks=ALL_CHECKS, size_cap=DEFAULT_SIZE_CAP, all_units=
     return records
 
 
-def run_verify(q_max, p_filter=None, checks=ALL_CHECKS, size_cap=DEFAULT_SIZE_CAP, jobs=1):
+def run_verify(q_max, p_filter=None, checks=ALL_CHECKS, jobs=1):
     """Criterion records over every admissible context with q <= q_max, as a
     lazy iterator sorted by (q, k, e, check, index) for any worker count:
     map_fields yields the fields in ascending q, analyze_field sorts each."""
-    per_field = partial(analyze_field, checks=checks, size_cap=size_cap)
-    return itertools.chain.from_iterable(map_fields(per_field, q_max, p_filter, size_cap, jobs))
+    per_field = partial(analyze_field, checks=checks)
+    return itertools.chain.from_iterable(map_fields(per_field, q_max, p_filter, jobs))

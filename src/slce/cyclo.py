@@ -20,10 +20,8 @@ from functools import lru_cache
 
 from . import polybin
 from .errors import ConductorMismatch, InternalInconsistency, NotSemiprimitive, SizeExceeded
-from .ff import DEFAULT_SIZE_CAP, build_field, field_order
+from .ff import SIZE_CAP, build_field, field_order
 from .numth import divisors
-
-CONDUCTOR_CAP = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +60,8 @@ def cyclotomic_polynomial(N):
     constant term first."""
     if N < 1:
         raise ValueError("N must be positive")
-    if N > CONDUCTOR_CAP:
-        raise SizeExceeded(f"conductor {N} exceeds the cap {CONDUCTOR_CAP}")
+    if N > SIZE_CAP:
+        raise SizeExceeded(f"conductor {N} exceeds the size cap {SIZE_CAP}")
     if N == 1:
         return (-1, 1)
     rem = [-1] + [0] * (N - 1) + [1]
@@ -236,7 +234,7 @@ class Character:
     character order.
     """
 
-    __slots__ = ("field", "a", "order", "_stride", "_c")
+    __slots__ = ("field", "a", "order", "_c")
 
     def __init__(self, field, a):
         qm1 = field.q - 1
@@ -244,7 +242,6 @@ class Character:
         self.a = a % qm1
         g = math.gcd(self.a, qm1)
         self.order = qm1 // g
-        self._stride = g
         self._c = self.a // g  # value at alpha^n is z_order^(c n)
 
     @classmethod
@@ -446,7 +443,7 @@ def semiprimitive_vw(p, m, N):
     return v, m // (2 * v)
 
 
-def semiprimitive_gauss_closed(p, m, N, size_cap=DEFAULT_SIZE_CAP):
+def semiprimitive_gauss_closed(p, m, N):
     """Closed form for G(chi), ord(chi) = N > 2, when some p^v = -1 mod N.
 
     v is minimal; requires m = 2vw. The sign comes from the parity of
@@ -455,12 +452,12 @@ def semiprimitive_gauss_closed(p, m, N, size_cap=DEFAULT_SIZE_CAP):
     """
     if N <= 2:
         raise ValueError("N must exceed 2")
-    field_order(p, m, size_cap)
+    field_order(p, m)
     v, w = semiprimitive_vw(p, m, N)
     magnitude = p ** (m // 2)
     exponent = (w - 1) + p * w * ((p**v + 1) // N)
     formula_sign = -1 if exponent % 2 else 1
-    field = build_field(p, m, size_cap)
+    field = build_field(p, m)
     g = gauss_sum_numeric(Character(field, (field.q - 1) // N))
     if abs(g.imag) >= 1e-6 * magnitude or abs(abs(g.real) - magnitude) >= 1e-6 * magnitude:
         raise InternalInconsistency(f"numeric G(chi) = {g} is not +-{magnitude}")

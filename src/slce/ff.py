@@ -10,8 +10,8 @@ the modulus and the primitive element deterministically:
   * alpha:   first element of multiplicative order q - 1 in code order.
 
 Construction fills a full power/dlog table, so multiplication, inversion
-and discrete logs are O(1) lookups afterwards. The default size cap keeps
-tables desk-sized; callers may raise it explicitly.
+and discrete logs are O(1) lookups afterwards. SIZE_CAP keeps tables
+desk-sized; it bounds q here and cyclotomic conductors in cyclo.
 
 GF(2^f) residue fields are built as GF(2)[X]/(f_can) where f_can is the
 canonical irreducible factor of the k-th cyclotomic polynomial mod 2, so
@@ -22,6 +22,7 @@ cyclotomic integers modulo a prime over 2.
 
 import copy
 import math
+import weakref
 from functools import lru_cache, partial
 
 from . import polybin
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .numth import is_prime, multiplicative_order, power, prime_factors
 
-DEFAULT_SIZE_CAP = 1 << 16
+SIZE_CAP = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +181,9 @@ class FieldElement:
         return f"FieldElement(GF({self.field.q}), code={self.code})"
 
 
-def field_order(p, m, size_cap=DEFAULT_SIZE_CAP):
+def field_order(p, m):
     """q = p^m after checking that p is an odd prime, m an int >= 1 and
-    q <= size_cap (a bool is not an int here). The cap is checked before
+    q <= SIZE_CAP (a bool is not an int here). The cap is checked before
     primality and without forming p^m past it, so a huge p or m is refused
     at once."""
     if type(p) is not int or p < 3 or p % 2 == 0:
@@ -192,8 +193,8 @@ def field_order(p, m, size_cap=DEFAULT_SIZE_CAP):
     q = 1
     for _ in range(m):
         q *= p
-        if q > size_cap:
-            raise SizeExceeded(f"q = {p}^{m} exceeds the size cap {size_cap}")
+        if q > SIZE_CAP:
+            raise SizeExceeded(f"q = {p}^{m} exceeds the size cap {SIZE_CAP}")
     if not is_prime(p):
         raise CompositeP(f"p must be an odd prime, got {p}")
     return q
@@ -206,10 +207,11 @@ class ExtField:
     __slots__ = (
         "p", "m", "q", "modulus", "alpha_code",
         "_pow", "_dlog", "_p_minus_1", "_trace_basis", "_one_minus_dlog",
+        "__weakref__",
     )
 
-    def __init__(self, p, m, size_cap=DEFAULT_SIZE_CAP):
-        self.p, self.m, self.q = p, m, field_order(p, m, size_cap)
+    def __init__(self, p, m):
+        self.p, self.m, self.q = p, m, field_order(p, m)
         self._p_minus_1 = p - 1
         self.modulus = self._find_modulus()
         self.alpha_code = self._find_alpha()
@@ -402,17 +404,19 @@ class ExtField:
         return f"ExtField(p={self.p}, m={self.m})"
 
 
-_FIELDS = {}  # (p, m) -> the canonical GF(p^m)
+# (p, m) -> the canonical GF(p^m), held weakly: a field's tables live only
+# while a caller holds the field, so a run over many fields keeps one at a time
+_FIELDS = weakref.WeakValueDictionary()
 
 
-def build_field(p, m, size_cap=DEFAULT_SIZE_CAP):
-    """The canonical GF(p^m), built once per (p, m) however the cap is
-    spelled; p, m and q are checked by field_order on every call, so a key
+def build_field(p, m):
+    """The canonical GF(p^m), one object per (p, m) while any reference to
+    it lives; p, m and q are checked by field_order on every call, so a key
     that only compares equal to (p, m), such as (7, True), is refused."""
-    field_order(p, m, size_cap)
+    field_order(p, m)
     field = _FIELDS.get((p, m))
     if field is None:
-        field = _FIELDS[p, m] = ExtField(p, m, size_cap)
+        field = _FIELDS[p, m] = ExtField(p, m)
     return field
 
 

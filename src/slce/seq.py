@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadAlphabet, NotBinary
-from .ff import DEFAULT_SIZE_CAP, ExtField, build_field
+from .ff import ExtField, build_field
 from .numth import is_prime, two_adic_split
 from .polybin import BinaryPoly
 
@@ -77,9 +77,9 @@ def generate_slce(field, d=2):
     return SlceSequence(field, d, tuple(terms), T, u, Tprime)
 
 
-def sequence_from_json(doc, size_cap=DEFAULT_SIZE_CAP):
+def sequence_from_json(doc):
     """Rebuild a sequence from its JSON form, regenerating the field."""
-    field = build_field(doc["p"], doc["m"], size_cap)
+    field = build_field(doc["p"], doc["m"])
     d, terms = doc["d"], tuple(doc["terms"])
     _check_alphabet(field.q, d)
     T = field.q - 1

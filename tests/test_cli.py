@@ -165,6 +165,14 @@ class TestVerify:
         assert code == 2 and out == "" and "error" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, where):
+        output = tmp_path / "missing" / "out" if where == "missing directory" else tmp_path
+        code, out, err = run_cli(capsys, command, "--qmax", "7", "--output", str(output))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_summary_counts_printed_records(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--qmax", "31")
         recs = [json.loads(line) for line in out.splitlines()]
@@ -281,11 +289,6 @@ class TestSizeCap:
         assert code == 2 and out == "" and "exceeds the size cap 65536" in err
         assert len(err) < 200
         assert time.perf_counter() - start < 2
-
-    def test_hard_override_warns(self, capsys):
-        code, out, err = run_cli(capsys, "generate", "--p", "3", "--m", "1",
-                                 "--qmax-hard", "100000")
-        assert code == 0 and "warning" in err
 
 
 class TestExitCode3:

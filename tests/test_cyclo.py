@@ -61,6 +61,15 @@ class TestCyclotomicPolynomial:
                 prod *= sum(ci * 2**i for i, ci in enumerate(c))
             assert prod == 2**N - 1
 
+    def test_conductor_cap(self):
+        # the cap on q bounds conductors too, refused before any division
+        start = time.perf_counter()
+        with pytest.raises(SizeExceeded, match="size cap 65536"):
+            cyclotomic_polynomial(65537)
+        with pytest.raises(SizeExceeded, match="size cap 65536"):
+            CycInt.root(65538, 1)
+        assert time.perf_counter() - start < 0.5
+
 
 def table_fold(N, counts):
     """Reference fold: the coordinates of z^e for every e < N, built one

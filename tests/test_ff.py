@@ -1,12 +1,13 @@
 """Field construction, canonical choices, dlog tables, residue fields."""
 
+import weakref
+
 import pytest
 
 from slce import ff
 from slce.cyclo import Character, jacobi_sum
 from slce.errors import CompositeP, DivisionByZero, EvenK, KisOne, LogOfZero, SizeExceeded
 from slce.ff import (
-    DEFAULT_SIZE_CAP,
     ExtField,
     build_field,
     build_residue_field,
@@ -49,14 +50,14 @@ class TestBuildField:
             build_field(9, 1)
 
     def test_size_cap(self):
-        with pytest.raises(SizeExceeded):
-            build_field(3, 2, size_cap=8)
+        with pytest.raises(SizeExceeded, match="size cap 65536"):
+            build_field(257, 2)
 
     def test_field_order(self):
         assert field_order(3, 4) == 81
-        assert field_order(3, 2, size_cap=9) == 9
-        with pytest.raises(SizeExceeded, match=r"q = 3\^3 exceeds the size cap 26"):
-            field_order(3, 3, size_cap=26)
+        assert field_order(3, 10) == 59049
+        with pytest.raises(SizeExceeded, match=r"q = 3\^11 exceeds the size cap 65536"):
+            field_order(3, 11)
         for p in (-3, 0, 1, 2, 4, 9, 15):
             with pytest.raises(CompositeP):
                 field_order(p, 1)
@@ -85,16 +86,32 @@ class TestBuildField:
 
     def test_one_object_per_field(self):
         F = build_field(7, 1)
-        assert build_field(7, 1, DEFAULT_SIZE_CAP) is F
-        assert build_field(7, 1, size_cap=DEFAULT_SIZE_CAP) is F
-        jacobi_sum(Character(F, 1), Character(build_field(7, 1, 1000), 2))
+        assert build_field(7, 1) is F
+        jacobi_sum(Character(F, 1), Character(build_field(7, 1), 2))
         doc = generate_slce(F, 2).to_json()
         assert sequence_from_json(doc).field is F
-        assert sequence_from_json(doc, size_cap=1000).field is F
-        # a cached field still answers to a smaller cap
-        build_field(3, 2)
-        with pytest.raises(SizeExceeded):
-            build_field(3, 2, size_cap=8)
+
+    # Each test below starts from an empty registry of the module's own kind,
+    # so that fields other tests still hold do not count.
+
+    def test_field_dies_with_its_last_reference(self, monkeypatch):
+        monkeypatch.setattr(ff, "_FIELDS", type(ff._FIELDS)())
+        F = build_field(7, 1)
+        ref = weakref.ref(F)
+        assert build_field(7, 1) is F
+        del F
+        assert ref() is None and len(ff._FIELDS) == 0
+
+    def test_runs_hold_no_field(self, monkeypatch):
+        from slce.cli import sweep_row
+        from slce.criteria import map_fields, run_verify
+
+        monkeypatch.setattr(ff, "_FIELDS", type(ff._FIELDS)())
+        for _ in map_fields(sweep_row, 1024):
+            pass
+        assert len(ff._FIELDS) == 0
+        assert list(run_verify(128))
+        assert len(ff._FIELDS) == 0
 
     def test_deterministic(self):
         a = ExtField(3, 4)
