@@ -4,7 +4,6 @@ character-sum divisibility criteria for root multiplicities."""
 from .cyclo import (
     Character,
     CycInt,
-    cyclotomic_polynomial,
     gauss_sum_numeric,
     ideal_membership,
     jacobi_sum,
@@ -21,7 +20,6 @@ from .criteria import (
     coset_sum,
     derivative_vanishes_direct,
     lemma1_check,
-    make_context,
     multiplicity_profile,
     necessary_condition_check,
     prop_check,
@@ -33,7 +31,6 @@ from .criteria import (
     thm3_check,
 )
 from .ff import (
-    SIZE_CAP,
     ExtField,
     FieldElement,
     ResidueField,
@@ -41,6 +38,7 @@ from .ff import (
     build_residue_field,
     dlog,
 )
+from .numth import SIZE_CAP, cyclotomic_polynomial
 from .polybin import (
     BinaryPoly,
     LinearComplexityResult,

@@ -45,7 +45,7 @@ from .errors import (
     PreconditionUnmet,
     SizeExceeded,
 )
-from .ff import SIZE_CAP, _residue_field, build_field, build_residue_field, field_order
+from .ff import SIZE_CAP, build_field, build_residue_field, field_order
 from .numth import divisors, is_prime, two_adic_split, units
 from .polybin import BinaryPoly, binom_mod2, bit_length_h, index_set
 from .seq import characteristic_poly, generate_slce
@@ -134,10 +134,6 @@ class AnalysisContext:
 
     def __repr__(self):
         return f"AnalysisContext(q={self.field.q}, k={self.k}, e={self.e})"
-
-
-def make_context(seq, k, e):
-    return AnalysisContext(seq, k, e)
 
 
 def admissible_contexts(seq):
@@ -360,7 +356,8 @@ def multiplicity_profile(seq, all_units=False):
     ones = seq.ones_positions()
     entries = {}
     for k in divisors(seq.Tprime):
-        gp = _residue_field(k).gamma_pow_bits()
+        # at k = 1, beta = 1 lies in GF(2) itself
+        gp = (1,) if k == 1 else build_residue_field(k).gamma_pow_bits()
         for e, members in galois_orbits(k, all_units):
             mult = cap
             for t in range(cap):

@@ -16,58 +16,11 @@ an exact Gauss sum would drag in the conductor lcm(p, q-1) for no benefit.
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import polybin
-from .errors import ConductorMismatch, InternalInconsistency, NotSemiprimitive, SizeExceeded
-from .ff import SIZE_CAP, build_field, field_order
-from .numth import divisors
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic polynomials over Z
-
-
-def _int_divmod(a, b):
-    # long division of the integer polynomial a by the monic b (coefficient
-    # lists, constant term first, len(a) >= deg b): (quotient, remainder of
-    # length deg b). Each step visits only the nonzero lower coefficients of
-    # b, so reducing modulo a sparse Phi_N costs its few terms per exponent.
-    a = list(a)
-    db = len(b) - 1
-    lower = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            base = i - db
-            q[base] = c
-            for j, bj in lower:
-                a[base + j] -= c * bj
-    return q, a[:db]
-
-
-def _int_poly_div_exact(a, b):
-    q, r = _int_divmod(a, b)
-    if any(r):
-        raise InternalInconsistency("integer polynomial division was not exact")
-    return q
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(N):
-    """Exact integer coefficients of the N-th cyclotomic polynomial,
-    constant term first."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    if N > SIZE_CAP:
-        raise SizeExceeded(f"conductor {N} exceeds the size cap {SIZE_CAP}")
-    if N == 1:
-        return (-1, 1)
-    rem = [-1] + [0] * (N - 1) + [1]
-    for d in divisors(N)[:-1]:
-        rem = _int_poly_div_exact(rem, cyclotomic_polynomial(d))
-    return tuple(rem)
+from .errors import ConductorMismatch, InternalInconsistency, NotSemiprimitive
+from .ff import build_field, field_order
+from .numth import _int_divmod, cyclotomic_polynomial
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ the modulus and the primitive element deterministically:
 
 Construction fills a full power/dlog table, so multiplication, inversion
 and discrete logs are O(1) lookups afterwards. SIZE_CAP keeps tables
-desk-sized; it bounds q here and cyclotomic conductors in cyclo.
+desk-sized; it lives in numth, next to the cyclotomic polynomials whose
+conductors it also bounds, and bounds q here.
 
 GF(2^f) residue fields are built as GF(2)[X]/(f_can) where f_can is the
 canonical irreducible factor of the k-th cyclotomic polynomial mod 2, so
@@ -35,9 +36,7 @@ from .errors import (
     LogOfZero,
     SizeExceeded,
 )
-from .numth import is_prime, multiplicative_order, power, prime_factors
-
-SIZE_CAP = 1 << 16
+from .numth import SIZE_CAP, is_prime, power, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -559,20 +558,11 @@ class ResidueField:
 
 
 @lru_cache(maxsize=None)
-def _residue_field(k):
-    # k = 1 gives GF(2) itself: Phi_1 = X + 1 mod 2 and gamma = 1. Only the
-    # multiplicity profile needs it; the public builder rejects k = 1.
-    if k == 1:
-        return ResidueField(1, 0b11, 1)
-    f = multiplicative_order(2, k)
-    fcan = polybin.factor_phi_mod2(k)[0]
-    return ResidueField(k, fcan.value, f)
-
-
 def build_residue_field(k):
     """Canonical GF(2^f) containing the order-k roots of unity; k odd > 1."""
     if k % 2 == 0:
         raise EvenK("k must be odd")
     if k == 1:
         raise KisOne("k = 1 gives the prime field; use the profile helpers")
-    return _residue_field(k)
+    fcan = polybin.factor_phi_mod2(k)[0]
+    return ResidueField(k, fcan.value, fcan.degree)

@@ -1,6 +1,12 @@
-"""Small deterministic number-theory helpers (desk-scale integers only)."""
+"""Small deterministic number-theory helpers (desk-scale integers only),
+the size cap and the one builder of cyclotomic polynomials over Z."""
 
 import math
+from functools import lru_cache
+
+from .errors import InternalInconsistency, SizeExceeded
+
+SIZE_CAP = 1 << 16  # bounds q (ff) and every cyclotomic conductor, over Z or mod 2
 
 
 def is_prime(n):
@@ -94,3 +100,50 @@ def two_adic_split(n):
         n //= 2
         u += 1
     return u, n
+
+
+def _int_divmod(a, b):
+    # long division of the integer polynomial a by the monic b (coefficient
+    # lists, constant term first, len(a) >= deg b): (quotient, remainder of
+    # length deg b). Each step visits only the nonzero lower coefficients of
+    # b, so reducing modulo a sparse Phi_N costs its few terms per exponent.
+    a = list(a)
+    db = len(b) - 1
+    lower = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            base = i - db
+            q[base] = c
+            for j, bj in lower:
+                a[base + j] -= c * bj
+    return q, a[:db]
+
+
+def _spread(coeffs, n):
+    # coefficients of c(X^n)
+    out = [0] * ((len(coeffs) - 1) * n + 1)
+    out[::n] = coeffs
+    return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(N):
+    """Exact integer coefficients of the N-th cyclotomic polynomial,
+    constant term first.
+
+    From Phi_1 = X - 1, each prime p | N gives Phi_(pm)(X) = Phi_m(X^p) /
+    Phi_m(X) for p not dividing m, which builds Phi_rad(N); then
+    Phi_N(X) = Phi_rad(N)(X^(N / rad N))."""
+    if N < 1:
+        raise ValueError("N must be positive")
+    if N > SIZE_CAP:
+        raise SizeExceeded(f"conductor {N} exceeds the size cap {SIZE_CAP}")
+    phi, rad = [-1, 1], 1
+    for p in prime_factors(N):
+        phi, rem = _int_divmod(_spread(phi, p), phi)
+        if any(rem):
+            raise InternalInconsistency(f"Phi_{rad}(X^{p}) is not divisible by Phi_{rad}")
+        rad *= p
+    return tuple(_spread(phi, N // rad))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BothZero, EvenK, InternalInconsistency, ZeroPolynomial
-from .numth import euler_phi, multiplicative_order, power
+from .numth import cyclotomic_polynomial, euler_phi, multiplicative_order, power
 
 # ---------------------------------------------------------------------------
 # raw int helpers
@@ -294,18 +294,10 @@ def root_multiplicity(f, beta):
 # cyclotomic polynomials over GF(2)
 
 
-@lru_cache(maxsize=None)
 def phi_mod2(n):
-    """The n-th cyclotomic polynomial reduced mod 2, as an int bit-vector.
-
-    Computed by dividing X^n - 1 by the proper-divisor cyclotomics; the
-    divisions are exact because every divisor is monic.
-    """
-    rem = (1 << n) | 1
-    for d in range(1, n):
-        if n % d == 0:
-            rem = _exact_div2(rem, phi_mod2(d))
-    return rem
+    """The n-th cyclotomic polynomial reduced mod 2, as an int bit-vector:
+    the parities of the integer coefficients, so n is capped as a conductor."""
+    return int("".join("1" if c & 1 else "0" for c in reversed(cyclotomic_polynomial(n))), 2)
 
 
 @lru_cache(maxsize=None)
@@ -329,9 +321,9 @@ def factor_phi_mod2(k):
     """
     if k % 2 == 0:
         raise EvenK("k must be odd")
+    factors = [phi_mod2(k)]  # refuses k past the size cap before the order is sought
     f = multiplicative_order(2, k)
     count = euler_phi(k) // f
-    factors = [phi_mod2(k)]
     seen = set()
     for j in range(1, k):
         if len(factors) == count:

@@ -3,6 +3,7 @@
 import pytest
 
 from slce.criteria import (
+    AnalysisContext,
     analyze_field,
     admissible_contexts,
     all_ones_power_divides,
@@ -10,7 +11,6 @@ from slce.criteria import (
     derivative_vanishes_direct,
     galois_orbits,
     lemma1_check,
-    make_context,
     multiplicity_profile,
     necessary_condition_check,
     odd_prime_powers,
@@ -31,7 +31,7 @@ from slce.seq import characteristic_poly, generate_slce
 
 
 def ctx_q7():
-    return make_context(generate_slce(build_field(7, 1), 2), 3, 1)
+    return AnalysisContext(generate_slce(build_field(7, 1), 2), 3, 1)
 
 
 class TestContext:
@@ -43,11 +43,11 @@ class TestContext:
     def test_rejects_bad_parameters(self):
         s = generate_slce(build_field(7, 1), 2)
         with pytest.raises(ValueError):
-            make_context(s, 5, 1)  # 5 does not divide T' = 3
+            AnalysisContext(s, 5, 1)  # 5 does not divide T' = 3
         with pytest.raises(ValueError):
-            make_context(s, 3, 3)  # not a unit
+            AnalysisContext(s, 3, 3)  # not a unit
         with pytest.raises(ValueError):
-            make_context(s, 1, 0)  # k must exceed 1
+            AnalysisContext(s, 1, 0)  # k must exceed 1
 
     def test_admissible_enumeration(self):
         s = generate_slce(build_field(13, 1), 2)  # T' = 3
@@ -125,7 +125,7 @@ class TestPointwiseCriteria:
             s = generate_slce(build_field(p, m), 2)
             props = (1, 2, 3, 4) if s.field.q % 4 == 1 else (1, 2)
             for ctx in admissible_contexts(s):
-                partner = make_context(s, ctx.k, 2 * ctx.e % ctx.k)
+                partner = AnalysisContext(s, ctx.k, 2 * ctx.e % ctx.k)
                 for t in range(min(4, 1 << s.u)):
                     for fn in (derivative_vanishes_direct, thm1_check, thm2_check):
                         assert fn(ctx, t) == fn(partner, t), (fn.__name__, ctx, t)
@@ -167,7 +167,7 @@ class TestMultiplicityCriterion:
         # degenerates to the order-0 congruence
         s = generate_slce(build_field(5, 2), 2)
         for e in (1, 2):
-            ctx = make_context(s, 3, e)
+            ctx = AnalysisContext(s, 3, e)
             K0, K1 = (CycInt.from_exponent_counts(6, c) for c in ctx.ksum_counts(1))
             assert K0 == K1
             assert necessary_condition_check(ctx, 1) == prop_check(ctx, 1)

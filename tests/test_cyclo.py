@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from slce.cyclo import (
     Character,
     CycInt,
-    cyclotomic_polynomial,
     gauss_sum_numeric,
     ideal_membership,
     jacobi_sum,
@@ -23,6 +22,7 @@ from slce.cyclo import (
 from slce import polybin
 from slce.errors import ConductorMismatch, NotSemiprimitive, SizeExceeded
 from slce.ff import build_field, build_residue_field
+from slce.numth import _int_divmod, cyclotomic_polynomial, divisors
 
 
 def numeric_jacobi(field, a1, a2):
@@ -52,14 +52,31 @@ class TestCyclotomicPolynomial:
 
     def test_product_over_divisors(self):
         # prod over d | N of Phi_d = X^N - 1, checked by degree and at X = 2
-        from slce.numth import divisors
-
         for N in (6, 8, 9, 10, 15, 16, 20, 36):
             prod = 1
             for d in divisors(N):
                 c = cyclotomic_polynomial(d)
                 prod *= sum(ci * 2**i for i, ci in enumerate(c))
             assert prod == 2**N - 1
+
+    def test_matches_division_by_every_divisor(self):
+        # Phi_N = (X^N - 1) / prod of Phi_d over the proper divisors d of N
+        table = {}
+        for N in range(1, 601):
+            rem = [-1] + [0] * (N - 1) + [1]
+            for d in divisors(N)[:-1]:
+                rem, r = _int_divmod(rem, table[d])
+                assert not any(r)
+            table[N] = tuple(rem)
+            assert cyclotomic_polynomial(N) == table[N]
+
+    def test_envelope_conductor_in_seconds(self):
+        # N = 65520 = 2^4 3^2 5 7 13, the conductor of GF(65521)'s characters
+        start = time.perf_counter()
+        phi = cyclotomic_polynomial.__wrapped__(65520)
+        assert time.perf_counter() - start < 1.0
+        assert len(phi) - 1 == 13824
+        assert sum(1 for c in phi if c) == 423
 
     def test_conductor_cap(self):
         # the cap on q bounds conductors too, refused before any division

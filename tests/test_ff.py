@@ -1,5 +1,6 @@
 """Field construction, canonical choices, dlog tables, residue fields."""
 
+import time
 import weakref
 
 import pytest
@@ -15,6 +16,7 @@ from slce.ff import (
     field_order,
     with_primitive_element,
 )
+from slce.polybin import factor_phi_mod2, phi_mod2
 from slce.seq import generate_slce, sequence_from_json
 
 
@@ -230,6 +232,14 @@ class TestResidueField:
             build_residue_field(6)
         with pytest.raises(KisOne):
             build_residue_field(1)
+
+    @pytest.mark.parametrize("build", [build_residue_field, factor_phi_mod2, phi_mod2])
+    def test_conductor_cap(self, build):
+        # k = 65537 is a conductor past the cap: refused before any splitting
+        start = time.perf_counter()
+        with pytest.raises(SizeExceeded, match="size cap 65536"):
+            build(65537)
+        assert time.perf_counter() - start < 0.5
 
     def test_arithmetic(self):
         rf = build_residue_field(3)

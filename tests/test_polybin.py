@@ -326,6 +326,21 @@ class TestFactorPhiMod2:
         assert prod == phi_mod2(k)
 
 
+def test_phi_mod2_matches_gf2_division_by_every_divisor():
+    # Phi_n mod 2 = (X^n + 1) / prod of Phi_d mod 2 over the proper divisors d
+    table = {}
+    for n in range(1, 601):
+        rem = (1 << n) | 1
+        for d in range(1, n):
+            if n % d == 0:
+                rem, r = divmod(BinaryPoly(rem), BinaryPoly(table[d]))
+                assert not r
+                rem = rem.value
+        table[n] = rem
+        if n % 2:
+            assert phi_mod2(n) == rem
+
+
 def trial_division_factors(k):
     """Oracle: the factors of Phi_k mod 2 by trial division over candidate
     polynomials of degree f in encoding order (exponential in f)."""
