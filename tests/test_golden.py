@@ -14,7 +14,9 @@ autocorrelation moved onto popcount kernels. The last two were taken
 before membership in 2^c P O_L read its generator off the element's own
 ring: at q = 449 (u = 6) the twist level reaches 6 at k = 7, where Phi_7
 splits mod 2, and at q = 337 the order k = 21 is one where 2 does not
-generate the units mod k."""
+generate the units mod k. The ternary generate and semiprimitive gauss
+outputs were taken before the library surface that no command reaches was
+deleted; they hold integers only, so no float formatting enters them."""
 
 import hashlib
 import json
@@ -56,6 +58,14 @@ GOLDEN = [
      "90ca44dda4857c2a8d1073c73cb1e8b90851bfce83132fd727498d8d7eacdcda"),
     (("verify", "--p", "337", "--qmax", "337", "--jobs", "1"),
      "e228b6a0f142fb71b1f8e5f65e7948bdc406345f4d15dbc3a3a33f6fb1f18337"),
+    (("generate", "--p", "13", "--d", "3", "--format", "json"),
+     "cccd28312560e51bc24721812a3a1e4148ebaca2493c7b60e5f303511c6ad770"),
+    (("generate", "--p", "7", "--d", "3"),
+     "7c28be9df174f95fd1d600961140e88f031e7f1c99b1faa23c50fc3bb3c006ac"),
+    (("gauss", "--p", "5", "--m", "2", "--semiprimitive", "3"),
+     "504da63d34b5ae51ec172fb0e53b07eff7f488aedeb1ceca51b0a639274b655d"),
+    (("gauss", "--p", "7", "--m", "2", "--semiprimitive", "8"),
+     "07e19294323086f26f1304954d78ab18ac4ef3b43881402973b3e4bc89a67a2c"),
 ]
 
 
