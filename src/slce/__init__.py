@@ -16,8 +16,6 @@ from .criteria import (
     CriterionRecord,
     MultiplicityProfile,
     SemiprimitiveParams,
-    admissible_contexts,
-    coset_sum,
     derivative_vanishes_direct,
     lemma1_check,
     multiplicity_profile,
@@ -36,7 +34,6 @@ from .ff import (
     ResidueField,
     build_field,
     build_residue_field,
-    dlog,
 )
 from .numth import SIZE_CAP, cyclotomic_polynomial
 from .polybin import (
@@ -49,7 +46,6 @@ from .polybin import (
     hasse_derivative,
     index_set,
     lc_via_gcd,
-    poly_gcd,
     root_multiplicity,
 )
 from .seq import (

@@ -121,6 +121,9 @@ def cmd_verify(args):
 
 
 def cmd_gauss(args):
+    modes = (args.quadratic, args.semiprimitive is not None, args.a is not None)
+    if sum(modes) != 1:
+        raise SlceError("choose exactly one of --quadratic, --semiprimitive N, --a A")
     field = build_field(args.p, args.m)
     q = field.q
     if args.quadratic:
@@ -146,8 +149,6 @@ def cmd_gauss(args):
             "agree": not res.formula_mismatch,
         }))
         return 0
-    if args.a is None:
-        raise SlceError("choose one of --quadratic, --semiprimitive N, --a A")
     chi = Character(field, args.a)
     numeric = gauss_sum_numeric(chi)
     print(_dump({

@@ -136,15 +136,6 @@ class AnalysisContext:
         return f"AnalysisContext(q={self.field.q}, k={self.k}, e={self.e})"
 
 
-def admissible_contexts(seq):
-    """All contexts of a binary sequence: odd k | T' with k > 1, unit e."""
-    for k in divisors(seq.Tprime):
-        if k == 1:
-            continue
-        for e in units(k):
-            yield AnalysisContext(seq, k, e)
-
-
 def galois_orbits(k, all_units=False):
     """(smallest e, members) for every orbit of the units e mod k under
     e -> 2e, ascending in the smallest e; with all_units, (e, (e,)) for
@@ -196,14 +187,6 @@ def derivative_vanishes_direct(ctx, t):
     C(n,t) is odd exactly when the bits of t are among those of n."""
     _check_t(ctx, t)
     return _masked_sum(ctx._ones, ctx.rf.gamma_pow_bits(), ctx.k, ctx.e, t, t) == 0
-
-
-def coset_sum(ctx, i, h):
-    """E_i = sum of s_n beta^n over n = i mod 2^h."""
-    if not 0 <= h <= ctx.seq.u or not 0 <= i < (1 << h):
-        raise ValueError("need 0 <= i < 2^h <= 2^u")
-    mask = (1 << h) - 1
-    return ctx.rf.element(_masked_sum(ctx._ones, ctx.rf.gamma_pow_bits(), ctx.k, ctx.e, mask, i))
 
 
 # ---------------------------------------------------------------------------

@@ -114,29 +114,6 @@ class CycInt:
 
     __rmul__ = __mul__
 
-    def conj(self):
-        """Complex conjugation z -> z^(-1)."""
-        N = self.conductor
-        counts = [0] * N
-        for i, c in enumerate(self.coeffs):
-            if c:
-                counts[(N - i) % N] += c
-        return CycInt.from_exponent_counts(N, counts)
-
-    def embed(self, N2):
-        """Image under z_N -> z_N2^(N2/N); requires N | N2."""
-        N = self.conductor
-        if N2 % N != 0:
-            raise ConductorMismatch(f"{N} does not divide {N2}")
-        if N2 == N:
-            return self
-        ratio = N2 // N
-        counts = [0] * N2
-        for i, c in enumerate(self.coeffs):
-            if c:
-                counts[(i * ratio) % N2] += c
-        return CycInt.from_exponent_counts(N2, counts)
-
     # -- predicates / conversions ---------------------------------------------
 
     @property
@@ -206,26 +183,12 @@ class Character:
         return cls(field, num * (qm1 // den) % qm1)
 
     @classmethod
-    def trivial(cls, field):
-        return cls(field, 0)
-
-    @classmethod
     def quadratic(cls, field):
         return cls.eta(field, 1, 2)
 
     @property
     def is_trivial(self):
         return self.a == 0
-
-    def __mul__(self, other):
-        if not isinstance(other, Character):
-            return NotImplemented
-        if other.field is not self.field:
-            raise ValueError("characters of different fields")
-        return Character(self.field, self.a + other.a)
-
-    def conj(self):
-        return Character(self.field, -self.a)
 
     def exponent_at(self, n):
         """Exponent e with value z_order^e at alpha^n."""

@@ -37,10 +37,6 @@ class NotBinary(SlceError):
     """Operation is defined only for binary sequences."""
 
 
-class BothZero(SlceError):
-    """gcd of two zero polynomials."""
-
-
 class ZeroPolynomial(SlceError):
     """Root multiplicity of the zero polynomial is undefined."""
 

@@ -21,8 +21,6 @@ concrete home for odd-order roots of X^T - 1 and for reductions of
 cyclotomic integers modulo a prime over 2.
 """
 
-import copy
-import math
 import weakref
 from functools import lru_cache, partial
 
@@ -351,16 +349,6 @@ class ExtField:
         # embed a rational integer via the prime subfield
         return FieldElement(self, n % self.p)
 
-    def from_coeffs(self, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) > self.m:
-            raise ValueError("too many coefficients")
-        code, mult = 0, 1
-        for c in coeffs:
-            code += (c % self.p) * mult
-            mult *= self.p
-        return FieldElement(self, code)
-
     def dlog(self, x):
         return self.dlog_code(self.coerce_code(x))
 
@@ -419,32 +407,6 @@ def build_field(p, m):
     return field
 
 
-def dlog(field, x):
-    """n in [0, q-2] with alpha^n = x; raises LogOfZero for x = 0."""
-    return field.dlog(x)
-
-
-def with_primitive_element(field, alpha):
-    """A field over the same modulus whose tables are rebuilt around a
-    different primitive element; used to probe generator invariance."""
-    code = field.coerce_code(alpha)
-    if code == 0 or math.gcd(field.dlog_code(code), field.q - 1) != 1:
-        raise ValueError("not a primitive element")
-    other = copy.copy(field)
-    other.alpha_code = code
-    other._build_tables()
-    other._trace_basis = None
-    other._one_minus_dlog = None
-    return other
-
-
-def primitive_elements(field):
-    """All primitive elements, as codes, in canonical order."""
-    q = field.q
-    codes = [field._pow[n] for n in range(q - 1) if math.gcd(n, q - 1) == 1]
-    return sorted(codes)
-
-
 # ---------------------------------------------------------------------------
 # GF(2^f) residue fields
 
@@ -484,15 +446,6 @@ class RFElement:
 
     def __pow__(self, n):
         return RFElement(self.field, power(self.bits, n, self.field.mul_bits))
-
-    def order(self):
-        if self.bits == 0:
-            raise DivisionByZero("order of zero")
-        t, x = 1, self.bits
-        while x != 1:
-            x = self.field.mul_bits(x, self.bits)
-            t += 1
-        return t
 
     def __repr__(self):
         return f"RFElement(GF(2^{self.field.f}), bits={bin(self.bits)})"

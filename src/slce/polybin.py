@@ -16,7 +16,7 @@ divisibility criteria.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BothZero, EvenK, InternalInconsistency, ZeroPolynomial
+from .errors import EvenK, InternalInconsistency, ZeroPolynomial
 from .numth import cyclotomic_polynomial, euler_phi, multiplicative_order, power
 
 # ---------------------------------------------------------------------------
@@ -99,15 +99,6 @@ class BinaryPoly:
             raise TypeError("BinaryPoly expects a nonnegative int bit-vector")
         object.__setattr__(self, "value", value)
 
-    @classmethod
-    def from_coeffs(cls, coeffs):
-        """Build from an iterable of 0/1 coefficients, constant term first."""
-        v = 0
-        for i, c in enumerate(coeffs):
-            if c & 1:
-                v |= 1 << i
-        return cls(v)
-
     @property
     def degree(self):
         """Degree; -1 is the sentinel for the zero polynomial."""
@@ -172,10 +163,6 @@ class BinaryPoly:
         n = max(1, (self.value.bit_length() + 7) // 8)
         return self.value.to_bytes(n, "little").hex()
 
-    @classmethod
-    def from_hex(cls, s):
-        return cls(int.from_bytes(bytes.fromhex(s), "little"))
-
     def __repr__(self):
         if self.value == 0:
             return "BinaryPoly(0)"
@@ -197,14 +184,6 @@ class LinearComplexityResult:
 
 # ---------------------------------------------------------------------------
 # gcd / linear complexity
-
-
-def poly_gcd(a, b):
-    """Monic gcd over GF(2) (monic is automatic in characteristic 2)."""
-    a, b = BinaryPoly(a), BinaryPoly(b)
-    if not a and not b:
-        raise BothZero("gcd(0, 0) is undefined")
-    return BinaryPoly(_gcd2(a.value, b.value))
 
 
 def berlekamp_massey(bits):

@@ -10,7 +10,6 @@ Everything downstream of generation (complexity, criteria) is binary-only;
 d > 2 sequences can be generated but only serialized.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,14 +53,11 @@ class SlceSequence:
             "terms": list(self.terms),
         }
 
-    def to_json_str(self):
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def _check_alphabet(q, d):
     if type(d) is not int:
         raise ValueError(f"d must be an int, got {d!r}")
-    if (q - 1) % d != 0 or not is_prime(d):
+    if d < 2 or (q - 1) % d != 0 or not is_prime(d):
         raise BadAlphabet(f"d = {d} must be a prime divisor of q - 1 = {q - 1}")
 
 

@@ -1,0 +1,50 @@
+"""Test-only helpers shared by the test files: the enumeration of every
+analysis context, coset sums summed term by term, and fields rebuilt
+around another primitive element. The package itself needs none of them:
+analyze_field enumerates one context per Galois orbit, and the ground
+truth goes through the masked-sum kernel."""
+
+import copy
+import math
+
+from slce.criteria import AnalysisContext
+from slce.numth import divisors, units
+
+
+def admissible_contexts(seq):
+    """All contexts of a binary sequence: odd k | T' with k > 1, unit e."""
+    for k in divisors(seq.Tprime):
+        if k == 1:
+            continue
+        for e in units(k):
+            yield AnalysisContext(seq, k, e)
+
+
+def coset_sum(ctx, i, h):
+    """E_i = sum of s_n beta^n over n = i mod 2^h, one term at a time."""
+    gp = ctx.rf.gamma_pow_bits()
+    bits = 0
+    for n, s_n in enumerate(ctx.seq.terms):
+        if s_n and n % (1 << h) == i:
+            bits ^= gp[n * ctx.e % ctx.k]
+    return ctx.rf.element(bits)
+
+
+def with_primitive_element(field, alpha):
+    """A field over the same modulus whose tables are rebuilt around a
+    different primitive element; used to probe generator invariance."""
+    code = field.coerce_code(alpha)
+    if code == 0 or math.gcd(field.dlog_code(code), field.q - 1) != 1:
+        raise ValueError("not a primitive element")
+    other = copy.copy(field)
+    other.alpha_code = code
+    other._build_tables()
+    other._trace_basis = None
+    other._one_minus_dlog = None
+    return other
+
+
+def primitive_elements(field):
+    """All primitive elements, as codes, in canonical order."""
+    q = field.q
+    return sorted(field.pow_alpha(n) for n in range(q - 1) if math.gcd(n, q - 1) == 1)

@@ -9,9 +9,7 @@ import time
 from functools import lru_cache
 
 from slce.criteria import (
-    admissible_contexts,
     all_ones_power_divides,
-    coset_sum,
     derivative_vanishes_direct,
     lemma1_check,
     multiplicity_profile,
@@ -30,6 +28,8 @@ from slce.ff import build_field
 from slce.numth import divisors, two_adic_split
 from slce.polybin import berlekamp_massey, lc_via_gcd
 from slce.seq import autocorrelation, balance_report, characteristic_poly, generate_slce
+
+from oracles import admissible_contexts, coset_sum
 
 
 @lru_cache(maxsize=None)

@@ -39,6 +39,11 @@ class TestGenerate:
                              "--format", "bits")
         assert code == 2
 
+    def test_zero_alphabet_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "--p", "7", "--d", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestComplexity:
     def test_q7(self, capsys):
@@ -218,6 +223,17 @@ class TestGauss:
     def test_no_mode_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "gauss", "--p", "7", "--m", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("modes", [
+        ("--quadratic", "--semiprimitive", "3"),
+        ("--quadratic", "--a", "4"),
+        ("--semiprimitive", "3", "--a", "4"),
+        ("--a", "4", "--quadratic", "--semiprimitive", "3"),
+    ], ids=["quadratic+semiprimitive", "quadratic+a", "semiprimitive+a", "all-three"])
+    def test_more_than_one_mode_exit_2(self, capsys, modes):
+        code, out, err = run_cli(capsys, "gauss", "--p", "13", *modes)
+        assert code == 2 and out == ""
+        assert "exactly one" in err
 
 
 class TestJacobi:

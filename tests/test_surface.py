@@ -1,0 +1,64 @@
+"""The public surface: the exact set of names the package exports, and the
+library names deleted because no command, check or README example reached
+them. A new export, or one of those names coming back, has to change this
+file on purpose."""
+
+import importlib
+import types
+
+import pytest
+
+import slce
+
+EXPORTS = {
+    "AnalysisContext", "BinaryPoly", "Character", "CriterionRecord", "CycInt",
+    "ExtField", "FieldElement", "LinearComplexityResult", "MultiplicityProfile",
+    "ResidueField", "SIZE_CAP", "SemiprimitiveParams", "SlceSequence",
+    "autocorrelation", "balance_report", "berlekamp_massey", "binom_mod2",
+    "bit_length_h", "build_field", "build_residue_field", "characteristic_poly",
+    "cyclotomic_polynomial", "derivative_vanishes_direct", "factor_phi_mod2",
+    "gauss_sum_numeric", "generate_slce", "hasse_derivative", "ideal_membership",
+    "index_set", "jacobi_sum", "k_sum", "lc_via_gcd", "lemma1_check",
+    "multiplicity_profile", "necessary_condition_check", "prop_check",
+    "quadratic_gauss_closed", "root_multiplicity", "run_verify",
+    "semiprimitive_gauss_closed", "semiprimitive_params", "semiprimitive_predict",
+    "sequence_from_json", "thm1_check", "thm2_check", "thm3_check",
+}
+
+DELETED = [
+    ("cyclo", "CycInt.conj"),
+    ("cyclo", "CycInt.embed"),
+    ("cyclo", "Character.trivial"),
+    ("cyclo", "Character.conj"),
+    ("cyclo", "Character.__mul__"),
+    ("ff", "with_primitive_element"),
+    ("ff", "primitive_elements"),
+    ("ff", "dlog"),
+    ("ff", "ExtField.from_coeffs"),
+    ("ff", "RFElement.order"),
+    ("criteria", "admissible_contexts"),
+    ("criteria", "coset_sum"),
+    ("polybin", "poly_gcd"),
+    ("polybin", "BinaryPoly.from_coeffs"),
+    ("polybin", "BinaryPoly.from_hex"),
+    ("errors", "BothZero"),
+    ("seq", "SlceSequence.to_json_str"),
+]
+
+
+def test_exports_are_pinned():
+    public = {
+        name for name in dir(slce)
+        if not name.startswith("_") and not isinstance(getattr(slce, name), types.ModuleType)
+    }
+    assert public == EXPORTS
+
+
+@pytest.mark.parametrize("module,name", DELETED, ids=[f"{m}.{n}" for m, n in DELETED])
+def test_deleted_name_absent(module, name):
+    owner = importlib.import_module(f"slce.{module}")
+    *path, last = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, last)
+    assert not hasattr(slce, last)
