@@ -16,7 +16,11 @@ ring: at q = 449 (u = 6) the twist level reaches 6 at k = 7, where Phi_7
 splits mod 2, and at q = 337 the order k = 21 is one where 2 does not
 generate the units mod k. The ternary generate and semiprimitive gauss
 outputs were taken before the library surface that no command reaches was
-deleted; they hold integers only, so no float formatting enters them."""
+deleted; they hold integers only, so no float formatting enters them.
+The whole-field verify at q = 4099 was taken before membership in 2^c P O_L
+was read straight from exponent counts modulo 2^(c+1): its conductor 4098
+has a dense Phi_4098 (911 nonzero terms), the case the sparse fold was
+slowest on."""
 
 import hashlib
 import json
@@ -66,6 +70,8 @@ GOLDEN = [
      "504da63d34b5ae51ec172fb0e53b07eff7f488aedeb1ceca51b0a639274b655d"),
     (("gauss", "--p", "7", "--m", "2", "--semiprimitive", "8"),
      "07e19294323086f26f1304954d78ab18ac4ef3b43881402973b3e4bc89a67a2c"),
+    (("verify", "--p", "4099", "--qmax", "4099", "--jobs", "1"),
+     "a3348d4bfc46b261a84c695aaa3acc44a3b267c04f42797369afd60334e118da"),
 ]
 
 
