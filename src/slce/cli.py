@@ -99,7 +99,7 @@ def cmd_complexity(args):
 
 
 def cmd_verify(args):
-    checks = normalize_checks(args.theorems.split(",")) if args.theorems else ALL_CHECKS
+    checks = ALL_CHECKS if args.theorems is None else normalize_checks(args.theorems.split(","))
     records = run_verify(args.qmax, p_filter=args.p, checks=checks, jobs=args.jobs)
     summary = {"contexts": 0, "checks": 0, "mismatches": 0}
 

@@ -113,27 +113,37 @@ class AnalysisContext:
         cache."""
         if h not in self._rows:
             T = self.seq.T
-            N = self.conductor(h)
-            two_h = 1 << h
             signed = []
             for j, counts in enumerate(self.ksum_counts(h)):
                 if _eta_sign_at_minus_one(T, j, h) < 0:
                     counts = [-c for c in counts]
                 signed.append(counts)
-            rows = []
-            for i in range(two_h):
-                acc = [0] * N
-                for j in range(two_h):
-                    shift = ((-i * j) % two_h) * self.k % N
-                    cj = signed[j]
-                    rot = cj[N - shift:] + cj[:N - shift] if shift else cj
-                    acc = [a + b for a, b in zip(acc, rot)]
-                rows.append(acc)
-            self._rows[h] = rows
+            self._rows[h] = _cyclic_dft(signed, self.conductor(h))
         return self._rows[h]
 
     def __repr__(self):
         return f"AnalysisContext(q={self.field.q}, k={self.k}, e={self.e})"
+
+
+def _cyclic_dft(vectors, N):
+    # row i = sum over j of X^(-ij N/n) vectors[j] in Z[X]/(X^N - 1), n =
+    # len(vectors) a power of 2, by radix-2 decimation in time: row i is
+    # E_i + X^(-i N/n) O_i with E and O the half-size transforms of the even
+    # and odd j. The ring is cyclic, so X^(N/2) is a rotation, not -1, and
+    # both rows of a butterfly take their own rotation of O_i.
+    n = len(vectors)
+    if n == 1:
+        return vectors
+    half = n // 2
+    even = _cyclic_dft(vectors[0::2], N)
+    odd = _cyclic_dft(vectors[1::2], N)
+    rows = []
+    for i in range(n):
+        o = odd[i % half]
+        shift = -i * (N // n) % N  # times X^shift
+        rot = o[N - shift:] + o[:N - shift] if shift else o
+        rows.append([a + b for a, b in zip(even[i % half], rot)])
+    return rows
 
 
 def galois_orbits(k, all_units=False):
@@ -213,8 +223,7 @@ def thm1_check(ctx, t):
         if n & t == t and n != half:
             counts[n * e % k] += 1 - 2 * (one_minus_dlog[(n + half) % T] & 1)
     counts[0] += binom_mod2(half, t)
-    value = CycInt.from_exponent_counts(k, counts)
-    return ideal_membership(value, ctx.rf, 1)
+    return ideal_membership(counts, ctx.rf, 1)
 
 
 def thm2_check(ctx, t):
@@ -230,14 +239,12 @@ def thm2_check(ctx, t):
     _check_t(ctx, t)
     h = bit_length_h(t)
     T = ctx.seq.T
-    N = ctx.conductor(h)
     rows = ctx.matrix_rows(h)
-    acc = [0] * N
+    acc = [0] * ctx.conductor(h)
     for i in index_set(t):
         acc = [a + b for a, b in zip(acc, rows[i])]
     acc[0] += (1 << h) * binom_mod2(T // 2, t)
-    total = CycInt.from_exponent_counts(N, acc)
-    return ideal_membership(total, ctx.rf, h + 1)
+    return ideal_membership(acc, ctx.rf, h + 1)
 
 
 def thm3_check(ctx, h):
@@ -248,7 +255,6 @@ def thm3_check(ctx, h):
     if not 1 <= h <= ctx.seq.u:
         raise HOutOfRange(f"h = {h} outside 1..u = {ctx.seq.u}")
     T = ctx.seq.T
-    N = ctx.conductor(h)
     two_h = 1 << h
     rows = ctx.matrix_rows(h)
     d_index = (T // 2) % two_h
@@ -256,7 +262,7 @@ def thm3_check(ctx, h):
         acc = list(rows[i])
         if i == d_index:
             acc[0] += two_h
-        if not ideal_membership(CycInt.from_exponent_counts(N, acc), ctx.rf, h + 1):
+        if not ideal_membership(acc, ctx.rf, h + 1):
             return False
     return True
 
@@ -266,11 +272,10 @@ def necessary_condition_check(ctx, h):
     to be congruent to -1 modulo 2 P Z[z_{2^h k}]. Never sufficient."""
     if not 1 <= h <= ctx.seq.u:
         raise HOutOfRange(f"h = {h} outside 1..u = {ctx.seq.u}")
-    N = ctx.conductor(h)
     for counts in ctx.ksum_counts(h):
         acc = list(counts)
         acc[0] += 1
-        if not ideal_membership(CycInt.from_exponent_counts(N, acc), ctx.rf, 1):
+        if not ideal_membership(acc, ctx.rf, 1):
             return False
     return True
 
@@ -283,7 +288,7 @@ def prop_check(ctx, which):
     if which == 1:
         acc = list(ctx.ksum_counts(0)[0])
         acc[0] += 1
-        return ideal_membership(CycInt.from_exponent_counts(ctx.k, acc), ctx.rf, 1)
+        return ideal_membership(acc, ctx.rf, 1)
     if which == 2:
         K0, K1 = ctx.ksum_counts(1)
         if q % 4 == 1:
@@ -291,7 +296,7 @@ def prop_check(ctx, which):
         else:
             acc = [a + b for a, b in zip(K0, K1)]
             acc[0] += 2
-        return ideal_membership(CycInt.from_exponent_counts(ctx.conductor(1), acc), ctx.rf, 2)
+        return ideal_membership(acc, ctx.rf, 2)
     if which not in (3, 4):
         raise ValueError("which must be in 1..4")
     if q % 4 != 1:

@@ -15,12 +15,14 @@ an exact Gauss sum would drag in the conductor lcm(p, q-1) for no benefit.
 
 import cmath
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 
 from . import polybin
 from .errors import ConductorMismatch, InternalInconsistency, NotSemiprimitive
 from .ff import build_field, field_order
-from .numth import _int_divmod, cyclotomic_polynomial
+from .numth import _int_divmod, _int_mul, cyclotomic_polynomial, inverse_cyclotomic_polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +105,7 @@ class CycInt:
         o = self._match(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        conv = [0] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
+        conv = _int_mul(self.coeffs, o.coeffs)
         return CycInt(self.conductor, _int_divmod(conv, cyclotomic_polynomial(self.conductor))[1])
 
     __rmul__ = __mul__
@@ -389,6 +385,7 @@ def semiprimitive_gauss_closed(p, m, N):
 def ideal_membership(x, rf, c):
     """Is x in 2^c P O_L? P = (2, f_can(z_k)) is the canonical prime over 2,
     with f_can = rf.modulus, and O_L = Z[z_N] is x's own ring, N = 2^h k.
+    x is a CycInt, or the list of N exponent counts of sum counts[e] z_N^e.
 
     Since O_L is torsion-free this splits as: every power-basis coordinate
     divisible by 2^c, and y = x / 2^c lying in P O_L. The latter only
@@ -396,17 +393,71 @@ def ideal_membership(x, rf, c):
     Phi_N = Phi_k^(2^(h-1)) for h >= 1; Phi_k is squarefree mod 2, so the
     image of P O_L in GF(2)[X]/(Phi_N) is generated by their gcd
     f_can^(2^(h-1)), or f_can at h = 0, and y is in P O_L iff it divides y.
+
+    Both tests read the coordinates mod 2^(c+1) only, so counts are reduced
+    modulo Phi_N mod 2^(c+1), by reversal: Phi_N is palindromic and
+    -Psi_N = 1/Phi_N mod X^N, so the quotient of the counts a by Phi_N is
+    -rev(rev(a) Psi_N mod X^(N - phi)), and the coordinates are the low phi
+    coefficients of a + rev(rev(a) Psi_N mod X^(N - phi)) Phi_N, of which
+    only the low phi coefficients of each factor take part. Each product is
+    one int multiplication of packed residues (Kronecker substitution).
     """
-    N = x.conductor
+    if isinstance(x, CycInt):
+        N, values = x.conductor, x.coeffs
+    else:
+        N, values = len(x), x
     h = (N & -N).bit_length() - 1
     if N >> h != rf.k:
         raise ConductorMismatch(f"conductor {N} is not 2^h k for k = {rf.k}")
-    mod = 1 << c
-    if any(coef % mod for coef in x.coeffs):
+    # a product slot sums fewer than N terms below 2^(2(c+1)), so no slot
+    # carries into the next
+    bound = 2 * (c + 1) + N.bit_length()
+    if bound > 64:
+        raise ValueError(f"2^{c} P is too deep for 64-bit slots at conductor {N}")
+    width = 32 if bound <= 32 else 64
+    low = (1 << (c + 1)) - 1
+    phi = cyclotomic_polynomial(N)
+    d = len(phi) - 1
+    rem = _pack(values[:d], width, low)
+    m = len(values) - d
+    if m > 0:
+        top = _pack(values[d:][::-1], width, low)
+        psi = _pack(inverse_cyclotomic_polynomial(N)[:m], width, low)
+        neg_quotient = _reversed_slots(top * psi & _slots(low, m, width), m, width)
+        mask = _slots(low, d, width)
+        rem = (rem + ((neg_quotient & mask) * _pack(phi[:d], width, low) & mask)) & mask
+    if rem & _slots(low >> 1, d, width):
         return False
-    ybits = 0
-    for i, coef in enumerate(x.coeffs):
-        if (coef >> c) & 1:
-            ybits |= 1 << i
+    bits = (rem >> c).to_bytes(d * width // 8, "little")[:: width // 8]
+    ybits = int(bits[::-1].translate(_BIT_DIGITS), 2)
     generator = rf.modulus if h == 0 else polybin._frobenius_pow(rf.modulus, 1 << (h - 1))
     return polybin._mod2(ybits, generator) == 0
+
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _slots(value, n, width):
+    # value repeated in each of n width-bit slots
+    return int.from_bytes(value.to_bytes(width // 8, "little") * n, "little")
+
+
+def _pack(values, width, low):
+    # values mod 2^(c+1) (low = 2^(c+1) - 1), one width-bit slot each,
+    # values[0] lowest: int64 words in through bytes, residues out by one AND
+    try:
+        words = array("q", values)
+    except OverflowError:  # a coordinate past 64 bits
+        words = array("q", [v & low for v in values])
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = memoryview(words).cast("B")
+    if width == 32:
+        raw = raw.cast("I")[::2]  # the low half of each little-endian word
+    return int.from_bytes(raw, "little") & _slots(low, len(values), width)
+
+
+def _reversed_slots(packed, n, width):
+    words = array("I" if width == 32 else "Q", packed.to_bytes(n * width // 8, "little"))
+    words.reverse()
+    return int.from_bytes(words, "little")

@@ -1,5 +1,6 @@
 """Small deterministic number-theory helpers (desk-scale integers only),
-the size cap and the one builder of cyclotomic polynomials over Z."""
+the size cap and the builders of cyclotomic and inverse cyclotomic
+polynomials over Z."""
 
 import math
 from functools import lru_cache
@@ -7,6 +8,11 @@ from functools import lru_cache
 from .errors import InternalInconsistency, SizeExceeded
 
 SIZE_CAP = 1 << 16  # bounds q (ff) and every cyclotomic conductor, over Z or mod 2
+
+# Phi_N and Psi_N kept at once, each: every conductor a field touches divides
+# q - 1 < SIZE_CAP, which has at most 120 divisors, so one field's polynomials
+# stay cached while memory does not grow with the range of a run.
+CONDUCTORS_HELD = 128
 
 
 def is_prime(n):
@@ -121,6 +127,18 @@ def _int_divmod(a, b):
     return q, a[:db]
 
 
+def _int_mul(a, b):
+    # product of integer polynomials (coefficient lists, constant term
+    # first), visiting only the nonzero coefficients of each
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in terms:
+                out[i + j] += ai * bj
+    return out
+
+
 def _spread(coeffs, n):
     # coefficients of c(X^n)
     out = [0] * ((len(coeffs) - 1) * n + 1)
@@ -128,7 +146,14 @@ def _spread(coeffs, n):
     return out
 
 
-@lru_cache(maxsize=None)
+def _check_conductor(N):
+    if N < 1:
+        raise ValueError("N must be positive")
+    if N > SIZE_CAP:
+        raise SizeExceeded(f"conductor {N} exceeds the size cap {SIZE_CAP}")
+
+
+@lru_cache(maxsize=CONDUCTORS_HELD)
 def cyclotomic_polynomial(N):
     """Exact integer coefficients of the N-th cyclotomic polynomial,
     constant term first.
@@ -136,10 +161,7 @@ def cyclotomic_polynomial(N):
     From Phi_1 = X - 1, each prime p | N gives Phi_(pm)(X) = Phi_m(X^p) /
     Phi_m(X) for p not dividing m, which builds Phi_rad(N); then
     Phi_N(X) = Phi_rad(N)(X^(N / rad N))."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    if N > SIZE_CAP:
-        raise SizeExceeded(f"conductor {N} exceeds the size cap {SIZE_CAP}")
+    _check_conductor(N)
     phi, rad = [-1, 1], 1
     for p in prime_factors(N):
         phi, rem = _int_divmod(_spread(phi, p), phi)
@@ -147,3 +169,26 @@ def cyclotomic_polynomial(N):
             raise InternalInconsistency(f"Phi_{rad}(X^{p}) is not divisible by Phi_{rad}")
         rad *= p
     return tuple(_spread(phi, N // rad))
+
+
+@lru_cache(maxsize=CONDUCTORS_HELD)
+def inverse_cyclotomic_polynomial(N):
+    """Exact integer coefficients of Psi_N = (X^N - 1) / Phi_N, constant
+    term first; -Psi_N is the inverse of Phi_N modulo X^N.
+
+    Psi_N(X) = Psi_rad(N)(X^(N / rad N)) as for Phi_N, and for the radical,
+    with p its largest prime and m = rad / p, Psi_(pm)(X) = Psi_m(X^p)
+    Phi_m(X), because X^(pm) - 1 = Psi_m(X^p) Phi_m(X^p) and Phi_m(X^p) =
+    Phi_(pm)(X) Phi_m(X); Psi_1 = 1. A product, not the division of
+    X^rad - 1 by Phi_rad: that takes seconds for a dense Phi_rad such as
+    Phi_30030."""
+    _check_conductor(N)
+    if N == 1:
+        return (1,)
+    primes = prime_factors(N)
+    rad = math.prod(primes)
+    if rad != N:
+        return tuple(_spread(inverse_cyclotomic_polynomial(rad), N // rad))
+    m = N // primes[-1]
+    spread = _spread(inverse_cyclotomic_polynomial(m), primes[-1])
+    return tuple(_int_mul(spread, cyclotomic_polynomial(m)))

@@ -157,6 +157,8 @@ class TestVerify:
         ("verify", "--qmax", "20", "--format", "csv", "--jobs", "0"),
         ("verify", "--qmax", "100000"),
         ("verify", "--qmax", "20", "--theorems", "thm9"),
+        ("verify", "--qmax", "7", "--theorems", ""),
+        ("verify", "--qmax", "7", "--theorems", "1,,2"),
         ("sweep", "--qmax", "100000"),
         ("verify", "--qmax", "100", "--p", "9"),
         ("verify", "--qmax", "100", "--p", "2"),

@@ -20,10 +20,16 @@ from slce.criteria import (
     thm2_check,
     thm3_check,
 )
-from slce.cyclo import CycInt
+from slce.cyclo import CycInt, ideal_membership
 from slce.errors import HOutOfRange, NotSemiprimitive, PreconditionUnmet, SizeExceeded
 from slce.ff import build_field
-from slce.numth import units
+from slce.numth import (
+    CONDUCTORS_HELD,
+    cyclotomic_polynomial,
+    divisors,
+    inverse_cyclotomic_polynomial,
+    units,
+)
 from slce.polybin import lc_via_gcd
 from slce.seq import characteristic_poly, generate_slce
 
@@ -206,6 +212,52 @@ class TestPropositions:
         ctx = ctx_q7()
         assert prop_check(ctx, 1) is False
         assert lc_via_gcd(characteristic_poly(ctx.seq), 6).L == 6
+
+
+def rotate_and_add_rows(ctx, h):
+    """Test-local root-of-unity matrix rows by the O(4^h) rotate-and-add the
+    butterfly replaced: row i = sum over j of eta_{j/2^h}(-1) z_{2^h}^(-ij)
+    K(eta_{j/2^h} chi), with z_{2^h} = z_N^k."""
+    T, N, two_h = ctx.seq.T, ctx.conductor(h), 1 << h
+    rows = []
+    for i in range(two_h):
+        acc = [0] * N
+        for j, counts in enumerate(ctx.ksum_counts(h)):
+            sign = -1 if j * (T // 2) % two_h else 1
+            shift = (-i * j) % two_h * ctx.k
+            for e, v in enumerate(counts):
+                acc[(e + shift) % N] += sign * v
+        rows.append(acc)
+    return rows
+
+
+class TestMatrixRows:
+    @pytest.mark.parametrize("p,m", [(97, 1), (193, 1), (17, 2)])
+    def test_butterfly_matches_rotate_and_add(self, p, m):
+        # u >= 5 in all three fields, so h runs through 0..5
+        seq = generate_slce(build_field(p, m), 2)
+        assert seq.u >= 5
+        for k in divisors(seq.Tprime)[1:]:
+            ctx = AnalysisContext(seq, k, 1)
+            for h in range(6):
+                assert ctx.matrix_rows(h) == rotate_and_add_rows(ctx, h), (k, h)
+
+    def test_rows_read_as_counts_or_folded(self):
+        # thm3's row vectors: membership read from the counts equals
+        # membership of their fold, at every level and both depths used
+        seq = generate_slce(build_field(97, 1), 2)
+        ctx = AnalysisContext(seq, 3, 1)
+        seen = set()
+        for h in range(1, 6):
+            N = ctx.conductor(h)
+            for i, row in enumerate(ctx.matrix_rows(h)):
+                acc = list(row)
+                acc[0] += (1 << h) * (i == (seq.T // 2) % (1 << h))
+                for c in (1, h + 1):
+                    verdict = ideal_membership(acc, ctx.rf, c)
+                    assert verdict == ideal_membership(CycInt.from_exponent_counts(N, acc), ctx.rf, c)
+                    seen.add(verdict)
+        assert seen == {False, True}
 
 
 class TestMultiplicityProfile:
@@ -402,6 +454,21 @@ class TestRunVerify:
         assert analyzed == []
         assert next(records).q == 7
         assert analyzed == [(7, 1)]
+
+    def test_polynomial_caches_hold_one_field(self):
+        # Phi_N and Psi_N stay cached for at most CONDUCTORS_HELD conductors,
+        # so memory does not grow with the range, and the last field's
+        # conductors are all still held: q = 1021, q - 1 = 4 * 255
+        for cache in (cyclotomic_polynomial, inverse_cyclotomic_polynomial):
+            cache.cache_clear()
+        list(run_verify(1024, checks=("thm1", "necessary")))
+        for cache in (cyclotomic_polynomial, inverse_cyclotomic_polynomial):
+            info = cache.cache_info()
+            assert info.maxsize == CONDUCTORS_HELD and info.currsize == CONDUCTORS_HELD
+            for k in divisors(255)[1:]:
+                for h in range(3):
+                    cache(k << h)
+            assert cache.cache_info().misses == info.misses
 
     def test_odd_prime_powers(self):
         qs = [q for _, _, q in odd_prime_powers(30)]

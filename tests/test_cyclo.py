@@ -22,7 +22,12 @@ from slce.cyclo import (
 from slce import polybin
 from slce.errors import ConductorMismatch, NotSemiprimitive, SizeExceeded
 from slce.ff import build_field, build_residue_field
-from slce.numth import _int_divmod, cyclotomic_polynomial, divisors
+from slce.numth import (
+    _int_divmod,
+    cyclotomic_polynomial,
+    divisors,
+    inverse_cyclotomic_polynomial,
+)
 
 
 def numeric_jacobi(field, a1, a2):
@@ -69,6 +74,20 @@ class TestCyclotomicPolynomial:
                 assert not any(r)
             table[N] = tuple(rem)
             assert cyclotomic_polynomial(N) == table[N]
+            psi, r = _int_divmod([-1] + [0] * (N - 1) + [1], table[N])
+            assert not any(r) and inverse_cyclotomic_polynomial(N) == tuple(psi)
+
+    @pytest.mark.parametrize("N", [4098, 30030, 40960, 65518, 65520])
+    def test_inverse_at_envelope_conductors(self, N):
+        # Phi_N Psi_N = X^N - 1, read at X = 2; 30030 = 2 3 5 7 11 13 has a
+        # dense Phi_rad that long division of X^rad - 1 takes seconds over
+        start = time.perf_counter()
+        psi = inverse_cyclotomic_polynomial.__wrapped__(N)
+        assert time.perf_counter() - start < 1.0
+        phi = cyclotomic_polynomial(N)
+        assert len(psi) + len(phi) == N + 2 and psi[-1] == 1
+        at2 = [sum(c << i for i, c in enumerate(poly)) for poly in (phi, psi)]
+        assert at2[0] * at2[1] == (1 << N) - 1
 
     def test_envelope_conductor_in_seconds(self):
         # N = 65520 = 2^4 3^2 5 7 13, the conductor of GF(65521)'s characters
@@ -582,3 +601,134 @@ class TestMembershipOracle:
                     assert ideal_membership(x, rf, c) == expect, (k, h, c)
                     seen.add(expect)
         assert seen == {False, True}
+
+
+def sparse_fold(N, counts):
+    """Test-local copy of the sparse long division that folded exponent
+    counts to power-basis coordinates before membership read them from
+    counts: each step visits the nonzero lower terms of Phi_N."""
+    cyc = cyclotomic_polynomial(N)
+    d = len(cyc) - 1
+    lower = [(j, cj) for j, cj in enumerate(cyc[:d]) if cj]
+    a = list(counts)
+    for i in range(N - 1, d - 1, -1):
+        v = a[i]
+        if v:
+            for j, cj in lower:
+                a[i - d + j] -= v * cj
+    return a[:d]
+
+
+
+
+class TestCountKernel:
+    """ideal_membership on exponent counts, reduced modulo Phi_N mod 2^(c+1)
+    through Psi_N, against the sparse fold of the exact counts followed by
+    the gcd-generator membership test, for c in 0..h+2.
+
+    The cases at (k, h, c) are 2^c v for signed random counts v and for a
+    member u = v - r, where r is v's power-basis coordinates mod 2 reduced
+    by the generator of P O_L mod 2 (so u lies in P O_L), plus near-misses
+    that add 2^c z^j or 2^(c-1) z^j with j < phi; at N <= 600 also 2^c
+    (f_can(z_k) a + 2 b) for sums a, b of a few roots. One oracle fold per
+    vector serves every c, since the fold is linear. Past N = 600 each c
+    takes one (vector, addition) pair, in turn."""
+
+    @staticmethod
+    def oracle(N, coords, rf, c):
+        return gcd_membership(CycInt(N, coords), rf, c)
+
+    def check_conductor(self, rng, rf, h, cs, seen):
+        N = rf.k << h
+        d = len(cyclotomic_polynomial(N)) - 1
+        noise = [rng.randrange(-3, 4) for _ in range(N)]
+        noise_coords = sparse_fold(N, noise)
+        generator = polybin._gcd2(polybin._frobenius_pow(rf.modulus, 1 << h), polybin.phi_mod2(N))
+        ybits = sum(1 << i for i, v in enumerate(noise_coords) if v & 1)
+        r = polybin._mod2(ybits, generator)
+        member = [v - ((r >> i) & 1 if i < d else 0) for i, v in enumerate(noise)]
+        bases = [(noise, noise_coords),
+                 (member, [v - ((r >> i) & 1) for i, v in enumerate(noise_coords)])]
+        if N <= 600:
+            fterms = [i << h for i in range(rf.f + 1) if (rf.modulus >> i) & 1]
+            built = [0] * N
+            for _ in range(rng.randrange(1, 4)):
+                j, a = rng.randrange(N), rng.randrange(-3, 4)
+                for i in fterms:
+                    built[(i + j) % N] += a
+            for _ in range(rng.randrange(4)):
+                built[rng.randrange(N)] += 2 * rng.randrange(-3, 4)
+            bases.append((built, sparse_fold(N, built)))
+        j = rng.randrange(d)
+        for n, c in enumerate(cs):
+            cases = [(base, coords, extra) for base, coords in bases
+                     for extra in {0, 1 << c, (1 << c) >> 1}]
+            if N > 600:
+                cases = [cases[n % len(cases)]]
+            for base, coords, extra in cases:
+                counts = [v << c for v in base]
+                scaled = [v << c for v in coords]
+                counts[j] += extra
+                scaled[j] += extra
+                expect = self.oracle(N, scaled, rf, c)
+                assert ideal_membership(counts, rf, c) == expect, (rf.k, h, c, extra)
+                seen[expect] += 1
+
+    def test_every_conductor_to_600(self):
+        import random
+
+        rng = random.Random(2024)
+        seen = {False: 0, True: 0}
+        for k in range(3, 601, 2):
+            rf = build_residue_field(k)
+            for h in range((600 // k).bit_length()):
+                self.check_conductor(rng, rf, h, range(h + 3), seen)
+        assert seen[True] > 1000 and seen[False] > 1000
+
+    @pytest.mark.parametrize("k,h", [(2049, 1), (4095, 2), (4095, 4)],
+                             ids=["N=4098", "N=16380", "N=65520"])
+    def test_dense_envelope_conductors(self, k, h):
+        import random
+
+        seen = {False: 0, True: 0}
+        self.check_conductor(random.Random(k << h), build_residue_field(k), h, range(h + 3), seen)
+        assert seen[True] and seen[False]
+
+    def test_k21_where_2_does_not_generate(self):
+        # ord_21(2) = 6 < phi(21) = 12: Phi_21 splits into two factors mod 2
+        import random
+
+        rng = random.Random(21)
+        rf = build_residue_field(21)
+        assert rf.f == 6
+        seen = {False: 0, True: 0}
+        for h in range(5):
+            for _ in range(10):
+                self.check_conductor(rng, rf, h, range(h + 3), seen)
+        assert seen[True] and seen[False]
+
+    def test_edge_of_slot_width(self):
+        # q = 40961 has u = 13, so c reaches 14 at N = 2^13 5 = 40960:
+        # 2 (c + 1) + bit_length(N) = 46 bits per product slot
+        import random
+
+        seen = {False: 0, True: 0}
+        self.check_conductor(random.Random(5), build_residue_field(5), 13, [14] * 6, seen)
+        assert seen[True] and seen[False]
+
+    def test_cycint_and_counts_agree(self):
+        # a CycInt's coordinates are its own remainder: no reduction runs
+        import random
+
+        rng = random.Random(3)
+        for k, h in [(3, 2), (7, 1), (21, 3), (45, 2)]:
+            rf = build_residue_field(k)
+            N = k << h
+            for c in range(h + 3):
+                counts = [rng.randrange(-3, 4) << c for _ in range(N)]
+                x = CycInt.from_exponent_counts(N, counts)
+                assert ideal_membership(x, rf, c) == ideal_membership(counts, rf, c)
+
+    def test_slots_past_64_bits_refused(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            ideal_membership([0] * 65520, build_residue_field(4095), 24)
