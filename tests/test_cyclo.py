@@ -716,19 +716,6 @@ class TestCountKernel:
         self.check_conductor(random.Random(5), build_residue_field(5), 13, [14] * 6, seen)
         assert seen[True] and seen[False]
 
-    def test_cycint_and_counts_agree(self):
-        # a CycInt's coordinates are its own remainder: no reduction runs
-        import random
-
-        rng = random.Random(3)
-        for k, h in [(3, 2), (7, 1), (21, 3), (45, 2)]:
-            rf = build_residue_field(k)
-            N = k << h
-            for c in range(h + 3):
-                counts = [rng.randrange(-3, 4) << c for _ in range(N)]
-                x = CycInt.from_exponent_counts(N, counts)
-                assert ideal_membership(x, rf, c) == ideal_membership(counts, rf, c)
-
     def test_slots_past_64_bits_refused(self):
         with pytest.raises(ValueError, match="64-bit"):
             ideal_membership([0] * 65520, build_residue_field(4095), 24)
