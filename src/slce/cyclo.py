@@ -409,26 +409,24 @@ def ideal_membership(x, rf, c):
     h = (N & -N).bit_length() - 1
     if N >> h != rf.k:
         raise ConductorMismatch(f"conductor {N} is not 2^h k for k = {rf.k}")
-    # a product slot sums fewer than N terms below 2^(2(c+1)), so no slot
-    # carries into the next
-    bound = 2 * (c + 1) + N.bit_length()
-    if bound > 64:
+    # a product slot sums fewer than N terms below 2^(2(c+1)), so no 64-bit
+    # slot carries into the next
+    if 2 * (c + 1) + N.bit_length() > 64:
         raise ValueError(f"2^{c} P is too deep for 64-bit slots at conductor {N}")
-    width = 32 if bound <= 32 else 64
     low = (1 << (c + 1)) - 1
     phi = cyclotomic_polynomial(N)
     d = len(phi) - 1
-    rem = _pack(values[:d], width, low)
+    rem = _pack(values[:d], low)
     m = len(values) - d
     if m > 0:
-        top = _pack(values[d:][::-1], width, low)
-        psi = _pack(inverse_cyclotomic_polynomial(N)[:m], width, low)
-        neg_quotient = _reversed_slots(top * psi & _slots(low, m, width), m, width)
-        mask = _slots(low, d, width)
-        rem = (rem + ((neg_quotient & mask) * _pack(phi[:d], width, low) & mask)) & mask
-    if rem & _slots(low >> 1, d, width):
+        top = _pack(values[d:][::-1], low)
+        psi = _pack(inverse_cyclotomic_polynomial(N)[:m], low)
+        neg_quotient = _reversed_slots(top * psi & _slots(low, m), m)
+        mask = _slots(low, d)
+        rem = (rem + ((neg_quotient & mask) * _pack(phi[:d], low) & mask)) & mask
+    if rem & _slots(low >> 1, d):
         return False
-    bits = (rem >> c).to_bytes(d * width // 8, "little")[:: width // 8]
+    bits = (rem >> c).to_bytes(8 * d, "little")[::8]
     ybits = int(bits[::-1].translate(_BIT_DIGITS), 2)
     generator = rf.modulus if h == 0 else polybin._frobenius_pow(rf.modulus, 1 << (h - 1))
     return polybin._mod2(ybits, generator) == 0
@@ -437,13 +435,13 @@ def ideal_membership(x, rf, c):
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _slots(value, n, width):
-    # value repeated in each of n width-bit slots
-    return int.from_bytes(value.to_bytes(width // 8, "little") * n, "little")
+def _slots(value, n):
+    # value repeated in each of n 64-bit slots
+    return int.from_bytes(value.to_bytes(8, "little") * n, "little")
 
 
-def _pack(values, width, low):
-    # values mod 2^(c+1) (low = 2^(c+1) - 1), one width-bit slot each,
+def _pack(values, low):
+    # values mod 2^(c+1) (low = 2^(c+1) - 1), one 64-bit slot each,
     # values[0] lowest: int64 words in through bytes, residues out by one AND
     try:
         words = array("q", values)
@@ -451,13 +449,10 @@ def _pack(values, width, low):
         words = array("q", [v & low for v in values])
     if sys.byteorder == "big":
         words.byteswap()
-    raw = memoryview(words).cast("B")
-    if width == 32:
-        raw = raw.cast("I")[::2]  # the low half of each little-endian word
-    return int.from_bytes(raw, "little") & _slots(low, len(values), width)
+    return int.from_bytes(words, "little") & _slots(low, len(values))
 
 
-def _reversed_slots(packed, n, width):
-    words = array("I" if width == 32 else "Q", packed.to_bytes(n * width // 8, "little"))
+def _reversed_slots(packed, n):
+    words = array("Q", packed.to_bytes(8 * n, "little"))
     words.reverse()
     return int.from_bytes(words, "little")

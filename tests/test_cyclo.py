@@ -603,28 +603,11 @@ class TestMembershipOracle:
         assert seen == {False, True}
 
 
-def sparse_fold(N, counts):
-    """Test-local copy of the sparse long division that folded exponent
-    counts to power-basis coordinates before membership read them from
-    counts: each step visits the nonzero lower terms of Phi_N."""
-    cyc = cyclotomic_polynomial(N)
-    d = len(cyc) - 1
-    lower = [(j, cj) for j, cj in enumerate(cyc[:d]) if cj]
-    a = list(counts)
-    for i in range(N - 1, d - 1, -1):
-        v = a[i]
-        if v:
-            for j, cj in lower:
-                a[i - d + j] -= v * cj
-    return a[:d]
-
-
-
-
 class TestCountKernel:
     """ideal_membership on exponent counts, reduced modulo Phi_N mod 2^(c+1)
-    through Psi_N, against the sparse fold of the exact counts followed by
-    the gcd-generator membership test, for c in 0..h+2.
+    through Psi_N, against the exact division of the counts by Phi_N
+    (numth._int_divmod) followed by the gcd-generator membership test, for
+    c in 0..h+2.
 
     The cases at (k, h, c) are 2^c v for signed random counts v and for a
     member u = v - r, where r is v's power-basis coordinates mod 2 reduced
@@ -642,7 +625,7 @@ class TestCountKernel:
         N = rf.k << h
         d = len(cyclotomic_polynomial(N)) - 1
         noise = [rng.randrange(-3, 4) for _ in range(N)]
-        noise_coords = sparse_fold(N, noise)
+        noise_coords = _int_divmod(noise, cyclotomic_polynomial(N))[1]
         generator = polybin._gcd2(polybin._frobenius_pow(rf.modulus, 1 << h), polybin.phi_mod2(N))
         ybits = sum(1 << i for i, v in enumerate(noise_coords) if v & 1)
         r = polybin._mod2(ybits, generator)
@@ -658,7 +641,7 @@ class TestCountKernel:
                     built[(i + j) % N] += a
             for _ in range(rng.randrange(4)):
                 built[rng.randrange(N)] += 2 * rng.randrange(-3, 4)
-            bases.append((built, sparse_fold(N, built)))
+            bases.append((built, _int_divmod(built, cyclotomic_polynomial(N))[1]))
         j = rng.randrange(d)
         for n, c in enumerate(cs):
             cases = [(base, coords, extra) for base, coords in bases
@@ -709,7 +692,7 @@ class TestCountKernel:
 
     def test_edge_of_slot_width(self):
         # q = 40961 has u = 13, so c reaches 14 at N = 2^13 5 = 40960:
-        # 2 (c + 1) + bit_length(N) = 46 bits per product slot
+        # a product slot needs 2 (c + 1) + bit_length(N) = 46 of its 64 bits
         import random
 
         seen = {False: 0, True: 0}
