@@ -30,7 +30,6 @@ from .criteria import (
 )
 from .ff import (
     ExtField,
-    FieldElement,
     ResidueField,
     build_field,
     build_residue_field,
@@ -43,10 +42,8 @@ from .polybin import (
     binom_mod2,
     bit_length_h,
     factor_phi_mod2,
-    hasse_derivative,
     index_set,
     lc_via_gcd,
-    root_multiplicity,
 )
 from .seq import (
     SlceSequence,

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .ff import SIZE_CAP, build_field, build_residue_field, field_order
 from .numth import divisors, is_prime, two_adic_split, units
-from .polybin import BinaryPoly, binom_mod2, bit_length_h, index_set
+from .polybin import BinaryPoly, _mod2, binom_mod2, bit_length_h, index_set
 from .seq import characteristic_poly, generate_slce
 
 
@@ -57,8 +57,9 @@ from .seq import characteristic_poly, generate_slce
 
 class AnalysisContext:
     """One (sequence, k, e) instance: beta = gamma^e of order k in the
-    canonical residue field rf, paired character chi = eta_{e/k}. Immutable;
-    K-sum vectors and root-of-unity matrix rows are cached per twist level h."""
+    canonical residue field rf, held as its bits, paired character
+    chi = eta_{e/k}. Immutable; K-sum vectors and root-of-unity matrix rows
+    are cached per twist level h."""
 
     __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi",
                  "_kcounts", "_rows", "_ones")
@@ -78,12 +79,12 @@ class AnalysisContext:
         self.k = k
         self.e = e % k
         self.rf = build_residue_field(k)
-        self.beta = self.rf.gamma ** self.e
+        self.beta = self.rf.gamma_pow_bits()[self.e]
         self.chi = Character(field, self.e * (field.q - 1) // k)
         # chi(alpha) mod P: its coordinates' parities as a polynomial in gamma
-        coeffs = self.chi.value(field.alpha).coeffs
+        coeffs = CycInt.root(self.chi.order, self.chi.exponent_at(1)).coeffs
         bits = sum(1 << i for i, c in enumerate(coeffs) if c & 1)
-        if self.rf.element(bits) != self.beta:
+        if _mod2(bits, self.rf.modulus) != self.beta:
             raise InternalInconsistency(f"chi(alpha) does not reduce to beta in {self!r}")
         self._kcounts = {}
         self._rows = {}

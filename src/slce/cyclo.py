@@ -45,10 +45,6 @@ class CycInt:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, N):
-        return cls(N, (0,) * (len(cyclotomic_polynomial(N)) - 1))
-
-    @classmethod
     def from_int(cls, N, c):
         return cls(N, (c,) + (0,) * (len(cyclotomic_polynomial(N)) - 2))
 
@@ -125,9 +121,6 @@ class CycInt:
             return NotImplemented
         return self.coeffs == o.coeffs
 
-    def __hash__(self):
-        return hash((self.conductor, self.coeffs))
-
     def as_int(self):
         """The rational integer this element equals, if it is one."""
         if any(c for c in self.coeffs[1:]):
@@ -156,8 +149,8 @@ class Character:
 
     Index a in [0, q-1) means the character maps alpha to z_{q-1}^a; the
     value at 0 is 0 by convention, which makes all the character-sum
-    bookkeeping uniform. Values are reported in the conductor equal to the
-    character order.
+    bookkeeping uniform. Values are exponents of z_order, the root of unity
+    of the conductor equal to the character order (exponent_at).
     """
 
     __slots__ = ("field", "a", "order", "_c")
@@ -189,13 +182,6 @@ class Character:
     def exponent_at(self, n):
         """Exponent e with value z_order^e at alpha^n."""
         return (self._c * n) % self.order
-
-    def value(self, x):
-        """chi(x) as an exact CycInt of conductor order(chi); chi(0) = 0."""
-        code = self.field.coerce_code(x)
-        if code == 0:
-            return CycInt.zero(self.order)
-        return CycInt.root(self.order, self.exponent_at(self.field.dlog_code(code)))
 
     def __repr__(self):
         return f"Character(GF({self.field.q}), a={self.a}, order={self.order})"
@@ -313,10 +299,9 @@ class QuadraticGaussValue:
 
 def quadratic_gauss_closed(p, m):
     """G(rho) for GF(p^m): (-1)^(m-1) sqrt(q) when p = 1 mod 4, and
-    (-1)^(m-1) i^m sqrt(q) when p = 3 mod 4."""
-    if p % 2 == 0:
-        raise ValueError("p must be odd")
-    q = p**m
+    (-1)^(m-1) i^m sqrt(q) when p = 3 mod 4. p and m are checked by
+    field_order, so a composite p or a q past the size cap is refused."""
+    q = field_order(p, m)
     if p % 4 == 1:
         return QuadraticGaussValue(1 if m % 2 == 1 else -1, False, q)
     r = m % 4

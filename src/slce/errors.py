@@ -17,10 +17,6 @@ class LogOfZero(SlceError):
     """Discrete logarithm of the zero element."""
 
 
-class DivisionByZero(SlceError, ZeroDivisionError):
-    """Multiplicative inverse of zero."""
-
-
 class EvenK(SlceError):
     """k must be odd."""
 
@@ -35,10 +31,6 @@ class BadAlphabet(SlceError):
 
 class NotBinary(SlceError):
     """Operation is defined only for binary sequences."""
-
-
-class ZeroPolynomial(SlceError):
-    """Root multiplicity of the zero polynomial is undefined."""
 
 
 class ConductorMismatch(SlceError):

@@ -1,4 +1,6 @@
-"""Finite fields: GF(p^m) with a dense dlog table, and GF(2^f) residue fields.
+"""Finite fields as codes and tables: GF(p^m) with a dense dlog table, and
+GF(2^f) residue fields. Elements are plain ints, codes in GF(p^m) and
+bit-vectors in GF(2^f), combined through the field's tables and helpers.
 
 GF(p^m) elements are encoded as ints in [0, q): the element with
 polynomial-basis coefficients (c_0, ..., c_{m-1}) gets the code
@@ -16,9 +18,10 @@ conductors it also bounds, and bounds q here.
 
 GF(2^f) residue fields are built as GF(2)[X]/(f_can) where f_can is the
 canonical irreducible factor of the k-th cyclotomic polynomial mod 2, so
-the class gamma of X has multiplicative order exactly k. This is the
-concrete home for odd-order roots of X^T - 1 and for reductions of
-cyclotomic integers modulo a prime over 2.
+the class gamma of X has multiplicative order exactly k; an element is the
+int bit-vector of its polynomial in gamma, and the field holds the table
+of gamma's powers. This is the concrete home for odd-order roots of
+X^T - 1 and for reductions of cyclotomic integers modulo a prime over 2.
 """
 
 import weakref
@@ -27,14 +30,13 @@ from functools import lru_cache, partial
 from . import polybin
 from .errors import (
     CompositeP,
-    DivisionByZero,
     EvenK,
     InternalInconsistency,
     KisOne,
     LogOfZero,
     SizeExceeded,
 )
-from .numth import SIZE_CAP, is_prime, power, prime_factors
+from .numth import CONDUCTORS_HELD, SIZE_CAP, is_prime, power, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -102,80 +104,6 @@ def _is_irreducible(coeffs, p):
 
 # ---------------------------------------------------------------------------
 # GF(p^m)
-
-
-class FieldElement:
-    """Element of an ExtField, identified by its int code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field, code):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self):
-        """Polynomial-basis coefficients, constant term first."""
-        p, m, c = self.field.p, self.field.m, self.code
-        out = []
-        for _ in range(m):
-            c, r = divmod(c, p)
-            out.append(r)
-        return tuple(out)
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == self.field.element_from_int(other).code
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add_codes(self.code, self.field.coerce_code(other)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_code(self.code))
-
-    def __sub__(self, other):
-        return self + (-FieldElement(self.field, self.field.coerce_code(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.coerce_code(other)) - self
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul_codes(self.code, self.field.coerce_code(other)))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.code == 0:
-            raise DivisionByZero("inverse of zero")
-        F = self.field
-        n = F.dlog_code(self.code)
-        return FieldElement(F, F.pow_alpha((-n) % (F.q - 1)))
-
-    def __truediv__(self, other):
-        return self * FieldElement(self.field, self.field.coerce_code(other)).inverse()
-
-    def __pow__(self, n):
-        F = self.field
-        if self.code == 0:
-            if n < 0:
-                raise DivisionByZero("inverse of zero")
-            return F.one if n == 0 else F.zero
-        d = F.dlog_code(self.code)
-        return FieldElement(F, F.pow_alpha((d * n) % (F.q - 1)))
-
-    def __repr__(self):
-        return f"FieldElement(GF({self.field.q}), code={self.code})"
 
 
 def field_order(p, m):
@@ -277,15 +205,6 @@ class ExtField:
 
     # -- code-level arithmetic ----------------------------------------------
 
-    def coerce_code(self, x):
-        if isinstance(x, FieldElement):
-            if x.field is not self:
-                raise ValueError("elements belong to different fields")
-            return x.code
-        if isinstance(x, int):
-            return self.element_from_int(x).code
-        raise TypeError(f"cannot coerce {x!r} into GF({self.q})")
-
     def add_codes(self, a, b):
         p, m = self.p, self.m
         if m == 1:
@@ -313,11 +232,6 @@ class ExtField:
         # adding the constant 1 only touches digit 0
         return a - self._p_minus_1 if a % self.p == self._p_minus_1 else a + 1
 
-    def mul_codes(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._pow[(self._dlog[a] + self._dlog[b]) % (self.q - 1)]
-
     def dlog_code(self, a):
         if a == 0:
             raise LogOfZero("discrete log of zero")
@@ -325,32 +239,6 @@ class ExtField:
 
     def pow_alpha(self, n):
         return self._pow[n % (self.q - 1)]
-
-    # -- public element API --------------------------------------------------
-
-    @property
-    def zero(self):
-        return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
-
-    @property
-    def alpha(self):
-        return FieldElement(self, self.alpha_code)
-
-    def element(self, code):
-        if not 0 <= code < self.q:
-            raise ValueError(f"code out of range for GF({self.q})")
-        return FieldElement(self, code)
-
-    def element_from_int(self, n):
-        # embed a rational integer via the prime subfield
-        return FieldElement(self, n % self.p)
-
-    def dlog(self, x):
-        return self.dlog_code(self.coerce_code(x))
 
     # -- traces and the 1 - alpha^n table (lazy, used by character sums) -----
 
@@ -411,46 +299,6 @@ def build_field(p, m):
 # GF(2^f) residue fields
 
 
-class RFElement:
-    """Element of a ResidueField, backed by an int bit-vector."""
-
-    __slots__ = ("field", "bits")
-
-    def __init__(self, field, bits):
-        self.field = field
-        self.bits = bits
-
-    def __bool__(self):
-        return self.bits != 0
-
-    def __eq__(self, other):
-        if isinstance(other, RFElement):
-            return self.field is other.field and self.bits == other.bits
-        if isinstance(other, int):
-            return self.bits == (other & 1)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.bits))
-
-    def __add__(self, other):
-        return RFElement(self.field, self.bits ^ self.field.coerce_bits(other))
-
-    __radd__ = __add__
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        return RFElement(self.field, self.field.mul_bits(self.bits, self.field.coerce_bits(other)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return RFElement(self.field, power(self.bits, n, self.field.mul_bits))
-
-    def __repr__(self):
-        return f"RFElement(GF(2^{self.field.f}), bits={bin(self.bits)})"
-
-
 class ResidueField:
     """GF(2^f) = GF(2)[X]/(f_can), f_can the canonical factor of Phi_k mod 2.
 
@@ -467,37 +315,13 @@ class ResidueField:
         self.modulus = modulus_value  # int bit-vector of f_can
         self._gamma_pows = None
 
-    def coerce_bits(self, x):
-        if isinstance(x, RFElement):
-            if x.field is not self:
-                raise ValueError("elements belong to different residue fields")
-            return x.bits
-        if isinstance(x, int):
-            return x & 1
-        raise TypeError(f"cannot coerce {x!r}")
-
     def mul_bits(self, a, b):
         return polybin._mod2(polybin._mul2(a, b), self.modulus)
-
-    @property
-    def zero(self):
-        return RFElement(self, 0)
-
-    @property
-    def one(self):
-        return RFElement(self, 1)
-
-    @property
-    def gamma(self):
-        return RFElement(self, polybin._mod2(2, self.modulus))
-
-    def element(self, bits):
-        return RFElement(self, polybin._mod2(bits, self.modulus))
 
     def gamma_pow_bits(self):
         """Cached table of gamma^j bits for j in [0, k)."""
         if self._gamma_pows is None:
-            g = self.gamma.bits
+            g = polybin._mod2(2, self.modulus)
             out = [1]
             for _ in range(self.k - 1):
                 out.append(self.mul_bits(out[-1], g))
@@ -510,9 +334,13 @@ class ResidueField:
         return f"ResidueField(k={self.k}, f={self.f})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONDUCTORS_HELD)
 def build_residue_field(k):
-    """Canonical GF(2^f) containing the order-k roots of unity; k odd > 1."""
+    """Canonical GF(2^f) containing the order-k roots of unity; k odd > 1.
+
+    Held for CONDUCTORS_HELD values of k at once: every k a field touches
+    divides q - 1, so one field's residue fields stay cached while memory
+    does not grow with the range of a run."""
     if k % 2 == 0:
         raise EvenK("k must be odd")
     if k == 1:

@@ -8,16 +8,17 @@ module-private helpers; the BinaryPoly wrapper adds operators and
 serialization on top.
 
 This module also hosts the combinatorial helpers tied to GF(2) root
-multiplicities: binomial parity, Hasse derivatives, the factorization of
-the k-th cyclotomic polynomial mod 2, and the index sets I_t used by the
-divisibility criteria.
+multiplicities: binomial parity, the factorization of the k-th cyclotomic
+polynomial mod 2, and the index sets I_t used by the divisibility
+criteria. The Hasse-derivative sums themselves are evaluated in
+criteria, straight from the ones positions of a sequence.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EvenK, InternalInconsistency, ZeroPolynomial
-from .numth import cyclotomic_polynomial, euler_phi, multiplicative_order, power
+from .errors import EvenK, InternalInconsistency
+from .numth import CONDUCTORS_HELD, cyclotomic_polynomial, euler_phi, multiplicative_order, power
 
 # ---------------------------------------------------------------------------
 # raw int helpers
@@ -139,25 +140,6 @@ class BinaryPoly:
     def __pow__(self, n):
         return BinaryPoly(power(self.value, n, _mul2))
 
-    def evaluate(self, x):
-        """Horner evaluation at x, an element of any field of characteristic 2.
-
-        x must support * and + with itself and expose its field's one via
-        `x.field.one`; plain 0/1 ints also work for GF(2) itself.
-        """
-        if isinstance(x, int):
-            x &= 1
-            if self.value == 0:
-                return 0
-            return bin(self.value).count("1") & 1 if x else self.value & 1
-        acc = x.field.zero
-        one = x.field.one
-        for i in range(self.degree, -1, -1):
-            acc = acc * x
-            if (self.value >> i) & 1:
-                acc = acc + one
-        return acc
-
     def to_hex(self):
         """Hex of the little-endian byte encoding of the coefficient bits."""
         n = max(1, (self.value.bit_length() + 7) // 8)
@@ -232,41 +214,12 @@ def lc_via_gcd(S, T):
 
 
 # ---------------------------------------------------------------------------
-# Lucas parity, Hasse derivatives, multiplicities
+# Lucas parity
 
 
 def binom_mod2(n, t):
     """Parity of C(n, t): 1 iff every binary digit of t is <= that of n."""
     return 1 if (n & t) == t else 0
-
-
-def hasse_derivative(f, t):
-    """t-th Hasse derivative: sum of C(n, t) a_n X^(n-t) with mod-2 binomials."""
-    f = BinaryPoly(f)
-    out = 0
-    v = f.value >> t
-    n = t
-    while v:
-        if (v & 1) and (n & t) == t:
-            out |= 1 << (n - t)
-        v >>= 1
-        n += 1
-    return BinaryPoly(out)
-
-
-def root_multiplicity(f, beta):
-    """Exact multiplicity of beta as a root of f, via Hasse derivatives.
-
-    beta is an element of a binary field (see BinaryPoly.evaluate). The
-    multiplicity is the least t with f^(t)(beta) != 0.
-    """
-    f = BinaryPoly(f)
-    if not f:
-        raise ZeroPolynomial("zero polynomial has no defined multiplicity")
-    for t in range(f.degree + 1):
-        if hasse_derivative(f, t).evaluate(beta):
-            return t
-    return f.degree  # leading coefficient is nonzero, so unreachable
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +232,7 @@ def phi_mod2(n):
     return int("".join("1" if c & 1 else "0" for c in reversed(cyclotomic_polynomial(n))), 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONDUCTORS_HELD)
 def factor_phi_mod2(k):
     """Distinct irreducible factors of the k-th cyclotomic polynomial mod 2.
 
@@ -296,7 +249,8 @@ def factor_phi_mod2(k):
     polynomial in GF(2)[X]/(X^k - 1) and zero on every other component, so
     two distinct factors differ at some monomial X^j with 0 < j < k. T_j
     and T_(2j) agree at every root, so one j per 2-cyclotomic coset
-    suffices, and the loop ends within k - 1 rounds.
+    suffices, and the loop ends within k - 1 rounds. Results are held for
+    CONDUCTORS_HELD values of k at once, like ff.build_residue_field's.
     """
     if k % 2 == 0:
         raise EvenK("k must be odd")

@@ -99,7 +99,7 @@ def test_criterion_04_thm3_equivalence():
                 via_matrix = thm3_check(ctx, h)
                 via_mult = mult >= (1 << h)
                 via_cosets = all(
-                    coset_sum(ctx, i, h) == ctx.rf.zero for i in range(1 << h)
+                    coset_sum(ctx, i, h) == 0 for i in range(1 << h)
                 )
                 if not (via_matrix == via_mult == via_cosets):
                     bad += 1

@@ -325,10 +325,10 @@ class TestExitCode3:
 
     def test_internal_inconsistency_exits_3(self, capsys, monkeypatch):
         import slce.criteria as criteria_mod
-        from slce.cyclo import CycInt
 
-        # chi(alpha) must reduce to beta mod P; break that invariant
-        monkeypatch.setattr(criteria_mod.Character, "value", lambda chi, x: CycInt.zero(chi.order))
+        # chi(alpha) must reduce to beta = gamma^e mod P; break that invariant
+        # by sending alpha to z^0 = 1, which reduces to 1 != gamma^e
+        monkeypatch.setattr(criteria_mod.Character, "exponent_at", lambda chi, n: 0)
         code, out, err = run_cli(capsys, "verify", "--qmax", "7")
         assert code == 3 and "internal inconsistency" in err
 

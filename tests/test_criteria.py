@@ -22,7 +22,7 @@ from slce.criteria import (
 )
 from slce.cyclo import CycInt, ideal_membership
 from slce.errors import HOutOfRange, NotSemiprimitive, PreconditionUnmet, SizeExceeded
-from slce.ff import build_field
+from slce.ff import build_field, build_residue_field
 from slce.numth import (
     CONDUCTORS_HELD,
     cyclotomic_polynomial,
@@ -30,10 +30,16 @@ from slce.numth import (
     inverse_cyclotomic_polynomial,
     units,
 )
-from slce.polybin import lc_via_gcd
+from slce.polybin import factor_phi_mod2, lc_via_gcd
 from slce.seq import characteristic_poly, generate_slce
 
-from oracles import admissible_contexts, coset_sum, primitive_elements, with_primitive_element
+from oracles import (
+    admissible_contexts,
+    coset_sum,
+    horner,
+    primitive_elements,
+    with_primitive_element,
+)
 
 
 def ctx_q7():
@@ -43,7 +49,7 @@ def ctx_q7():
 class TestContext:
     def test_pairing_invariant(self):
         ctx = ctx_q7()
-        assert ctx.beta == ctx.rf.gamma
+        assert ctx.beta == 0b10  # gamma, the class of X
         assert ctx.chi.order == 3
 
     def test_rejects_bad_parameters(self):
@@ -83,23 +89,24 @@ class TestCosetSums:
     def test_h0_is_full_evaluation(self):
         ctx = ctx_q7()
         S = characteristic_poly(ctx.seq)
-        assert coset_sum(ctx, 0, 0) == S.evaluate(ctx.beta)
+        assert coset_sum(ctx, 0, 0) == horner(S.value, ctx.rf, ctx.beta)
 
     def test_q7_hand_values(self):
         ctx = ctx_q7()
-        g = ctx.rf.gamma
-        assert coset_sum(ctx, 0, 1) == g * g + g
-        assert coset_sum(ctx, 1, 1) == g * g
+        g = ctx.beta
+        g2 = ctx.rf.mul_bits(g, g)
+        assert coset_sum(ctx, 0, 1) == g2 ^ g
+        assert coset_sum(ctx, 1, 1) == g2
 
     def test_partition(self):
         for p, m in [(13, 1), (5, 2)]:
             s = generate_slce(build_field(p, m), 2)
             for ctx in admissible_contexts(s):
-                total_s = characteristic_poly(s).evaluate(ctx.beta)
+                total_s = horner(characteristic_poly(s).value, ctx.rf, ctx.beta)
                 for h in range(s.u + 1):
-                    acc = ctx.rf.zero
+                    acc = 0
                     for i in range(1 << h):
-                        acc = acc + coset_sum(ctx, i, h)
+                        acc ^= coset_sum(ctx, i, h)
                     assert acc == total_s
 
 
@@ -153,7 +160,7 @@ class TestMultiplicityCriterion:
                 via_matrix = thm3_check(ctx, h)
                 via_mult = mult >= (1 << h)
                 via_cosets = all(
-                    coset_sum(ctx, i, h) == ctx.rf.zero for i in range(1 << h)
+                    coset_sum(ctx, i, h) == 0 for i in range(1 << h)
                 )
                 assert via_matrix == via_mult == via_cosets
                 if via_matrix:
@@ -343,7 +350,7 @@ class TestAlphaInvariance:
         base = multiplicity_profile(generate_slce(F, 2))
         base_mults = sorted(base.entries.values())
         for code in primitive_elements(F):
-            G = with_primitive_element(F, F.element(code))
+            G = with_primitive_element(F, code)
             prof = multiplicity_profile(generate_slce(G, 2))
             assert prof.L == base.L
             assert sorted(prof.entries.values()) == base_mults
@@ -456,18 +463,27 @@ class TestRunVerify:
         assert analyzed == [(7, 1)]
 
     def test_polynomial_caches_hold_one_field(self):
-        # Phi_N and Psi_N stay cached for at most CONDUCTORS_HELD conductors,
-        # so memory does not grow with the range, and the last field's
-        # conductors are all still held: q = 1021, q - 1 = 4 * 255
-        for cache in (cyclotomic_polynomial, inverse_cyclotomic_polynomial):
+        # Phi_N and Psi_N, the factors of Phi_k mod 2 and the residue fields
+        # stay cached for at most CONDUCTORS_HELD conductors, so memory does
+        # not grow with the range, and the last field's conductors are all
+        # still held: q = 1021, q - 1 = 4 * 255. The residue fields take odd
+        # k only. factor_phi_mod2 is called by build_residue_field on a miss
+        # only, so it holds the k built last, and serving the last field's k
+        # from the residue-field cache needs no new factoring.
+        caches = (cyclotomic_polynomial, inverse_cyclotomic_polynomial,
+                  factor_phi_mod2, build_residue_field)
+        for cache in caches:
             cache.cache_clear()
         list(run_verify(1024, checks=("thm1", "necessary")))
-        for cache in (cyclotomic_polynomial, inverse_cyclotomic_polynomial):
-            info = cache.cache_info()
+        before = {cache: cache.cache_info() for cache in caches}
+        for info in before.values():
             assert info.maxsize == CONDUCTORS_HELD and info.currsize == CONDUCTORS_HELD
-            for k in divisors(255)[1:]:
-                for h in range(3):
-                    cache(k << h)
+        for k in divisors(255)[1:]:
+            build_residue_field(k)
+            for h in range(3):
+                cyclotomic_polynomial(k << h)
+                inverse_cyclotomic_polynomial(k << h)
+        for cache, info in before.items():
             assert cache.cache_info().misses == info.misses
 
     def test_odd_prime_powers(self):

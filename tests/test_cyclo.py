@@ -20,7 +20,7 @@ from slce.cyclo import (
     semiprimitive_vw,
 )
 from slce import polybin
-from slce.errors import ConductorMismatch, NotSemiprimitive, SizeExceeded
+from slce.errors import CompositeP, ConductorMismatch, NotSemiprimitive, SizeExceeded
 from slce.ff import build_field, build_residue_field
 from slce.numth import (
     _int_divmod,
@@ -218,37 +218,47 @@ class TestCycIntArithmetic:
         x = CycInt.from_int(3, 5)
         assert x.to_json() == {"conductor": 3, "coeffs": ["5", "0"]}
 
+    def test_unhashable(self):
+        # from_int(3, 5) == 5, so a hash would have to match hash(5); then
+        # CycInts of different conductors would collide, and comparing them
+        # raises ConductorMismatch
+        with pytest.raises(TypeError):
+            hash(CycInt.from_int(3, 5))
+
+
+def char_value(chi, n):
+    """chi(alpha^n) as an exact CycInt of conductor order(chi)."""
+    return CycInt.root(chi.order, chi.exponent_at(n))
+
 
 class TestCharacters:
     def test_trivial_everywhere_one(self):
         F = build_field(7, 1)
         eps = Character(F, 0)
-        for code in range(1, 7):
-            assert eps.value(F.element(code)) == 1
-        assert eps.value(F.zero).is_zero
+        for n in range(6):
+            assert char_value(eps, n) == 1
 
     def test_quadratic_on_squares(self):
         F = build_field(7, 1)
         rho = Character.quadratic(F)
         for n in range(6):
-            x = F.alpha ** n
             expect = 1 if n % 2 == 0 else -1
-            assert rho.value(x) == CycInt.from_int(2, expect)
+            assert char_value(rho, n) == CycInt.from_int(2, expect)
 
     def test_cubic_at_alpha(self):
         F = build_field(7, 1)
         chi = Character(F, 2)
         assert chi.order == 3
-        assert chi.value(F.alpha) == CycInt.root(3, 1)
+        assert char_value(chi, 1) == CycInt.root(3, 1)
 
     def test_multiplicativity(self):
         F = build_field(3, 2)
         chi = Character(F, 3)
-        N = chi.order
         for a in range(1, 9):
             for b in range(1, 9):
-                x, y = F.element(a), F.element(b)
-                assert chi.value(x * y) == chi.value(x) * chi.value(y)
+                m, n = F.dlog_code(a), F.dlog_code(b)
+                product = F.dlog_code(F.pow_alpha(m + n))
+                assert char_value(chi, product) == char_value(chi, m) * char_value(chi, n)
 
     def test_orthogonality_exact(self):
         # summing the d-power residue characters flags membership in the
@@ -259,8 +269,7 @@ class TestCharacters:
                 if (F.q - 1) % d:
                     continue
                 for n in range(F.q - 1):
-                    x = F.alpha ** n
-                    total = CycInt.zero(d)
+                    total = CycInt.from_int(d, 0)
                     for i in range(d):
                         chi = Character.eta(F, i, d)
                         # chi(x) = z_order^e = z_d^(e d / order)
@@ -275,9 +284,9 @@ class TestCharacters:
         for d1, d2 in [(3, 2), (3, 4), (2, 3)]:
             chi = Character.eta(F, 1, d1)
             for i in range(d2):
-                total = CycInt.zero(d1)
+                total = CycInt.from_int(d1, 0)
                 for n in range(i, F.q - 1, d2):
-                    total = total + chi.value(F.alpha ** n)
+                    total = total + char_value(chi, n)
                 assert total.is_zero
 
 
@@ -404,6 +413,17 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             quadratic_gauss_closed(5, 1).as_int()
 
+    @pytest.mark.parametrize("p", [9, 15])
+    def test_quadratic_refuses_composite_p(self, p):
+        with pytest.raises(CompositeP):
+            quadratic_gauss_closed(p, 1)
+
+    def test_quadratic_refuses_past_the_cap_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeExceeded):
+            quadratic_gauss_closed(3, 10**6)
+        assert time.perf_counter() - start < 0.5
+
     def test_semiprimitive_magnitudes(self):
         r = semiprimitive_gauss_closed(5, 2, 3)
         assert r.magnitude == 5 and abs(r.value) == 5
@@ -452,7 +472,7 @@ def reduce_mod_p(x, rf):
     for i, c in enumerate(x.coeffs):
         if c & 1:
             bits |= 1 << i
-    return rf.element(bits)
+    return polybin._mod2(bits, rf.modulus)
 
 
 def gcd_membership(x, rf, c):
@@ -521,7 +541,7 @@ class TestReduceModP:
 
 class TestIdealMembership:
     def test_zero(self):
-        assert ideal_membership(CycInt.zero(3), build_residue_field(3), 1)
+        assert ideal_membership(CycInt.from_int(3, 0), build_residue_field(3), 1)
 
     def test_twice_unit_not_in(self):
         x = CycInt.from_exponent_counts(3, [2, 2, 0])
@@ -541,7 +561,7 @@ class TestIdealMembership:
                 expect = False
             else:
                 half = CycInt(7, tuple(c // 2 for c in x.coeffs))
-                expect = reduce_mod_p(half, rf) == rf.zero
+                expect = reduce_mod_p(half, rf) == 0
             assert ideal_membership(x, rf, 1) == expect
 
     def test_h1_power_of_two_scaling(self):

@@ -1,5 +1,5 @@
-"""Binary polynomial algebra: gcd, Berlekamp-Massey, Hasse derivatives,
-Lucas parity, cyclotomic factors mod 2."""
+"""Binary polynomial algebra: gcd, Berlekamp-Massey, Lucas parity, root
+multiplicities through the masked-sum kernel, cyclotomic factors mod 2."""
 
 import time
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slce.criteria import map_fields
-from slce.errors import EvenK, InternalInconsistency, ZeroPolynomial
+from slce.criteria import _masked_sum, map_fields
+from slce.errors import EvenK, InternalInconsistency
 from slce.ff import build_field, build_residue_field
 from slce.numth import euler_phi, multiplicative_order
 from slce.polybin import (
@@ -18,11 +18,9 @@ from slce.polybin import (
     binom_mod2,
     bit_length_h,
     factor_phi_mod2,
-    hasse_derivative,
     index_set,
     lc_via_gcd,
     phi_mod2,
-    root_multiplicity,
 )
 from slce.seq import generate_slce
 
@@ -224,66 +222,40 @@ class TestBinomMod2:
         assert binom_mod2(n, t) == expect
 
 
-class TestHasseDerivative:
-    def test_cube(self):
-        # C(3, 2) = 3 is odd
-        assert hasse_derivative(BinaryPoly(0b1000), 2) == X
-
-    def test_zeroth_is_identity(self):
-        f = BinaryPoly(0b101101)
-        assert hasse_derivative(f, 0) == f
-
-    def test_fourth_power(self):
-        # C(4, 1) = 4 is even
-        assert hasse_derivative(BinaryPoly(0b10000), 1) == 0
-
-    @given(st.integers(0, (1 << 20) - 1), st.integers(0, 8), st.integers(0, 8))
-    @settings(max_examples=120)
-    def test_composition_rule(self, fv, t1, t2):
-        f = BinaryPoly(fv)
-        lhs = hasse_derivative(hasse_derivative(f, t1), t2)
-        rhs = hasse_derivative(f, t1 + t2)
-        if binom_mod2(t1 + t2, t1):
-            assert lhs == rhs
-        else:
-            assert lhs == 0
+def multiplicity(f, k, e=1):
+    """Multiplicity of beta = gamma^e of order k as a root of the nonzero
+    GF(2) polynomial f, read off the ground truth's masked-sum kernel: the
+    least t whose Hasse-derivative sum over n & t == t does not vanish."""
+    ones = [n for n in range(f.bit_length()) if f >> n & 1]
+    gp = (1,) if k == 1 else build_residue_field(k).gamma_pow_bits()
+    t = 0
+    while not _masked_sum(ones, gp, k, e, t, t):
+        t += 1
+    return t
 
 
 class TestRootMultiplicity:
     def test_double_root_at_one(self):
-        rf = build_residue_field(3)
         sq = BinaryPoly(0b11) * BinaryPoly(0b11)
-        assert root_multiplicity(sq, rf.one) == 2
+        assert multiplicity(sq.value, 1) == 2
 
     def test_q7_characteristic_at_order3_root(self):
-        rf = build_residue_field(3)
-        S = BinaryPoly(0b110100)
-        beta = rf.gamma
-        assert root_multiplicity(S, beta) == 0
-        # the evaluation itself is beta (hand reduction with gamma^2 = gamma + 1)
-        assert S.evaluate(beta) == beta
+        S = 0b110100
+        assert multiplicity(S, 3) == 0
+        # the sum itself is gamma (hand reduction with gamma^2 = gamma + 1)
+        gp = build_residue_field(3).gamma_pow_bits()
+        assert _masked_sum([2, 4, 5], gp, 3, 1, 0, 0) == gp[1]
 
     def test_xt_minus_one(self):
         # X^T - 1 = (X^T' - 1)^(2^u): any T'-th root of unity has mult 2^u
-        rf = build_residue_field(7)
         T, u = 56, 3
-        f = BinaryPoly((1 << T) | 1)
-        assert root_multiplicity(f, rf.gamma) == 1 << u
-
-    def test_zero_polynomial(self):
-        rf = build_residue_field(3)
-        with pytest.raises(ZeroPolynomial):
-            root_multiplicity(BinaryPoly(0), rf.gamma)
+        assert multiplicity((1 << T) | 1, 7) == 1 << u
 
     @given(st.integers(1, 255), st.integers(1, 255))
     @settings(max_examples=60)
     def test_additive_over_products(self, av, bv):
-        rf = build_residue_field(5)
-        beta = rf.gamma
         a, b = BinaryPoly(av), BinaryPoly(bv)
-        assert root_multiplicity(a * b, beta) == root_multiplicity(
-            a, beta
-        ) + root_multiplicity(b, beta)
+        assert multiplicity((a * b).value, 5) == multiplicity(av, 5) + multiplicity(bv, 5)
 
 
 class TestFactorPhiMod2:
