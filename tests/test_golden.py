@@ -20,7 +20,11 @@ deleted; they hold integers only, so no float formatting enters them.
 The whole-field verify at q = 4099 was taken before membership in 2^c P O_L
 was read straight from exponent counts modulo 2^(c+1): its conductor 4098
 has a dense Phi_4098 (911 nonzero terms), the case the sparse fold was
-slowest on."""
+slowest on. The binary generate and the complexity at q = 81 (a minimal
+polynomial read off a sequence over an extension field) and the Jacobi sum
+over GF(3^5) (where 1 - x is formed digit by digit) were taken before the
+GF(2)[X] wrapper was dropped and the field's 1 - alpha^n table became a
+Zech-logarithm table."""
 
 import hashlib
 import json
@@ -72,6 +76,12 @@ GOLDEN = [
      "07e19294323086f26f1304954d78ab18ac4ef3b43881402973b3e4bc89a67a2c"),
     (("verify", "--p", "4099", "--qmax", "4099", "--jobs", "1"),
      "a3348d4bfc46b261a84c695aaa3acc44a3b267c04f42797369afd60334e118da"),
+    (("generate", "--p", "3", "--m", "4"),
+     "c477f13670e6449140001e751cf9339a8fe08f58df7d444407cd9a6494d51cfe"),
+    (("complexity", "--p", "3", "--m", "4"),
+     "4f53e277fc700ba684c140219cc449ec511b1367bddb5a97e4c795a34e44fbaf"),
+    (("jacobi", "--p", "3", "--m", "5", "--a1", "1", "--a2", "2"),
+     "26b11adecb65d534ff707fecaab0954c1032b25e7b2092e44fceae9042148adc"),
 ]
 
 
