@@ -36,7 +36,6 @@ from .ff import (
 )
 from .numth import SIZE_CAP, cyclotomic_polynomial
 from .polybin import (
-    BinaryPoly,
     LinearComplexityResult,
     berlekamp_massey,
     binom_mod2,
@@ -49,7 +48,6 @@ from .seq import (
     SlceSequence,
     autocorrelation,
     balance_report,
-    characteristic_poly,
     generate_slce,
     sequence_from_json,
 )

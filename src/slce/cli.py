@@ -31,7 +31,7 @@ from .cyclo import (
 from .errors import InternalInconsistency, SlceError
 from .ff import build_field
 from .polybin import berlekamp_massey, lc_via_gcd
-from .seq import autocorrelation, balance_report, characteristic_poly, generate_slce
+from .seq import autocorrelation, balance_report, generate_slce
 
 
 def _add_field_args(parser):
@@ -43,11 +43,16 @@ def _dump(obj):
     return json.dumps(obj, sort_keys=True)
 
 
+def _poly_hex(poly):
+    """Hex of the little-endian bytes (at least one) of a GF(2)[X] bit-vector."""
+    return poly.to_bytes(max(1, (poly.bit_length() + 7) // 8), "little").hex()
+
+
 def _linear_complexity(s):
     """Berlekamp-Massey and the gcd formula on one binary sequence, and
     whether they agree on both L and c(X)."""
     bm = berlekamp_massey(s.terms)
-    gc = lc_via_gcd(characteristic_poly(s), s.T)
+    gc = lc_via_gcd(s.bits, s.T)
     return bm, gc, bm.L == gc.L and bm.minimal_poly == gc.minimal_poly
 
 
@@ -78,7 +83,7 @@ def cmd_complexity(args):
         "m": field.m,
         "T": s.T,
         "L": gc.L,
-        "minimal_poly_hex": gc.minimal_poly.to_hex(),
+        "minimal_poly_hex": _poly_hex(gc.minimal_poly),
         "methods": {
             "berlekamp_massey": bm.L,
             "gcd_formula": gc.L,
@@ -185,7 +190,7 @@ def sweep_row(p, m):
         "L": gc.L, "lc_methods_agree": agree,
         "ones": ones, "balanced": ones * 2 == s.T,
         "s_half_zero": s.terms[s.T // 2] == 0,
-        "min_poly_hex": gc.minimal_poly.to_hex(),
+        "min_poly_hex": _poly_hex(gc.minimal_poly),
         "autocorr_offpeak": "|".join(str(v) for v in offpeak),
     }
 

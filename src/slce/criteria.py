@@ -47,8 +47,8 @@ from .errors import (
 )
 from .ff import SIZE_CAP, build_field, build_residue_field, field_order
 from .numth import divisors, is_prime, two_adic_split, units
-from .polybin import BinaryPoly, _mod2, binom_mod2, bit_length_h, index_set
-from .seq import characteristic_poly, generate_slce
+from .polybin import _frobenius_pow, _mod2, binom_mod2, bit_length_h, index_set
+from .seq import generate_slce
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +216,13 @@ def thm1_check(ctx, t):
     _check_t(ctx, t)
     T, k, e = ctx.seq.T, ctx.k, ctx.e
     half = T // 2
-    # -1 = alpha^(T/2), so alpha^n + 1 = 1 - alpha^(n + T/2): rho of it is
-    # (-1)^dlog read off the K sums' table, and 0 at n = T/2
-    one_minus_dlog = ctx.field.one_minus_dlog()
+    # rho(alpha^n + 1) is (-1)^z[n] with z the Zech-logarithm table, and
+    # 0 at n = T/2 where alpha^n + 1 = 0
+    zech = ctx.field.zech_log()
     counts = [0] * k
     for n in range(T):
         if n & t == t and n != half:
-            counts[n * e % k] += 1 - 2 * (one_minus_dlog[(n + half) % T] & 1)
+            counts[n * e % k] += 1 - 2 * (zech[n] & 1)
     counts[0] += binom_mod2(half, t)
     return ideal_membership(counts, ctx.rf, 1)
 
@@ -433,12 +433,9 @@ def semiprimitive_predict(p, m, k, h):
 
 def all_ones_power_divides(seq, k, h):
     """Brute-force ground truth for semiprimitive_predict: does
-    (1 + X + ... + X^(k-1))^(2^h) divide S(X)?"""
-    base = BinaryPoly((1 << k) - 1)  # 1 + X + ... + X^(k-1)
-    S = characteristic_poly(seq)
-    if not S:
-        return True
-    return S % (base ** (1 << h)) == 0
+    (1 + X + ... + X^(k-1))^(2^h) divide S(X)? Over GF(2) that power is
+    1 + X^(2^h) + ... + X^((k-1) 2^h)."""
+    return _mod2(seq.bits, _frobenius_pow((1 << k) - 1, 1 << h)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,14 @@ class Character:
 # Jacobi and Gauss sums
 
 
+def _one_minus_dlogs(field):
+    """dlog(1 - alpha^dx) for dx in [0, T), None at dx = 0: the Zech table
+    rotated by T/2, since 1 - alpha^dx = 1 + alpha^(dx + T/2)."""
+    zech = field.zech_log()
+    half = len(zech) // 2
+    return zech[half:] + zech[:half]
+
+
 def jacobi_sum(chi1, chi2):
     """J(chi1, chi2) = sum over x of chi1(x) chi2(1-x), exactly.
 
@@ -203,10 +211,8 @@ def jacobi_sum(chi1, chi2):
     N = math.lcm(chi1.order, chi2.order)
     b1 = (N // chi1.order) * chi1._c
     b2 = (N // chi2.order) * chi2._c
-    one_minus = field.one_minus_dlog()
     counts = [0] * N
-    for dx in range(field.q - 1):
-        dy = one_minus[dx]
+    for dx, dy in enumerate(_one_minus_dlogs(field)):
         if dy is None:
             continue
         counts[(b1 * dx + b2 * dy) % N] += 1
@@ -227,10 +233,8 @@ def k_sum_counts(chi, conductor):
             f"conductor {conductor} does not contain order {o} values"
         )
     b = (conductor // o) * chi._c
-    one_minus = field.one_minus_dlog()
     counts = [0] * conductor
-    for dx in range(field.q - 1):
-        dy = one_minus[dx]
+    for dx, dy in enumerate(_one_minus_dlogs(field)):
         if dy is None:
             continue
         if dx & 1:

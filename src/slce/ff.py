@@ -131,18 +131,17 @@ class ExtField:
 
     __slots__ = (
         "p", "m", "q", "modulus", "alpha_code",
-        "_pow", "_dlog", "_p_minus_1", "_trace_basis", "_one_minus_dlog",
+        "_pow", "_dlog", "_trace_basis", "_zech",
         "__weakref__",
     )
 
     def __init__(self, p, m):
         self.p, self.m, self.q = p, m, field_order(p, m)
-        self._p_minus_1 = p - 1
         self.modulus = self._find_modulus()
         self.alpha_code = self._find_alpha()
         self._build_tables()
         self._trace_basis = None
-        self._one_minus_dlog = None
+        self._zech = None
 
     # -- construction -------------------------------------------------------
 
@@ -228,10 +227,6 @@ class ExtField:
             mult *= p
         return out
 
-    def add_one_code(self, a):
-        # adding the constant 1 only touches digit 0
-        return a - self._p_minus_1 if a % self.p == self._p_minus_1 else a + 1
-
     def dlog_code(self, a):
         if a == 0:
             raise LogOfZero("discrete log of zero")
@@ -240,7 +235,7 @@ class ExtField:
     def pow_alpha(self, n):
         return self._pow[n % (self.q - 1)]
 
-    # -- traces and the 1 - alpha^n table (lazy, used by character sums) -----
+    # -- traces and the Zech-logarithm table (lazy) --------------------------
 
     def trace_code(self, code):
         """Absolute trace GF(q) -> GF(p) as an int in [0, p)."""
@@ -264,16 +259,18 @@ class ExtField:
             acc += r * self._trace_basis[j]
         return acc % p
 
-    def one_minus_dlog(self):
-        """Table t[n] = dlog(1 - alpha^n); the n = 0 entry is None since
-        1 - alpha^0 = 0."""
-        if self._one_minus_dlog is None:
+    def zech_log(self):
+        """Zech-logarithm table z[n] = dlog(1 + alpha^n); the n = (q - 1)/2
+        entry is None since 1 + alpha^((q-1)/2) = 1 - 1 = 0."""
+        if self._zech is None:
+            p = self.p
             out = []
-            for n in range(self.q - 1):
-                y = self.add_codes(1, self.neg_code(self._pow[n]))
+            for a in self._pow:
+                # adding the constant 1 only touches digit 0
+                y = a - (p - 1) if a % p == p - 1 else a + 1
                 out.append(None if y == 0 else self._dlog[y])
-            self._one_minus_dlog = out
-        return self._one_minus_dlog
+            self._zech = out
+        return self._zech
 
     def __repr__(self):
         return f"ExtField(p={self.p}, m={self.m})"
@@ -346,4 +343,4 @@ def build_residue_field(k):
     if k == 1:
         raise KisOne("k = 1 gives the prime field; use the profile helpers")
     fcan = polybin.factor_phi_mod2(k)[0]
-    return ResidueField(k, fcan.value, fcan.degree)
+    return ResidueField(k, fcan, polybin._deg(fcan))

@@ -3,9 +3,8 @@
 A polynomial a_0 + a_1 X + ... + a_n X^n is stored as the integer
 a_0 + a_1 2 + ... + a_n 2^n, i.e. bit i is the coefficient of X^i.
 The zero polynomial is the integer 0 and reports degree -1 (the sentinel
-for "minus infinity"). All heavy lifting happens on raw ints in the
-module-private helpers; the BinaryPoly wrapper adds operators and
-serialization on top.
+for "minus infinity"). Every module passes these ints around and calls
+the module-private kernels below.
 
 This module also hosts the combinatorial helpers tied to GF(2) root
 multiplicities: binomial parity, the factorization of the k-th cyclotomic
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EvenK, InternalInconsistency
-from .numth import CONDUCTORS_HELD, cyclotomic_polynomial, euler_phi, multiplicative_order, power
+from .numth import CONDUCTORS_HELD, cyclotomic_polynomial, euler_phi, multiplicative_order
 
 # ---------------------------------------------------------------------------
 # raw int helpers
@@ -85,87 +84,16 @@ def _frobenius_pow(a, e):
 
 
 # ---------------------------------------------------------------------------
-# public wrapper
-
-
-class BinaryPoly:
-    """Immutable polynomial over GF(2), backed by an int bit-vector."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value=0):
-        if isinstance(value, BinaryPoly):
-            value = value.value
-        if not isinstance(value, int) or value < 0:
-            raise TypeError("BinaryPoly expects a nonnegative int bit-vector")
-        object.__setattr__(self, "value", value)
-
-    @property
-    def degree(self):
-        """Degree; -1 is the sentinel for the zero polynomial."""
-        return _deg(self.value)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, BinaryPoly):
-            return self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("BinaryPoly", self.value))
-
-    def __add__(self, other):
-        return BinaryPoly(self.value ^ BinaryPoly(other).value)
-
-    __sub__ = __add__
-    __xor__ = __add__
-
-    def __mul__(self, other):
-        return BinaryPoly(_mul2(self.value, BinaryPoly(other).value))
-
-    def __divmod__(self, other):
-        q, r = _divmod2(self.value, BinaryPoly(other).value)
-        return BinaryPoly(q), BinaryPoly(r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return BinaryPoly(_mod2(self.value, BinaryPoly(other).value))
-
-    def __pow__(self, n):
-        return BinaryPoly(power(self.value, n, _mul2))
-
-    def to_hex(self):
-        """Hex of the little-endian byte encoding of the coefficient bits."""
-        n = max(1, (self.value.bit_length() + 7) // 8)
-        return self.value.to_bytes(n, "little").hex()
-
-    def __repr__(self):
-        if self.value == 0:
-            return "BinaryPoly(0)"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            if (self.value >> i) & 1:
-                terms.append("1" if i == 0 else ("X" if i == 1 else f"X^{i}"))
-        return f"BinaryPoly({' + '.join(terms)})"
+# linear complexity
 
 
 @dataclass(frozen=True)
 class LinearComplexityResult:
-    """Linear complexity L together with the minimal polynomial c(X)."""
+    """Linear complexity L together with the minimal polynomial c(X), an
+    int bit-vector."""
 
     L: int
-    minimal_poly: BinaryPoly
-    method: str
-
-
-# ---------------------------------------------------------------------------
-# gcd / linear complexity
+    minimal_poly: int
 
 
 def berlekamp_massey(bits):
@@ -199,18 +127,17 @@ def berlekamp_massey(bits):
                 L = n + 1 - L
                 b = t
                 m = n
-    return LinearComplexityResult(L, BinaryPoly(c), "berlekamp_massey")
+    return LinearComplexityResult(L, c)
 
 
 def lc_via_gcd(S, T):
-    """Linear complexity from c(X) = (X^T - 1) / gcd(X^T - 1, S(X))."""
-    S = BinaryPoly(S)
-    if S.degree >= T:
-        raise ValueError("deg S must be < T")
+    """Linear complexity from c(X) = (X^T - 1) / gcd(X^T - 1, S(X)), for S
+    an int bit-vector with 0 <= S and deg S < T."""
+    if S < 0 or _deg(S) >= T:
+        raise ValueError("S must be a nonnegative bit-vector with deg S < T")
     xt1 = (1 << T) | 1  # X^T - 1 = X^T + 1 over GF(2)
-    g = _gcd2(xt1, S.value)
-    c = _exact_div2(xt1, g)
-    return LinearComplexityResult(T - _deg(g), BinaryPoly(c), "gcd_formula")
+    g = _gcd2(xt1, S)
+    return LinearComplexityResult(T - _deg(g), _exact_div2(xt1, g))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +208,7 @@ def factor_phi_mod2(k):
             f"trace splitting left {len(factors)} factors of Phi_{k} mod 2, "
             f"expected {count} of degree {f}"
         )
-    return tuple(BinaryPoly(g) for g in sorted(factors))
+    return tuple(sorted(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The d-ary sequence of period T = q - 1 over the alphabet {0, ..., d-1}
 assigns to position n the coset index i of alpha^n + 1 in the partition
 of GF(q)* into the d cosets alpha^i <alpha^d>, and 0 when alpha^n + 1 = 0
-(which happens exactly once per period, at n = T/2 for odd q). With the
-dense dlog table the coset index is simply dlog(alpha^n + 1) mod d.
+(which happens exactly once per period, at n = T/2 for odd q). The coset
+index is the Zech logarithm dlog(alpha^n + 1) mod d, read off the field's
+table. For d = 2, S(X) = sum s_n X^n is the int bit-vector `bits`.
 
 Everything downstream of generation (complexity, criteria) is binary-only;
 d > 2 sequences can be generated but only serialized.
@@ -16,7 +17,6 @@ from functools import cached_property
 from .errors import BadAlphabet, NotBinary
 from .ff import ExtField, build_field
 from .numth import is_prime, two_adic_split
-from .polybin import BinaryPoly
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,8 @@ class SlceSequence:
 
     @cached_property
     def bits(self):
-        """One period as an int whose bit n is s_n (binary sequences only)."""
+        """S(X) = sum s_n X^n over one period, as an int bit-vector whose
+        bit n is s_n (binary sequences only)."""
         return int(self.to_bitstring()[::-1], 2)
 
     def ones_positions(self):
@@ -65,12 +66,9 @@ def generate_slce(field, d=2):
     """The SLCE sequence over GF(q) for a prime alphabet size d | q - 1."""
     _check_alphabet(field.q, d)
     T = field.q - 1
-    terms = []
-    for n in range(T):
-        y = field.add_one_code(field.pow_alpha(n))
-        terms.append(0 if y == 0 else field.dlog_code(y) % d)
+    terms = tuple(0 if z is None else z % d for z in field.zech_log())
     u, Tprime = two_adic_split(T)
-    return SlceSequence(field, d, tuple(terms), T, u, Tprime)
+    return SlceSequence(field, d, terms, T, u, Tprime)
 
 
 def sequence_from_json(doc):
@@ -85,11 +83,6 @@ def sequence_from_json(doc):
         raise ValueError(f"every term must be an int in [0, {d})")
     u, Tprime = two_adic_split(T)
     return SlceSequence(field, d, terms, T, u, Tprime)
-
-
-def characteristic_poly(s):
-    """S(X) = sum s_n X^n over one period, as a polynomial over GF(2)."""
-    return BinaryPoly(s.bits)
 
 
 def autocorrelation(s, tau):

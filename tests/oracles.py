@@ -50,7 +50,7 @@ def with_primitive_element(field, code):
     other.alpha_code = code
     other._build_tables()
     other._trace_basis = None
-    other._one_minus_dlog = None
+    other._zech = None
     return other
 
 

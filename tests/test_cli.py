@@ -282,7 +282,7 @@ class TestSweep:
 
         def wrong_poly(bits):
             r = berlekamp_massey(bits)  # right L, wrong c(X)
-            return LinearComplexityResult(r.L, r.minimal_poly + 0b10, r.method)
+            return LinearComplexityResult(r.L, r.minimal_poly ^ 0b10)
 
         assert cli_mod.sweep_row(13, 1)["lc_methods_agree"] is True
         monkeypatch.setattr(cli_mod, "berlekamp_massey", wrong_poly)
@@ -350,10 +350,10 @@ class TestExitCode3:
 
     def test_complexity_inconsistency_exits_3(self, capsys, monkeypatch):
         import slce.cli as cli_mod
-        from slce.polybin import BinaryPoly, LinearComplexityResult
+        from slce.polybin import LinearComplexityResult
 
         def broken_bm(bits):
-            return LinearComplexityResult(0, BinaryPoly(1), "berlekamp_massey")
+            return LinearComplexityResult(0, 1)
 
         monkeypatch.setattr(cli_mod, "berlekamp_massey", broken_bm)
         code, out, err = run_cli(capsys, "complexity", "--p", "7")

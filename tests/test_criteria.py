@@ -31,7 +31,7 @@ from slce.numth import (
     units,
 )
 from slce.polybin import factor_phi_mod2, lc_via_gcd
-from slce.seq import characteristic_poly, generate_slce
+from slce.seq import generate_slce
 
 from oracles import (
     admissible_contexts,
@@ -88,8 +88,7 @@ class TestDirectEvaluation:
 class TestCosetSums:
     def test_h0_is_full_evaluation(self):
         ctx = ctx_q7()
-        S = characteristic_poly(ctx.seq)
-        assert coset_sum(ctx, 0, 0) == horner(S.value, ctx.rf, ctx.beta)
+        assert coset_sum(ctx, 0, 0) == horner(ctx.seq.bits, ctx.rf, ctx.beta)
 
     def test_q7_hand_values(self):
         ctx = ctx_q7()
@@ -102,7 +101,7 @@ class TestCosetSums:
         for p, m in [(13, 1), (5, 2)]:
             s = generate_slce(build_field(p, m), 2)
             for ctx in admissible_contexts(s):
-                total_s = horner(characteristic_poly(s).value, ctx.rf, ctx.beta)
+                total_s = horner(s.bits, ctx.rf, ctx.beta)
                 for h in range(s.u + 1):
                     acc = 0
                     for i in range(1 << h):
@@ -218,7 +217,7 @@ class TestPropositions:
     def test_q7_prop1_false_and_l_full(self):
         ctx = ctx_q7()
         assert prop_check(ctx, 1) is False
-        assert lc_via_gcd(characteristic_poly(ctx.seq), 6).L == 6
+        assert lc_via_gcd(ctx.seq.bits, 6).L == 6
 
 
 def rotate_and_add_rows(ctx, h):
@@ -284,7 +283,7 @@ class TestMultiplicityProfile:
     def test_reconstructs_gcd_degree(self, p, m):
         s = generate_slce(build_field(p, m), 2)
         prof = multiplicity_profile(s)
-        r = lc_via_gcd(characteristic_poly(s), s.T)
+        r = lc_via_gcd(s.bits, s.T)
         assert prof.L == r.L
         assert prof.capped_total() == s.T - r.L
 

@@ -183,10 +183,18 @@ class TestDlog:
         for code in range(1, F.q):
             assert F.pow_alpha(F.dlog_code(code)) == code
 
-    @pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 4)])
+    @pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 4), (5, 3), (3, 5)])
     def test_alpha_half_order(self, p, m):
         F = build_field(p, m)
-        assert F.pow_alpha((F.q - 1) // 2) == F.neg_code(1)
+        half = (F.q - 1) // 2
+        assert F.pow_alpha(half) == F.neg_code(1)
+        # so the Zech table z[n] = dlog(1 + alpha^n) has no entry at T/2,
+        # and every other entry agrees with the digit-by-digit code arithmetic
+        zech = F.zech_log()
+        assert len(zech) == F.q - 1 and zech[half] is None
+        for n in range(F.q - 1):
+            if n != half:
+                assert zech[n] == F.dlog_code(F.add_codes(1, F.pow_alpha(n)))
 
 
 class TestWithPrimitiveElement:
@@ -197,10 +205,12 @@ class TestWithPrimitiveElement:
 
     def test_rebuilds_tables(self):
         F = build_field(7, 1)
+        F.zech_log()
         G = with_primitive_element(F, 5)
         assert G.alpha_code == 5
         for code in range(1, 7):
             assert pow(5, G.dlog_code(code), 7) == code
+        assert G.zech_log()[1] == G.dlog_code(6)  # 1 + 5, not F's 1 + 3
 
 
 class TestResidueField:

@@ -8,11 +8,9 @@ from slce.criteria import map_fields
 from slce.errors import BadAlphabet, CompositeP, NotBinary
 from slce.ff import build_field
 from slce.numth import divisors
-from slce.polybin import BinaryPoly
 from slce.seq import (
     autocorrelation,
     balance_report,
-    characteristic_poly,
     generate_slce,
     sequence_from_json,
 )
@@ -119,24 +117,23 @@ class TestCharacteristicPoly:
         s = generate_slce(build_field(11, 1), 2)
         assert [(s.bits >> n) & 1 for n in range(s.T)] == list(s.terms)
         assert s.bits >> s.T == 0
-        assert characteristic_poly(s).value == s.bits
 
     def test_q5(self):
         s = generate_slce(build_field(5, 1), 2)
-        assert characteristic_poly(s) == BinaryPoly(0b11)  # 1 + X
+        assert s.bits == 0b11  # 1 + X
 
     def test_q7(self):
         s = generate_slce(build_field(7, 1), 2)
-        assert characteristic_poly(s) == BinaryPoly(0b110100)  # X^2 + X^4 + X^5
+        assert s.bits == 0b110100  # X^2 + X^4 + X^5
 
     def test_degree_bound(self):
         s = generate_slce(build_field(13, 1), 2)
-        assert characteristic_poly(s).degree < s.T
+        assert s.bits.bit_length() - 1 < s.T
 
     def test_not_binary(self):
         s = generate_slce(build_field(7, 1), 3)
         with pytest.raises(NotBinary):
-            characteristic_poly(s)
+            s.bits
         with pytest.raises(NotBinary):
             autocorrelation(s, 1)
 
@@ -145,7 +142,7 @@ class TestCharacteristicPoly:
         from slce.seq import SlceSequence
 
         s = SlceSequence(build_field(5, 1), 2, (0, 0, 0, 0), 4, 2, 1)
-        assert characteristic_poly(s) == BinaryPoly(0)
+        assert s.bits == 0
         assert balance_report(s) == {0: 4, 1: 0}
 
 

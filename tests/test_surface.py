@@ -14,12 +14,11 @@ import pytest
 import slce
 
 EXPORTS = {
-    "AnalysisContext", "BinaryPoly", "Character", "CriterionRecord", "CycInt",
-    "ExtField", "LinearComplexityResult", "MultiplicityProfile", "ResidueField",
+    "AnalysisContext", "Character", "CriterionRecord", "CycInt", "ExtField",
+    "LinearComplexityResult", "MultiplicityProfile", "ResidueField",
     "SIZE_CAP", "SemiprimitiveParams", "SlceSequence", "autocorrelation",
     "balance_report", "berlekamp_massey", "binom_mod2", "bit_length_h",
-    "build_field", "build_residue_field", "characteristic_poly",
-    "cyclotomic_polynomial", "derivative_vanishes_direct", "factor_phi_mod2",
+    "build_field", "build_residue_field", "cyclotomic_polynomial", "derivative_vanishes_direct", "factor_phi_mod2",
     "gauss_sum_numeric", "generate_slce", "ideal_membership", "index_set",
     "jacobi_sum", "k_sum", "lc_via_gcd", "lemma1_check", "multiplicity_profile",
     "necessary_condition_check", "prop_check", "quadratic_gauss_closed",
@@ -56,6 +55,8 @@ DELETED = [
     ("ff", "ResidueField.one"),
     ("ff", "ResidueField.gamma"),
     ("ff", "ResidueField.element"),
+    ("ff", "ExtField.one_minus_dlog"),
+    ("ff", "ExtField.add_one_code"),
     ("criteria", "admissible_contexts"),
     ("criteria", "coset_sum"),
     ("polybin", "poly_gcd"),
@@ -64,10 +65,12 @@ DELETED = [
     ("polybin", "BinaryPoly.evaluate"),
     ("polybin", "hasse_derivative"),
     ("polybin", "root_multiplicity"),
+    ("polybin", "BinaryPoly"),
     ("errors", "BothZero"),
     ("errors", "DivisionByZero"),
     ("errors", "ZeroPolynomial"),
     ("seq", "SlceSequence.to_json_str"),
+    ("seq", "characteristic_poly"),
 ]
 
 
