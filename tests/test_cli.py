@@ -322,6 +322,17 @@ class TestExitCode3:
         monkeypatch.setattr(cli_mod, "run_verify", fake_verify)
         code, out, err = run_cli(capsys, "verify", "--qmax", "8")
         assert code == 3
+        assert out == (
+            '{"check": "thm1", "e": 1, "ground_truth": false, "index": 0, "k": 3, '
+            '"m": 1, "match": false, "p": 7, "predicted": true, "q": 7}\n'
+        )
+        assert err == '{"summary": {"checks": 1, "contexts": 1, "mismatches": 1}}\n'
+
+        code, out, err = run_cli(capsys, "verify", "--qmax", "8", "--format", "csv")
+        assert code == 3
+        assert out == ("q,p,m,k,e,check,index,predicted,ground_truth,match\r\n"
+                       "7,7,1,3,1,thm1,0,True,False,False\r\n")
+        assert err == '{"summary": {"checks": 1, "contexts": 1, "mismatches": 1}}\n'
 
     def test_internal_inconsistency_exits_3(self, capsys, monkeypatch):
         import slce.criteria as criteria_mod
