@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
+from operator import itemgetter
 
 from .criteria import (
     ALL_CHECKS,
@@ -103,6 +104,20 @@ def cmd_complexity(args):
     return 0
 
 
+# json.dumps(record.to_json(), sort_keys=True) spelled out: the keys in
+# sorted order, JSON booleans, and a check name from ALL_CHECKS, which is
+# plain ASCII and needs no escaping
+_RECORD_LINE = ('{"check": "%s", "e": %d, "ground_truth": %s, "index": %d, "k": %d, '
+                '"m": %d, "match": %s, "p": %d, "predicted": %s, "q": %d}\n')
+_JSON_BOOL = ("false", "true")
+
+
+def _record_line(r):
+    q, p, m, k, e, check, index, predicted, ground_truth, match = r
+    return _RECORD_LINE % (check, e, _JSON_BOOL[ground_truth], index, k,
+                           m, _JSON_BOOL[match], p, _JSON_BOOL[predicted], q)
+
+
 def cmd_verify(args):
     checks = ALL_CHECKS if args.theorems is None else normalize_checks(args.theorems.split(","))
     records = run_verify(args.qmax, p_filter=args.p, checks=checks, jobs=args.jobs)
@@ -117,9 +132,9 @@ def cmd_verify(args):
                 summary["contexts"] += 1
             summary["checks"] += 1
             summary["mismatches"] += not r.match
-            yield r.to_json()
+            yield r
 
-    _write_rows(args, CriterionRecord.CSV_FIELDS, rows())
+    _write_rows(args, CriterionRecord._fields, rows(), _record_line)
     dest = sys.stdout if args.output else sys.stderr
     print(_dump({"summary": summary}), file=dest)
     return 0 if summary["mismatches"] == 0 else 3
@@ -195,29 +210,31 @@ def sweep_row(p, m):
     }
 
 
+def _sweep_line(row):
+    return _dump(dict(zip(SWEEP_FIELDS, row))) + "\n"
+
+
 def cmd_sweep(args):
-    rows = map_fields(sweep_row, args.qmax, args.p)
-    _write_rows(args, SWEEP_FIELDS, rows)
+    rows = map(itemgetter(*SWEEP_FIELDS), map_fields(sweep_row, args.qmax, args.p))
+    _write_rows(args, SWEEP_FIELDS, rows, _sweep_line)
     return 0
 
 
-def _write_rows(args, fields, rows):
-    """Write each row as it arrives to --output or stdout: CSV under a
-    header of fields, or one JSON object per line. An --output that cannot
-    be opened is bad input."""
+def _write_rows(args, fields, rows, line):
+    """Write each row, a tuple in the order of fields, as it arrives to
+    --output or stdout: CSV under a header of fields, or line(row), one
+    JSON object per line. An --output that cannot be opened is bad input."""
     try:
         dest = open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)
     except OSError as exc:
         raise SlceError(f"cannot open --output {args.output}: {exc.strerror}") from exc
     with dest as out:
         if args.format == "csv":
-            writer = csv.DictWriter(out, fieldnames=fields)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer = csv.writer(out)
+            writer.writerow(fields)
+            writer.writerows(rows)
         else:
-            for row in rows:
-                out.write(_dump(row) + "\n")
+            out.writelines(map(line, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .cyclo import (
     Character,
@@ -442,9 +443,10 @@ def all_ones_power_divides(seq, k, h):
 # sweep runner
 
 
-@dataclass(frozen=True)
-class CriterionRecord:
-    """One verdict pair: a criterion's prediction next to the ground truth."""
+class CriterionRecord(NamedTuple):
+    """One verdict pair: a criterion's prediction next to the ground truth.
+    A named tuple in CSV column order, so it equals the plain tuple of its
+    values and records of one field sort by (k, e, check, index)."""
 
     q: int
     p: int
@@ -457,11 +459,8 @@ class CriterionRecord:
     ground_truth: bool
     match: bool
 
-    CSV_FIELDS = ("q", "p", "m", "k", "e", "check", "index",
-                  "predicted", "ground_truth", "match")
-
     def to_json(self):
-        return {f: getattr(self, f) for f in self.CSV_FIELDS}
+        return self._asdict()
 
 
 _CHECK_TOKENS = {
@@ -578,7 +577,9 @@ def analyze_field(p, m, checks=ALL_CHECKS, all_units=False):
                     if which >= 3 and q % 4 != 1:
                         continue
                     rec(members, check, t, prop_check(ctx, which), direct[t])
-    records.sort(key=lambda r: (r.q, r.k, r.e, r.check, r.index))
+    # q, p and m are fixed here and (k, e, check, index) is unique, so tuple
+    # order is (q, k, e, check, index) order
+    records.sort()
     return records
 
 

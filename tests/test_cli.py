@@ -1,6 +1,10 @@
 """CLI contract: subcommands, formats, exit codes, determinism."""
 
+import csv
+import io
+import itertools
 import json
+import pickle
 
 import pytest
 
@@ -307,6 +311,58 @@ class TestSizeCap:
         assert code == 2 and out == "" and "exceeds the size cap 65536" in err
         assert len(err) < 200
         assert time.perf_counter() - start < 2
+
+
+class TestRecordWriter:
+    """verify's JSONL and CSV lines against json.dumps and csv.DictWriter,
+    for every check name and every verdict triple."""
+
+    @staticmethod
+    def records():
+        from slce.criteria import ALL_CHECKS, CriterionRecord
+
+        out = []
+        for check in ALL_CHECKS:
+            for predicted, ground_truth, match in itertools.product((False, True), repeat=3):
+                for q, p, m, k, e, index in [(3, 3, 1, 1, 1, 0),
+                                             (43046721, 3, 16, 21523361, 21523359, 2**70)]:
+                    out.append(CriterionRecord(q, p, m, k, e, check, index,
+                                               predicted, ground_truth, match))
+        return out
+
+    def verify_output(self, capsys, monkeypatch, *argv):
+        import slce.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "run_verify", lambda *a, **kw: iter(self.records()))
+        code, out, _ = run_cli(capsys, "verify", "--qmax", "8", *argv)
+        assert code == 3
+        return out
+
+    def test_jsonl_lines(self, capsys, monkeypatch):
+        from slce.criteria import CriterionRecord
+
+        fields = CriterionRecord._fields
+        expected = "".join(json.dumps(dict(zip(fields, r)), sort_keys=True) + "\n"
+                           for r in self.records())
+        assert self.verify_output(capsys, monkeypatch) == expected
+
+    def test_csv_lines(self, capsys, monkeypatch):
+        from slce.criteria import CriterionRecord
+
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=CriterionRecord._fields)
+        writer.writeheader()
+        for r in self.records():
+            writer.writerow(r.to_json())
+        assert self.verify_output(capsys, monkeypatch, "--format", "csv") == buf.getvalue()
+
+    def test_record_is_its_tuple(self):
+        from slce.criteria import CriterionRecord
+
+        for r in self.records():
+            assert r == tuple(r) and r.to_json() == dict(zip(CriterionRecord._fields, r))
+            back = pickle.loads(pickle.dumps(r))
+            assert back == r and type(back) is CriterionRecord
 
 
 class TestExitCode3:

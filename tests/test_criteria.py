@@ -433,6 +433,16 @@ class TestRunVerify:
             records, key=lambda r: (r.q, r.k, r.e, r.check, r.index)
         )
 
+    @pytest.mark.parametrize("p,m", [(127, 1), (3, 5)])
+    def test_field_order_is_the_canonical_key(self, p, m):
+        # records sort as plain tuples; within one field that is the order
+        # of (q, k, e, check, index)
+        records = analyze_field(p, m)
+        assert records == sorted(
+            records, key=lambda r: (r.q, r.k, r.e, r.check, r.index)
+        )
+        assert len({(r.k, r.e, r.check, r.index) for r in records}) == len(records)
+
     def test_vacuous_sweep(self):
         records = list(run_verify(6))
         assert records == []
