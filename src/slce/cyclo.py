@@ -15,14 +15,12 @@ an exact Gauss sum would drag in the conductor lcm(p, q-1) for no benefit.
 
 import cmath
 import math
-import sys
-from array import array
 from dataclasses import dataclass
 
 from . import polybin
 from .errors import ConductorMismatch, InternalInconsistency, NotSemiprimitive
 from .ff import build_field, field_order
-from .numth import _int_divmod, _int_mul, cyclotomic_polynomial, inverse_cyclotomic_polynomial
+from .numth import _check_conductor, _repeat, cyclotomic_polynomial, fold, fold_slots, poly_mul
 
 
 # ---------------------------------------------------------------------------
@@ -51,16 +49,18 @@ class CycInt:
     @classmethod
     def root(cls, N, e):
         """z_N^e."""
-        counts = [0] * N
-        counts[e % N] = 1
-        return cls(N, _int_divmod(counts, cyclotomic_polynomial(N))[1])
+        d = len(cyclotomic_polynomial(N)) - 1  # refuses N past the size cap
+        e %= N
+        counts = [0] * max(e + 1, d)
+        counts[e] = 1
+        return cls(N, fold(counts, N))
 
     @classmethod
     def from_exponent_counts(cls, N, counts):
         """sum counts[e] * z_N^e for e in [0, N)."""
         if len(counts) != N:
             raise ValueError("counts must have length N")
-        return cls(N, _int_divmod(counts, cyclotomic_polynomial(N))[1])
+        return cls(N, fold(counts, N))
 
     # -- ring operations ------------------------------------------------------
 
@@ -101,8 +101,7 @@ class CycInt:
         o = self._match(other)
         if o is None:
             return NotImplemented
-        conv = _int_mul(self.coeffs, o.coeffs)
-        return CycInt(self.conductor, _int_divmod(conv, cyclotomic_polynomial(self.conductor))[1])
+        return CycInt(self.conductor, fold(poly_mul(self.coeffs, o.coeffs), self.conductor))
 
     __rmul__ = __mul__
 
@@ -226,6 +225,7 @@ def k_sum_counts(chi, conductor):
     Callers that combine many K sums stay in this representation, where
     multiplying by a root of unity is a cyclic rotation, and fold to the
     power basis only when a congruence is finally tested."""
+    _check_conductor(conductor)
     field = chi.field
     o = chi.order
     if conductor % o != 0:
@@ -383,13 +383,9 @@ def ideal_membership(x, rf, c):
     image of P O_L in GF(2)[X]/(Phi_N) is generated by their gcd
     f_can^(2^(h-1)), or f_can at h = 0, and y is in P O_L iff it divides y.
 
-    Both tests read the coordinates mod 2^(c+1) only, so counts are reduced
-    modulo Phi_N mod 2^(c+1), by reversal: Phi_N is palindromic and
-    -Psi_N = 1/Phi_N mod X^N, so the quotient of the counts a by Phi_N is
-    -rev(rev(a) Psi_N mod X^(N - phi)), and the coordinates are the low phi
-    coefficients of a + rev(rev(a) Psi_N mod X^(N - phi)) Phi_N, of which
-    only the low phi coefficients of each factor take part. Each product is
-    one int multiplication of packed residues (Kronecker substitution).
+    Both tests read the coordinates mod 2^(c+1) only: numth.fold_slots
+    gives them exactly, in slots that hold bit c + 1, and one AND keeps the
+    low c + 1 bits of every slot.
     """
     if isinstance(x, CycInt):
         N, values = x.conductor, x.coeffs
@@ -398,50 +394,15 @@ def ideal_membership(x, rf, c):
     h = (N & -N).bit_length() - 1
     if N >> h != rf.k:
         raise ConductorMismatch(f"conductor {N} is not 2^h k for k = {rf.k}")
-    # a product slot sums fewer than N terms below 2^(2(c+1)), so no 64-bit
-    # slot carries into the next
-    if 2 * (c + 1) + N.bit_length() > 64:
-        raise ValueError(f"2^{c} P is too deep for 64-bit slots at conductor {N}")
-    low = (1 << (c + 1)) - 1
-    phi = cyclotomic_polynomial(N)
-    d = len(phi) - 1
-    rem = _pack(values[:d], low)
-    m = len(values) - d
-    if m > 0:
-        top = _pack(values[d:][::-1], low)
-        psi = _pack(inverse_cyclotomic_polynomial(N)[:m], low)
-        neg_quotient = _reversed_slots(top * psi & _slots(low, m), m)
-        mask = _slots(low, d)
-        rem = (rem + ((neg_quotient & mask) * _pack(phi[:d], low) & mask)) & mask
-    if rem & _slots(low >> 1, d):
+    rem, d, w = fold_slots(values, N, c + 1)
+    low = _repeat((1 << (c + 1)) - 1, d, w)
+    rem &= low
+    if rem & (low >> 1):
         return False
-    bits = (rem >> c).to_bytes(8 * d, "little")[::8]
-    ybits = int(bits[::-1].translate(_BIT_DIGITS), 2)
+    # bit c of each slot, r[phi - 1] first: the binary digits of y mod 2
+    ybits = int((rem >> c).to_bytes(w * d, "little")[::w].translate(_BIT_DIGITS), 2)
     generator = rf.modulus if h == 0 else polybin._frobenius_pow(rf.modulus, 1 << (h - 1))
     return polybin._mod2(ybits, generator) == 0
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _slots(value, n):
-    # value repeated in each of n 64-bit slots
-    return int.from_bytes(value.to_bytes(8, "little") * n, "little")
-
-
-def _pack(values, low):
-    # values mod 2^(c+1) (low = 2^(c+1) - 1), one 64-bit slot each,
-    # values[0] lowest: int64 words in through bytes, residues out by one AND
-    try:
-        words = array("q", values)
-    except OverflowError:  # a coordinate past 64 bits
-        words = array("q", [v & low for v in values])
-    if sys.byteorder == "big":
-        words.byteswap()
-    return int.from_bytes(words, "little") & _slots(low, len(values))
-
-
-def _reversed_slots(packed, n):
-    words = array("Q", packed.to_bytes(8 * n, "little"))
-    words.reverse()
-    return int.from_bytes(words, "little")

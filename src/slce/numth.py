@@ -1,8 +1,10 @@
 """Small deterministic number-theory helpers (desk-scale integers only),
-the size cap and the builders of cyclotomic and inverse cyclotomic
-polynomials over Z."""
+the size cap, the builders of cyclotomic and inverse cyclotomic
+polynomials over Z, and the exact product and reduction modulo Phi_N of
+integer polynomials, each by Kronecker substitution."""
 
 import math
+import struct
 from functools import lru_cache
 
 from .errors import InternalInconsistency, SizeExceeded
@@ -111,8 +113,7 @@ def two_adic_split(n):
 def _int_divmod(a, b):
     # long division of the integer polynomial a by the monic b (coefficient
     # lists, constant term first, len(a) >= deg b): (quotient, remainder of
-    # length deg b). Each step visits only the nonzero lower coefficients of
-    # b, so reducing modulo a sparse Phi_N costs its few terms per exponent.
+    # length deg b), visiting only the nonzero lower coefficients of b
     a = list(a)
     db = len(b) - 1
     lower = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
@@ -125,18 +126,6 @@ def _int_divmod(a, b):
             for j, bj in lower:
                 a[base + j] -= c * bj
     return q, a[:db]
-
-
-def _int_mul(a, b):
-    # product of integer polynomials (coefficient lists, constant term
-    # first), visiting only the nonzero coefficients of each
-    out = [0] * (len(a) + len(b) - 1)
-    terms = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in terms:
-                out[i + j] += ai * bj
-    return out
 
 
 def _spread(coeffs, n):
@@ -191,4 +180,84 @@ def inverse_cyclotomic_polynomial(N):
         return tuple(_spread(inverse_cyclotomic_polynomial(rad), N // rad))
     m = N // primes[-1]
     spread = _spread(inverse_cyclotomic_polynomial(m), primes[-1])
-    return tuple(_int_mul(spread, cyclotomic_polynomial(m)))
+    return tuple(poly_mul(spread, cyclotomic_polynomial(m)))
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: an integer polynomial is the int sum c_i 2^(8wi),
+# in slots of w = 1, 2, 4, 8 or more bytes, wide enough for every
+# coefficient of a product; with 2^(8w-1) added to each slot (the bias) the
+# slots are nonnegative, and a product is read off its bytes.
+_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}  # struct codes of slots to int64
+
+
+def _repeat(value, n, w):
+    # value in each of n slots of w bytes
+    return int.from_bytes(value.to_bytes(w, "little") * n, "little")
+
+
+def _width(bound, bits=0):
+    # slot bytes for magnitudes up to bound, with bit `bits` below the bias
+    w = max(bits, bound.bit_length()) // 8 + 1
+    return w if w > 8 else 1 << (w - 1).bit_length()
+
+
+def _pack(values, w, bias):
+    # sum values[i] 2^(8wi); bias holds 2^(8w-1) in at least len(values) slots
+    if w in _FORMATS:
+        raw = struct.pack(f"<{len(values)}{_FORMATS[w]}", *values)
+    else:  # past int64, one slot at a time
+        raw = b"".join(v.to_bytes(w, "little", signed=True) for v in values)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpack(biased, n, w):
+    # the n values v held as v + 2^(8w-1) in the w-byte slots of biased
+    raw = (biased ^ _repeat(1 << (8 * w - 1), n, w)).to_bytes(w * n, "little")
+    if w in _FORMATS:
+        return struct.unpack(f"<{n}{_FORMATS[w]}", raw)
+    return tuple(int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, w * n, w))
+
+
+def poly_mul(a, b):
+    """Exact product of integer polynomials (coefficient lists, constant
+    term first), as one int multiplication."""
+    n = len(a) + len(b) - 1
+    w = _width((sum(map(abs, a)) + 1) * (max(map(abs, b)) + 1))
+    bias = _repeat(1 << (8 * w - 1), n, w)
+    return _unpack(_pack(a, w, bias) * _pack(b, w, bias) + bias, n, w)
+
+
+@lru_cache(maxsize=CONDUCTORS_HELD)
+def _fold_spread(N):
+    # 1 + |Psi_N|_1 |Phi_N|_1
+    psi_norm = sum(map(abs, inverse_cyclotomic_polynomial(N)))
+    return 1 + psi_norm * sum(map(abs, cyclotomic_polynomial(N)))
+
+
+def fold_slots(a, N, bits=0):
+    """(x, phi, w): coordinates r of sum a[e] z_N^e in the power basis, with
+    r[phi - 1 - i] + 2^(8w-1) in the w-byte slot i of x and 8w - 1 >= bits.
+    Needs phi(N) <= len(a) <= N + phi(N), and len(a) = 1 at N = 1.
+
+    Division by reversal (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 9.1): Phi_N is palindromic and -Psi_N = 1/Phi_N mod X^N, so
+    with m = len(a) - phi and R = rev(a[phi:]) Psi_N mod X^m, r = a +
+    rev(R) Phi_N mod X^phi, and rev(r) is slots m to m + phi - 1 of R Phi_N
+    plus rev(a[:phi]). R is at most |a|_inf |Psi_N|_1, R Phi_N |Phi_N|_1
+    times that, so each is below |a|_inf times _fold_spread(N)."""
+    phi, psi = cyclotomic_polynomial(N), inverse_cyclotomic_polynomial(N)
+    d = len(phi) - 1
+    m = len(a) - d
+    w = _width((max(map(abs, a)) + 1) * _fold_spread(N), bits)
+    bias = _repeat(1 << (8 * w - 1), m + d + 1, w)
+    low = (1 << (8 * w * m)) - 1
+    R = (_pack(a[:d - 1:-1], w, bias) * _pack(psi[:m], w, bias) + bias) & low
+    R -= bias & low
+    x = ((R * _pack(phi, w, bias) + bias) >> (8 * w * m)) + _pack(a[d - 1::-1], w, bias)
+    return x & ((1 << (8 * w * d)) - 1), d, w
+
+
+def fold(a, N):
+    """The power-basis coordinates of sum a[e] z_N^e (see fold_slots)."""
+    return _unpack(*fold_slots(a, N))[::-1]

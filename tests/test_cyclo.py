@@ -26,7 +26,9 @@ from slce.numth import (
     _int_divmod,
     cyclotomic_polynomial,
     divisors,
+    fold,
     inverse_cyclotomic_polynomial,
+    poly_mul,
 )
 
 
@@ -106,6 +108,16 @@ class TestCyclotomicPolynomial:
             CycInt.root(65538, 1)
         assert time.perf_counter() - start < 0.5
 
+    def test_conductor_cap_before_allocating(self):
+        # a conductor past the cap is refused before a list of N counts is
+        # built; at N >= 2^61 CPython would refuse that list at once
+        rho = Character.quadratic(build_field(5, 1))
+        for N in (1 << 61, 1 << 62):
+            with pytest.raises(SizeExceeded):
+                CycInt.root(N, N - 1)
+            with pytest.raises(SizeExceeded):
+                k_sum(rho, conductor=N)
+
 
 def table_fold(N, counts):
     """Reference fold: the coordinates of z^e for every e < N, built one
@@ -141,6 +153,8 @@ class TestReductionModPhi:
             counts = [rng.randrange(-9, 10) if rng.random() < density else 0
                       for _ in range(N)]
             assert CycInt.from_exponent_counts(N, counts).coeffs == table_fold(N, counts)
+        for counts in oracle_vectors(rng, N):
+            assert fold(counts, N) == table_fold(N, counts)
 
     @pytest.mark.parametrize("N", FOLD_CONDUCTORS)
     def test_root_is_numeric_root_of_unity(self, N):
@@ -167,6 +181,72 @@ class TestReductionModPhi:
     def test_counts_length_checked(self):
         with pytest.raises(ValueError):
             CycInt.from_exponent_counts(6, [1, 2, 3])
+
+
+def oracle_vectors(rng, N):
+    """Signed count vectors of length N up to the l1 norm 16 q, q = N + 1,
+    of K sums scaled by 2^h <= 16: sparse, dense, and the worst case for
+    the slot width, 16 in every entry."""
+    sparse = [0] * N
+    for _ in range(rng.randrange(1, 16 * (N + 1))):
+        sparse[rng.randrange(N)] += rng.choice((-1, 1))
+    return [sparse, [rng.randrange(-31, 32) for _ in range(N)], [16] * N]
+
+
+def convolution(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestFoldOracle:
+    """numth.fold, the one reduction modulo Phi_N by Kronecker products,
+    against the sparse long division numth._int_divmod, and numth.poly_mul
+    against the schoolbook convolution."""
+
+    @staticmethod
+    def check(N, counts):
+        phi = cyclotomic_polynomial(N)
+        assert fold(counts, N) == tuple(_int_divmod(counts, phi)[1])
+
+    def test_every_conductor_to_600(self):
+        import random
+
+        rng = random.Random(600)
+        for N in range(1, 601):
+            for counts in oracle_vectors(rng, N):
+                self.check(N, counts)
+
+    @pytest.mark.parametrize("N", [4098, 16380, 65520])
+    def test_dense_envelope_conductors(self, N):
+        import random
+
+        self.check(N, oracle_vectors(random.Random(N), N)[1])
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 9, 96, 105, 210, 4098])
+    def test_coordinates_past_int64(self, N):
+        import random
+
+        rng = random.Random(N)
+        counts = [rng.randrange(-(1 << 70), 1 << 70) for _ in range(N)]
+        x = CycInt.from_exponent_counts(N, counts)
+        assert x.coeffs == tuple(_int_divmod(counts, cyclotomic_polynomial(N))[1])
+        y = CycInt(N, [rng.randrange(-(1 << 70), 1 << 70) for _ in range(len(x.coeffs))])
+        product = (x * y).coeffs
+        reference = _int_divmod(convolution(x.coeffs, y.coeffs), cyclotomic_polynomial(N))[1]
+        assert product == tuple(reference) and max(map(abs, product)) >> 130
+
+    def test_product(self):
+        import random
+
+        rng = random.Random(7)
+        for n, k, bits in [(1, 1, 0), (1, 5, 3), (7, 3, 8), (40, 60, 31), (25, 25, 70)]:
+            a = [rng.randrange(-(1 << bits), (1 << bits) + 1) for _ in range(n)]
+            b = [rng.randrange(-(1 << bits), (1 << bits) + 1) for _ in range(k)]
+            assert list(poly_mul(a, b)) == convolution(a, b)
+        assert poly_mul([0, 0], [300, -(1 << 40)]) == (0, 0, 0)
 
 
 class TestCycIntArithmetic:
@@ -624,8 +704,8 @@ class TestMembershipOracle:
 
 
 class TestCountKernel:
-    """ideal_membership on exponent counts, reduced modulo Phi_N mod 2^(c+1)
-    through Psi_N, against the exact division of the counts by Phi_N
+    """ideal_membership on exponent counts, reduced modulo Phi_N by
+    numth.fold_slots, against the exact division of the counts by Phi_N
     (numth._int_divmod) followed by the gcd-generator membership test, for
     c in 0..h+2.
 
@@ -711,14 +791,41 @@ class TestCountKernel:
         assert seen[True] and seen[False]
 
     def test_edge_of_slot_width(self):
-        # q = 40961 has u = 13, so c reaches 14 at N = 2^13 5 = 40960:
-        # a product slot needs 2 (c + 1) + bit_length(N) = 46 of its 64 bits
+        # q = 40961 has u = 13, so c reaches 14 at N = 2^13 5 = 40960, the
+        # deepest c of the envelope
         import random
 
         seen = {False: 0, True: 0}
         self.check_conductor(random.Random(5), build_residue_field(5), 13, [14] * 6, seen)
         assert seen[True] and seen[False]
 
-    def test_slots_past_64_bits_refused(self):
-        with pytest.raises(ValueError, match="64-bit"):
-            ideal_membership([0] * 65520, build_residue_field(4095), 24)
+    @pytest.mark.parametrize("k,h", [(3, 1), (7, 4), (15, 3), (2049, 1)])
+    def test_zero_and_single_roots_at_every_depth(self, k, h):
+        # the slot holds bit c + 1 even where the coordinates are all 0 or
+        # +-1: 0 lies in every ideal, 2^c z^e and z^e do not lie in 2^c P,
+        # 2^(c+1) z^e does
+        import random
+
+        rng = random.Random(k)
+        rf = build_residue_field(k)
+        N = k << h
+        for c in range(25):
+            assert ideal_membership([0] * N, rf, c)
+            e = rng.randrange(N)
+            for value, expect in [(1, False), (1 << c, False), (-(1 << (c + 1)), True)]:
+                counts = [0] * N
+                counts[e] = value
+                coords = _int_divmod(counts, cyclotomic_polynomial(N))[1]
+                assert self.oracle(N, coords, rf, c) == expect
+                assert ideal_membership(counts, rf, c) == expect, (N, c, value)
+
+    def test_depth_24_at_conductor_65520(self):
+        # deeper than any field reaches (c <= 14): the slots are sized from
+        # c as well as from the counts, so no depth is refused
+        import random
+
+        rf = build_residue_field(4095)
+        assert ideal_membership([0] * 65520, rf, 24)
+        seen = {False: 0, True: 0}
+        self.check_conductor(random.Random(24), rf, 4, [24] * 4, seen)
+        assert seen[True] and seen[False]

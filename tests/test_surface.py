@@ -2,7 +2,10 @@
 library names deleted because no command, check or README example reached
 them. A new export, or one of those names coming back, has to change this
 file on purpose. Also pinned: no `assert` statement in the package, since
-assertions vanish under `python -O`; failed invariants raise typed errors."""
+assertions vanish under `python -O`; failed invariants raise typed errors.
+And one reduction modulo Phi_N: the sparse long division only builds Phi_N,
+and the schoolbook product is gone, so every product and every fold goes
+through the Kronecker kernels of numth."""
 
 import ast
 import importlib
@@ -102,3 +105,25 @@ def test_no_bare_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} asserts on lines {lines}"
+
+
+def mentions(name):
+    """(module, top-level definition) of every place in the package that
+    defines, imports or reads name."""
+    found = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute) and node.attr == name
+                        or isinstance(node, ast.alias) and name in (node.name, node.asname)
+                        or isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and node.name == name):
+                    found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_one_fold_modulo_phi():
+    assert mentions("_int_divmod") == {
+        ("numth", "_int_divmod"), ("numth", "cyclotomic_polynomial")}
+    assert mentions("_int_mul") == set()
