@@ -50,9 +50,8 @@ class CycInt:
     def root(cls, N, e):
         """z_N^e."""
         d = len(cyclotomic_polynomial(N)) - 1  # refuses N past the size cap
-        e %= N
-        counts = [0] * max(e + 1, d)
-        counts[e] = 1
+        counts = [0] * max(e % N + 1, d)
+        counts[e % N] = 1
         return cls(N, fold(counts, N))
 
     @classmethod
@@ -399,8 +398,8 @@ def ideal_membership(x, rf, c):
     rem &= low
     if rem & (low >> 1):
         return False
-    # bit c of each slot, r[phi - 1] first: the binary digits of y mod 2
-    ybits = int((rem >> c).to_bytes(w * d, "little")[::w].translate(_BIT_DIGITS), 2)
+    digits = (rem >> c).to_bytes(w * d, "little")[::w]  # bit c of each slot, r[phi - 1] first
+    ybits = int(digits.translate(_BIT_DIGITS), 2)
     generator = rf.modulus if h == 0 else polybin._frobenius_pow(rf.modulus, 1 << (h - 1))
     return polybin._mod2(ybits, generator) == 0
 

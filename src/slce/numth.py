@@ -242,10 +242,9 @@ def fold_slots(a, N, bits=0):
 
     Division by reversal (von zur Gathen and Gerhard, Modern Computer
     Algebra, 9.1): Phi_N is palindromic and -Psi_N = 1/Phi_N mod X^N, so
-    with m = len(a) - phi and R = rev(a[phi:]) Psi_N mod X^m, r = a +
-    rev(R) Phi_N mod X^phi, and rev(r) is slots m to m + phi - 1 of R Phi_N
-    plus rev(a[:phi]). R is at most |a|_inf |Psi_N|_1, R Phi_N |Phi_N|_1
-    times that, so each is below |a|_inf times _fold_spread(N)."""
+    with m = len(a) - phi and R = rev(a[phi:]) Psi_N mod X^m, rev(r) is
+    rev(a[:phi]) plus slots m to m + phi - 1 of R Phi_N. The slots of R are
+    at most |a|_inf |Psi_N|_1, those of R Phi_N |Phi_N|_1 times that."""
     phi, psi = cyclotomic_polynomial(N), inverse_cyclotomic_polynomial(N)
     d = len(phi) - 1
     m = len(a) - d
