@@ -251,9 +251,10 @@ def fold_slots(a, N, bits=0):
     w = _width((max(map(abs, a)) + 1) * _fold_spread(N), bits)
     bias = _repeat(1 << (8 * w - 1), m + d + 1, w)
     low = (1 << (8 * w * m)) - 1
-    R = (_pack(a[:d - 1:-1], w, bias) * _pack(psi[:m], w, bias) + bias) & low
-    R -= bias & low
-    x = ((R * _pack(phi, w, bias) + bias) >> (8 * w * m)) + _pack(a[d - 1::-1], w, bias)
+    skip = 8 * w * max(m - d, 0)  # the slots of R below m - phi reach no coordinate
+    R = ((_pack(a[:d - 1:-1], w, bias) * _pack(psi[:m], w, bias) + bias) & low) >> skip
+    R -= (bias & low) >> skip
+    x = ((R * _pack(phi, w, bias) + bias) >> (8 * w * m - skip)) + _pack(a[d - 1::-1], w, bias)
     return x & ((1 << (8 * w * d)) - 1), d, w
 
 
