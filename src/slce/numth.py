@@ -180,7 +180,7 @@ def inverse_cyclotomic_polynomial(N):
         return tuple(_spread(inverse_cyclotomic_polynomial(rad), N // rad))
     m = N // primes[-1]
     spread = _spread(inverse_cyclotomic_polynomial(m), primes[-1])
-    return tuple(poly_mul(spread, cyclotomic_polynomial(m)))
+    return poly_mul(spread, cyclotomic_polynomial(m))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,9 @@ def inverse_cyclotomic_polynomial(N):
 # in slots of w = 1, 2, 4, 8 or more bytes, wide enough for every
 # coefficient of a product; with 2^(8w-1) added to each slot (the bias) the
 # slots are nonnegative, and a product is read off its bytes.
-_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}  # struct codes of slots to int64
+# struct codes of slots to int64; a Struct is made per call, because the
+# module-level functions keep up to 100 formats (one per length) cached
+_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _repeat(value, n, w):
@@ -205,7 +207,7 @@ def _width(bound, bits=0):
 def _pack(values, w, bias):
     # sum values[i] 2^(8wi); bias holds 2^(8w-1) in at least len(values) slots
     if w in _FORMATS:
-        raw = struct.pack(f"<{len(values)}{_FORMATS[w]}", *values)
+        raw = struct.Struct(f"<{len(values)}{_FORMATS[w]}").pack(*values)
     else:  # past int64, one slot at a time
         raw = b"".join(v.to_bytes(w, "little", signed=True) for v in values)
     return (int.from_bytes(raw, "little") ^ bias) - bias
@@ -215,14 +217,15 @@ def _unpack(biased, n, w):
     # the n values v held as v + 2^(8w-1) in the w-byte slots of biased
     raw = (biased ^ _repeat(1 << (8 * w - 1), n, w)).to_bytes(w * n, "little")
     if w in _FORMATS:
-        return struct.unpack(f"<{n}{_FORMATS[w]}", raw)
+        return struct.Struct(f"<{n}{_FORMATS[w]}").unpack(raw)
     return tuple(int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, w * n, w))
 
 
 def poly_mul(a, b):
     """Exact product of integer polynomials (coefficient lists, constant
-    term first), as one int multiplication."""
+    term first) as a tuple, by one int multiplication."""
     n = len(a) + len(b) - 1
+    # the + 1s let the slots hold the coefficients of a and b as well
     w = _width((sum(map(abs, a)) + 1) * (max(map(abs, b)) + 1))
     bias = _repeat(1 << (8 * w - 1), n, w)
     return _unpack(_pack(a, w, bias) * _pack(b, w, bias) + bias, n, w)
@@ -230,7 +233,8 @@ def poly_mul(a, b):
 
 @lru_cache(maxsize=CONDUCTORS_HELD)
 def _fold_spread(N):
-    # 1 + |Psi_N|_1 |Phi_N|_1
+    # 1 + |Psi_N|_1 |Phi_N|_1, which times |a|_inf + 1 bounds every slot of
+    # fold_slots, the coefficients of Phi_N and Psi_N included
     psi_norm = sum(map(abs, inverse_cyclotomic_polynomial(N)))
     return 1 + psi_norm * sum(map(abs, cyclotomic_polynomial(N)))
 
