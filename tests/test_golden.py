@@ -29,7 +29,15 @@ workload) was taken before records became named tuples written by one
 %-format per line. The Jacobi sums over GF(65521) and GF(16381) were taken
 before CycInt reduced modulo Phi_N through one Kronecker fold instead of
 sparse long division: their conductors 65,520 and 16,380 have dense
-Phi_N, and folding the exponent counts is almost the whole run."""
+Phi_N, and folding the exponent counts is almost the whole run. The
+binary generate over GF(3^10), GF(37^3) and GF(251^2) and the sweep up to
+q = 1024 were taken before the power tables were walked by one
+multiply-by-alpha step, Berlekamp-Massey read one packed doubled period and
+every autocorrelation lag came from one integer product: 3^10 is the
+largest field with m > 1, so its digest pins the canonical alpha and the
+whole power and Zech tables; 37^3 and 251^2 pin a wide prime digit at m = 3
+and m = 2; and the sweep reaches T = 1022 with the m > 1 fields 729 and
+961."""
 
 import hashlib
 import json
@@ -93,6 +101,14 @@ GOLDEN = [
      "427779e516bba8c472fee272f4145f7485ffeaf4036a5509743ebf0cce7cd7dd"),
     (("jacobi", "--p", "16381", "--a1", "1", "--a2", "1"),
      "ca5ce9e907f67402b2da0995f4622e2549b1e5dea7da9a590a087af17d9667d5"),
+    (("generate", "--p", "3", "--m", "10"),
+     "f4911739860d5b7efa90bb1bb08b6d3de63869d0c5454b66fd54e5befa989ad5"),
+    (("generate", "--p", "37", "--m", "3"),
+     "876f0f6a8be85f73d1787b3a2b6e3d552553055f0776f76b87fe0a3546827922"),
+    (("generate", "--p", "251", "--m", "2"),
+     "ea1067fade9bb52a3d4f57f64893530d7b799e4b2d32f5a08cc75a88c08afe58"),
+    (("sweep", "--qmax", "1024"),
+     "eb3bbd5b33cc7d40c5bed893a60e615676ab909e5c6793bb82e2864bc36c3c29"),
 ]
 
 
