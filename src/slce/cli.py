@@ -199,7 +199,7 @@ def sweep_row(p, m):
     s = generate_slce(field, 2)
     _, gc, agree = _linear_complexity(s)
     ones = balance_report(s)[1]
-    offpeak = sorted({autocorrelation(s, tau) for tau in range(1, s.T)})
+    offpeak = sorted(set(autocorrelation(s)[1:]))
     return {
         "q": field.q, "p": p, "m": m, "T": s.T, "u": s.u, "t_odd": s.Tprime,
         "L": gc.L, "lc_methods_agree": agree,

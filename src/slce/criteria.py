@@ -25,7 +25,6 @@ makes every e its own orbit and so evaluates every unit, as an audit.
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -324,8 +323,7 @@ def prop_check(ctx, which):
 # multiplicity profile
 
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
+class MultiplicityProfile(NamedTuple):
     """Multiplicity of every odd-order root beta = gamma^e (order k | T')
     in S(X), capped at 2^u, plus the linear complexity they reconstruct."""
 
@@ -363,8 +361,7 @@ def multiplicity_profile(seq, all_units=False):
 # semiprimitive case
 
 
-@dataclass(frozen=True)
-class SemiprimitiveParams:
+class SemiprimitiveParams(NamedTuple):
     """Minimal v with 2^h k | p^v + 1 and m = 2vw, plus the analogous
     (v', w') for the untwisted order k."""
 

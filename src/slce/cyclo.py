@@ -15,7 +15,7 @@ an exact Gauss sum would drag in the conductor lcm(p, q-1) for no benefit.
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import polybin
 from .errors import ConductorMismatch, InternalInconsistency, NotSemiprimitive
@@ -272,8 +272,7 @@ def gauss_sum_numeric(chi):
     return total
 
 
-@dataclass(frozen=True)
-class QuadraticGaussValue:
+class QuadraticGaussValue(NamedTuple):
     """Closed form of the quadratic Gauss sum: sign * sqrt(q), possibly
     times i."""
 
@@ -312,8 +311,7 @@ def quadratic_gauss_closed(p, m):
     return QuadraticGaussValue(sign, imag, q)
 
 
-@dataclass(frozen=True)
-class SemiprimitiveGaussValue:
+class SemiprimitiveGaussValue(NamedTuple):
     """G(chi) in the semiprimitive case: a rational integer of magnitude
     sqrt(q). The printed sign rule is validated against the numeric sum;
     on disagreement the numeric sign wins and the mismatch is flagged."""
@@ -399,9 +397,6 @@ def ideal_membership(x, rf, c):
     if rem & (low >> 1):
         return False
     digits = (rem >> c).to_bytes(w * d, "little")[::w]  # bit c of each slot, r[phi - 1] first
-    ybits = int(digits.translate(_BIT_DIGITS), 2)
+    ybits = polybin._pack_bits(digits)
     generator = rf.modulus if h == 0 else polybin._frobenius_pow(rf.modulus, 1 << (h - 1))
     return polybin._mod2(ybits, generator) == 0
-
-
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")

@@ -26,6 +26,7 @@ X^T - 1 and for reductions of cyclotomic integers modulo a prime over 2.
 
 import weakref
 from functools import lru_cache, partial
+from operator import mul
 
 from . import polybin
 from .errors import (
@@ -145,17 +146,19 @@ class ExtField:
 
     # -- construction -------------------------------------------------------
 
+    def _digits(self, code):
+        # the m base-p digits of a code, low digit first
+        out = [0] * self.m
+        for i in range(self.m):
+            code, out[i] = divmod(code, self.p)
+        return out
+
     def _find_modulus(self):
         p, m = self.p, self.m
         if m == 1:
             return (0, 1)  # X itself: GF(p)[X]/(X) = GF(p)
         for code in range(p**m):
-            coeffs = []
-            c = code
-            for _ in range(m):
-                c, r = divmod(c, p)
-                coeffs.append(r)
-            coeffs.append(1)
+            coeffs = self._digits(code) + [1]
             if _is_irreducible(coeffs, p):
                 return tuple(coeffs)
         raise InternalInconsistency("no irreducible polynomial found")
@@ -163,40 +166,47 @@ class ExtField:
     def _raw_mul(self, a, b):
         # code-level multiply straight from the modulus; used only before
         # the dlog table exists
-        p, m = self.p, self.m
-        if m == 1:
+        p = self.p
+        if self.m == 1:
             return a * b % p
-        da = [0] * m
-        c = a
-        for i in range(m):
-            c, da[i] = divmod(c, p)
-        db = [0] * m
-        c = b
-        for i in range(m):
-            c, db[i] = divmod(c, p)
-        prod = _pp_mulmod(da, db, list(self.modulus), p)
         code = 0
-        for r in reversed(prod):
+        for r in reversed(_pp_mulmod(self._digits(a), self._digits(b), list(self.modulus), p)):
             code = code * p + r
         return code
 
     def _find_alpha(self):
-        q = self.q
-        rs = prime_factors(q - 1)
-        for code in range(2, q):
-            if all(power(code, (q - 1) // r, self._raw_mul) != 1 for r in rs):
+        p, m, q = self.p, self.m, self.q
+        exps = [(q - 1) // r for r in prime_factors(q - 1)]
+        exp = partial(pow, mod=p) if m == 1 else partial(power, mul=self._raw_mul)
+        # at m > 1 the codes below p lie in GF(p)*, whose orders divide p - 1
+        for code in range(2 if m == 1 else p, q):
+            if all(exp(code, e) != 1 for e in exps):
                 return code
         raise InternalInconsistency("no primitive element found")
 
     def _build_tables(self):
-        q = self.q
+        """The power and dlog tables of alpha_code, walked by one
+        multiply-by-alpha step: x alpha mod p at m = 1; above it, the digits
+        of x alpha are the dot products of x's digits with the rows of the
+        matrix whose column i holds the digits of alpha X^i."""
+        p, m, q, a = self.p, self.m, self.q, self.alpha_code
         pow_table = [0] * (q - 1)
         dlog = [-1] * q
         x = 1
-        for n in range(q - 1):
-            pow_table[n] = x
-            dlog[x] = n
-            x = self._raw_mul(x, self.alpha_code)
+        if m == 1:
+            for n in range(q - 1):
+                pow_table[n] = x
+                dlog[x] = n
+                x = x * a % p
+        else:
+            rows = tuple(zip(*(self._digits(self._raw_mul(a, p**i)) for i in range(m))))
+            weights = [p**j for j in range(m)]
+            digits = self._digits(1)
+            for n in range(q - 1):
+                pow_table[n] = x
+                dlog[x] = n
+                digits = [sum(map(mul, digits, row)) % p for row in rows]
+                x = sum(map(mul, digits, weights))
         if x != 1:
             raise InternalInconsistency("alpha does not have order q - 1")
         self._pow = pow_table

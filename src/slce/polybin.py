@@ -13,8 +13,8 @@ criteria. The Hasse-derivative sums themselves are evaluated in
 criteria, straight from the ones positions of a sequence.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import EvenK, InternalInconsistency
 from .numth import CONDUCTORS_HELD, cyclotomic_polynomial, euler_phi, multiplicative_order
@@ -72,6 +72,15 @@ def _gcd2(a, b):
     return a
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pack_bits(digits):
+    # the int whose binary digits, most significant first, are the 0/1 ints
+    # or bytes of digits
+    return int(bytes(digits).translate(_BIT_DIGITS), 2)
+
+
 def _frobenius_pow(a, e):
     # a(X)^(2^j) = a(X^(2^j)) over GF(2): spread every set bit by the factor e = 2^j
     out = 0
@@ -87,8 +96,7 @@ def _frobenius_pow(a, e):
 # linear complexity
 
 
-@dataclass(frozen=True)
-class LinearComplexityResult:
+class LinearComplexityResult(NamedTuple):
     """Linear complexity L together with the minimal polynomial c(X), an
     int bit-vector."""
 
@@ -104,23 +112,21 @@ def berlekamp_massey(bits):
     found. Returns the length L and the connection polynomial
     c(X) = 1 + c_1 X + ... + c_L X^L with s_n = sum c_i s_{n-i}.
 
-    The discrepancy at step n is the parity of c & window, where bit i of
-    window is s_(n-i). deg c <= L <= T = len(bits) throughout, so window
-    keeps only its low T + 1 bits.
+    The doubled period is packed once into A, bit 2T - 1 - n of which is
+    s_n, so bit i of A >> (2T - 1 - n) is s_(n-i) for i <= n and 0 above,
+    and the discrepancy at step n is the parity of c & (A >> (2T - 1 - n)).
     """
-    seq = list(bits)
+    seq = tuple(bits)
     if not seq:
         raise ValueError("empty sequence")
-    if any(b not in (0, 1) for b in seq):
+    if seq.count(0) + seq.count(1) != len(seq):
         raise ValueError("every term must be 0 or 1")
-    seq = [int(b) for b in seq]
-    mask = (1 << (len(seq) + 1)) - 1
+    top = 2 * len(seq) - 1
+    A = _pack_bits(bytes(map(int, seq)) * 2)
     c, b = 1, 1  # connection poly and previous connection poly, as bit-vectors
     L, m = 0, -1
-    window = 0
-    for n, s_n in enumerate(seq + seq):
-        window = ((window << 1) | s_n) & mask
-        if (c & window).bit_count() & 1:
+    for n in range(top + 1):
+        if ((A >> (top - n)) & c).bit_count() & 1:
             t = c
             c ^= b << (n - m)
             if 2 * L <= n:

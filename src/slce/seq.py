@@ -11,28 +11,30 @@ Everything downstream of generation (complexity, criteria) is binary-only;
 d > 2 sequences can be generated but only serialized.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .errors import BadAlphabet, NotBinary
-from .ff import ExtField, build_field
-from .numth import is_prime, two_adic_split
+from .ff import build_field
+from .numth import is_prime, poly_mul, two_adic_split
+from .polybin import _BIT_DIGITS
 
 
-@dataclass(frozen=True)
 class SlceSequence:
-    field: ExtField
-    d: int
-    terms: tuple
-    T: int
-    u: int
-    Tprime: int
+    """One period of an SLCE sequence over an ExtField, with T = q - 1 and
+    its 2-adic split T = 2^u T'."""
 
-    @cached_property
+    __slots__ = ("field", "d", "terms", "T", "u", "Tprime", "_bits")
+
+    def __init__(self, field, d, terms, T, u, Tprime):
+        self.field, self.d, self.terms = field, d, terms
+        self.T, self.u, self.Tprime = T, u, Tprime
+        self._bits = None
+
+    @property
     def bits(self):
         """S(X) = sum s_n X^n over one period, as an int bit-vector whose
         bit n is s_n (binary sequences only)."""
-        return int(self.to_bitstring()[::-1], 2)
+        if self._bits is None:
+            self._bits = int(self.to_bitstring()[::-1], 2)
+        return self._bits
 
     def ones_positions(self):
         """Positions n with s_n = 1 (binary sequences only)."""
@@ -43,7 +45,7 @@ class SlceSequence:
     def to_bitstring(self):
         if self.d != 2:
             raise NotBinary("the bit form of a sequence is defined for d = 2")
-        return "".join(str(b) for b in self.terms)
+        return bytes(self.terms).translate(_BIT_DIGITS).decode()
 
     def to_json(self):
         return {
@@ -85,18 +87,19 @@ def sequence_from_json(doc):
     return SlceSequence(field, d, terms, T, u, Tprime)
 
 
-def autocorrelation(s, tau):
-    """Periodic autocorrelation sum of (-1)^(s_{n+tau} - s_n) for d = 2:
-    T - 2 popcount(v xor v rotated by tau), with v = s.bits."""
-    v, T = s.bits, s.T
-    tau %= T
-    rotated = (v >> tau) | ((v << (T - tau)) & ((1 << T) - 1))
-    return T - 2 * (v ^ rotated).bit_count()
+def autocorrelation(s):
+    """Periodic autocorrelation C(tau) = sum (-1)^(s_(n+tau) - s_n) for every
+    tau in [0, T), d = 2. With P = S(X) X^(T-1) S(1/X), one exact product,
+    R(tau) = sum s_n s_(n+tau) is P[T-1-tau] + P[2T-1-tau], and
+    C(tau) = T - 4W + 4R(tau) for the weight W = R(0)."""
+    if s.d != 2:
+        raise NotBinary("autocorrelation is defined for d = 2")
+    T = s.T
+    P = poly_mul(s.terms, s.terms[::-1]) + (0,)  # P[2T-1] = 0: no wrapped term at tau = 0
+    base = T - 4 * P[T - 1]
+    return tuple(base + 4 * (a + b) for a, b in zip(P[T - 1::-1], P[:T - 1:-1]))
 
 
 def balance_report(s):
     """Counts per symbol over one period."""
-    counts = {i: 0 for i in range(s.d)}
-    for b in s.terms:
-        counts[b] += 1
-    return counts
+    return {i: s.terms.count(i) for i in range(s.d)}

@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from slce import ff
+from slce.criteria import map_fields
 from slce.cyclo import Character, jacobi_sum
 from slce.errors import CompositeP, EvenK, KisOne, LogOfZero, SizeExceeded
 from slce.ff import (
@@ -17,7 +18,7 @@ from slce.ff import (
 from slce.polybin import factor_phi_mod2, phi_mod2
 from slce.seq import generate_slce, sequence_from_json
 
-from oracles import with_primitive_element
+from oracles import primitive_elements, with_primitive_element
 
 
 def brute_order(g, p):
@@ -195,6 +196,58 @@ class TestDlog:
         for n in range(F.q - 1):
             if n != half:
                 assert zech[n] == F.dlog_code(F.add_codes(1, F.pow_alpha(n)))
+
+
+def raw_mul_walk(F):
+    """Oracle: alpha's powers as the element-by-element walk gives them,
+    each code decoded to digits, multiplied by alpha's digits, reduced
+    modulo the field's modulus and encoded again."""
+    p, m, modulus = F.p, F.m, F.modulus
+
+    def digits(code):
+        return [code // p**i % p for i in range(m)]
+
+    alpha, x, out = digits(F.alpha_code), 1, []
+    for _ in range(F.q - 1):
+        out.append(x)
+        prod = [0] * (2 * m - 1)
+        for i, xi in enumerate(digits(x)):
+            for j, aj in enumerate(alpha):
+                prod[i + j] += xi * aj
+        for i in range(2 * m - 2, m - 1, -1):
+            c = prod[i]
+            for j in range(m + 1):
+                prod[i - m + j] -= c * modulus[j]
+        x = sum(v % p * p**i for i, v in enumerate(prod[:m]))
+    assert x == 1
+    return out
+
+
+EXTENSION_FIELDS = [f for f in map_fields(lambda p, m: (p, m), 2048) if f[1] > 1]
+
+
+class TestPowerTable:
+    """The multiply-by-alpha step against the element-by-element walk."""
+
+    @pytest.mark.parametrize("p,m", EXTENSION_FIELDS + [(3, 10), (37, 3), (251, 2)])
+    def test_matches_raw_mul_walk(self, p, m):
+        F = build_field(p, m)
+        expected = raw_mul_walk(F)
+        assert F._pow == expected
+        assert [F._dlog[x] for x in expected] == list(range(F.q - 1))
+        assert F._dlog[0] == -1
+
+    def test_prime_field_walk(self):
+        for p in (3, 5, 7, 4099):
+            F = build_field(p, 1)
+            assert F._pow == [pow(F.alpha_code, n, p) for n in range(p - 1)]
+
+    def test_rebuilt_around_another_generator(self):
+        F = build_field(5, 2)
+        code = max(primitive_elements(F))
+        assert code != F.alpha_code
+        G = with_primitive_element(F, code)
+        assert G._pow == raw_mul_walk(G)
 
 
 class TestWithPrimitiveElement:

@@ -9,6 +9,7 @@ from slce.errors import BadAlphabet, CompositeP, NotBinary
 from slce.ff import build_field
 from slce.numth import divisors
 from slce.seq import (
+    SlceSequence,
     autocorrelation,
     balance_report,
     generate_slce,
@@ -71,15 +72,14 @@ class TestGenerate:
 class TestStatistics:
     def test_autocorrelation_q5(self):
         s = generate_slce(build_field(5, 1), 2)
-        assert autocorrelation(s, 0) == 4
-        assert autocorrelation(s, 1) == 0
-        assert autocorrelation(s, 2) == -4
+        assert autocorrelation(s) == (4, 0, -4, 0)
 
     def test_autocorrelation_symmetry(self):
         for p, m in [(7, 1), (3, 2), (11, 1), (13, 1)]:
             s = generate_slce(build_field(p, m), 2)
-            for tau in range(s.T):
-                assert autocorrelation(s, tau) == autocorrelation(s, s.T - tau)
+            c = autocorrelation(s)
+            for tau in range(1, s.T):
+                assert c[tau] == c[s.T - tau]
 
     def test_balance(self):
         s5 = generate_slce(build_field(5, 1), 2)
@@ -95,21 +95,41 @@ def autocorrelation_reference(terms, tau):
     return T - 2 * mismatches
 
 
+def autocorrelation_popcount(s):
+    """Oracle: one rotate-xor-popcount of S(X) per shift tau."""
+    v, T = s.bits, s.T
+    full = (1 << T) - 1
+    return tuple(
+        T - 2 * (v ^ ((v >> tau) | ((v << (T - tau)) & full))).bit_count() for tau in range(T)
+    )
+
+
 class TestAutocorrelationOracle:
     def test_every_shift_up_to_256(self):
         fields = list(map_fields(lambda p, m: (p, m), 256))
         assert len(fields) == 62  # odd prime powers q <= 256
         for p, m in fields:
             s = generate_slce(build_field(p, m), 2)
-            for tau in range(s.T):
-                expected = autocorrelation_reference(s.terms, tau)
-                assert autocorrelation(s, tau) == expected, (p, m, tau)
+            expected = tuple(autocorrelation_reference(s.terms, tau) for tau in range(s.T))
+            assert autocorrelation(s) == expected, (p, m)
+
+    @pytest.mark.parametrize("p", [4099, 8191])
+    def test_large_fields_match_popcount(self, p):
+        s = generate_slce(build_field(p, 1), 2)
+        assert autocorrelation(s) == autocorrelation_popcount(s)
 
     def test_shift_taken_mod_T(self):
-        s = generate_slce(build_field(13, 1), 2)
-        for tau in range(s.T):
-            c = autocorrelation(s, tau)
-            assert autocorrelation(s, tau + 3 * s.T) == autocorrelation(s, tau - s.T) == c
+        # one value per shift tau in [0, T), the peak C(0) = T first
+        for p, m in [(3, 1), (13, 1), (3, 4)]:
+            s = generate_slce(build_field(p, m), 2)
+            c = autocorrelation(s)
+            assert len(c) == s.T and c[0] == s.T
+
+    def test_degenerate_weights(self):
+        # not generator outputs: the all-zero and all-one periods
+        for terms in ((0,) * 6, (1,) * 6):
+            s = SlceSequence(build_field(7, 1), 2, terms, 6, 1, 3)
+            assert autocorrelation(s) == (6,) * 6
 
 
 class TestCharacteristicPoly:
@@ -135,12 +155,12 @@ class TestCharacteristicPoly:
         with pytest.raises(NotBinary):
             s.bits
         with pytest.raises(NotBinary):
-            autocorrelation(s, 1)
+            autocorrelation(s)
+        with pytest.raises(NotBinary):
+            s.to_bitstring()
 
     def test_degenerate_all_zero_terms(self):
         # not a generator output, but the statistics must degrade sanely
-        from slce.seq import SlceSequence
-
         s = SlceSequence(build_field(5, 1), 2, (0, 0, 0, 0), 4, 2, 1)
         assert s.bits == 0
         assert balance_report(s) == {0: 4, 1: 0}

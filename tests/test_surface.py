@@ -5,11 +5,15 @@ file on purpose. Also pinned: no `assert` statement in the package, since
 assertions vanish under `python -O`; failed invariants raise typed errors.
 And one reduction modulo Phi_N: the sparse long division only builds Phi_N,
 and the schoolbook product is gone, so every product and every fold goes
-through the Kronecker kernels of numth."""
+through the Kronecker kernels of numth. And importing the command line
+loads no dataclasses, which would bring inspect and ast into every start."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -127,3 +131,13 @@ def test_one_fold_modulo_phi():
     assert mentions("_int_divmod") == {
         ("numth", "_int_divmod"), ("numth", "cyclotomic_polynomial")}
     assert mentions("_int_mul") == set()
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, a
+    # measurable share of every command's start-up
+    code = "import sys, slce.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(slce.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
