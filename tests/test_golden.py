@@ -37,7 +37,11 @@ every autocorrelation lag came from one integer product: 3^10 is the
 largest field with m > 1, so its digest pins the canonical alpha and the
 whole power and Zech tables; 37^3 and 251^2 pin a wide prime digit at m = 3
 and m = 2; and the sweep reaches T = 1022 with the m > 1 fields 729 and
-961."""
+961. The verify at q = 769 (u = 8) was taken before the criteria route
+kept its count vectors packed into one int each: it reaches twist level 8,
+with 256 K sums at that level, where thm2's subset sums add 3^7 rows, so a
+wrong slot width, rotation or bias in the packed vectors shows there.
+"""
 
 import hashlib
 import json
@@ -109,6 +113,8 @@ GOLDEN = [
      "ea1067fade9bb52a3d4f57f64893530d7b799e4b2d32f5a08cc75a88c08afe58"),
     (("sweep", "--qmax", "1024"),
      "eb3bbd5b33cc7d40c5bed893a60e615676ab909e5c6793bb82e2864bc36c3c29"),
+    (("verify", "--p", "769", "--qmax", "769", "--jobs", "1"),
+     "9e45e0f5353bff9b8d471339cad6acbc957483876cea8e3bbe4163024eec858b"),
 ]
 
 
