@@ -46,7 +46,7 @@ from .errors import (
     SizeExceeded,
 )
 from .ff import SIZE_CAP, build_field, build_residue_field, field_order
-from .numth import divisors, is_prime, two_adic_split, units
+from .numth import _pack, _unpack, divisors, fold_plan, is_prime, two_adic_split, units
 from .polybin import _frobenius_pow, _mod2, binom_mod2, bit_length_h, index_set
 from .seq import generate_slce
 
@@ -58,11 +58,11 @@ from .seq import generate_slce
 class AnalysisContext:
     """One (sequence, k, e) instance: beta = gamma^e of order k in the
     canonical residue field rf, held as its bits, paired character
-    chi = eta_{e/k}. Immutable; K-sum vectors and root-of-unity matrix rows
-    are cached per twist level h."""
+    chi = eta_{e/k}. Immutable; K sums and root-of-unity matrix rows are
+    cached packed per twist level h."""
 
     __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi",
-                 "_kcounts", "_rows", "_ones")
+                 "_levels", "_rows", "_ones")
 
     def __init__(self, seq, k, e):
         field = seq.field
@@ -86,64 +86,80 @@ class AnalysisContext:
         bits = sum(1 << i for i, c in enumerate(coeffs) if c & 1)
         if _mod2(bits, self.rf.modulus) != self.beta:
             raise InternalInconsistency(f"chi(alpha) does not reduce to beta in {self!r}")
-        self._kcounts = {}
+        self._levels = {}
         self._rows = {}
         self._ones = seq.ones_positions()
 
     def conductor(self, h):
         return (1 << h) * self.k
 
-    def ksum_counts(self, h):
-        """Exponent-count vectors of K(eta_{j/2^h} chi) for j < 2^h, in
-        conductor 2^h k."""
-        if h not in self._kcounts:
-            qm1 = self.field.q - 1
+    def level(self, h):
+        """(plan, K): K[j] is the exponent-count vector of K(eta_{j/2^h} chi)
+        in conductor N = 2^h k for j < 2^h, packed as numth.fold_packed
+        takes it, count e in slot N - 1 - e, in the slots of the FoldPlan
+        plan of N slots. A sum of packed vectors is their int sum less the
+        bias for each term past the first, c z^0 adds c << plan.top, and
+        times X^s moves slot i + s to slot i (mod N)."""
+        if h not in self._levels:
             N = self.conductor(h)
-            step = qm1 >> h
-            self._kcounts[h] = [
-                k_sum_counts(Character(self.field, j * step + self.chi.a), N)
-                for j in range(1 << h)
-            ]
-        return self._kcounts[h]
+            step = (self.field.q - 1) >> h
+            counts = [k_sum_counts(Character(self.field, j * step + self.chi.a), N)
+                      for j in range(1 << h)]
+            # One width serves every vector of the level. With M the sum over j
+            # of max |K[j]|, a matrix row (and each partial row of the
+            # butterfly) is a sum of +-X^s K[j] over distinct j, so at most
+            # M; thm2 adds at most 2^h rows and 2^h, thm3 a row and 2^h,
+            # necessary K[j] and 1, prop1 (h = 0) K[0] and 1, prop2 (h = 1)
+            # K[0] +- K[1] and at most 2. So every vector is at most
+            # 2^h (M + 1), and its fold must hold bit c + 1 <= h + 2.
+            plan = fold_plan(N, N, (sum(max(map(abs, v)) for v in counts) + 1) << h, h + 2)
+            self._levels[h] = plan, [_pack(v[::-1], plan.w, plan.bias) for v in counts]
+        return self._levels[h]
+
+    def ksum_counts(self, h):
+        """The exponent-count vectors of level h, unpacked."""
+        plan, ksums = self.level(h)
+        return [_unpack(x, plan.N, plan.w)[::-1] for x in ksums]
 
     def matrix_rows(self, h):
         """Row i of the root-of-unity matrix applied to the signed K sums:
         sum over j of eta_{j/2^h}(-1) z_{2^h}^(-ij) K(eta_{j/2^h} chi),
-        kept as exponent-count vectors. Row sums over subsets of i recover
+        packed as the level's K sums. Row sums over subsets of i recover
         the pointwise K-form sums, so both matrix-style checks share this
         cache."""
         if h not in self._rows:
             T = self.seq.T
-            signed = []
-            for j, counts in enumerate(self.ksum_counts(h)):
-                if _eta_sign_at_minus_one(T, j, h) < 0:
-                    counts = [-c for c in counts]
-                signed.append(counts)
-            self._rows[h] = _cyclic_dft(signed, self.conductor(h))
+            plan, ksums = self.level(h)
+            # -v is packed as 2 bias - x
+            signed = [x if _eta_sign_at_minus_one(T, j, h) > 0 else 2 * plan.bias - x
+                      for j, x in enumerate(ksums)]
+            self._rows[h] = _cyclic_dft(signed, plan)
         return self._rows[h]
 
     def __repr__(self):
         return f"AnalysisContext(q={self.field.q}, k={self.k}, e={self.e})"
 
 
-def _cyclic_dft(vectors, N):
+def _cyclic_dft(vectors, plan):
     # row i = sum over j of X^(-ij N/n) vectors[j] in Z[X]/(X^N - 1), n =
-    # len(vectors) a power of 2, by radix-2 decimation in time: row i is
-    # E_i + X^(-i N/n) O_i with E and O the half-size transforms of the even
-    # and odd j. The ring is cyclic, so X^(N/2) is a rotation, not -1, and
-    # both rows of a butterfly take their own rotation of O_i.
+    # len(vectors) a power of 2, packed as in AnalysisContext.level, by
+    # radix-2 decimation in time: row i is E_i + X^(-i N/n) O_i with E and
+    # O the half-size transforms of the even and odd j. The ring is cyclic,
+    # so X^(N/2) is a rotation, not -1, and both rows of a butterfly take
+    # their own rotation of O_i.
     n = len(vectors)
     if n == 1:
         return vectors
-    half = n // 2
-    even = _cyclic_dft(vectors[0::2], N)
-    odd = _cyclic_dft(vectors[1::2], N)
+    half, N, slot = n // 2, plan.N, 8 * plan.w
+    even = _cyclic_dft(vectors[0::2], plan)
+    odd = _cyclic_dft(vectors[1::2], plan)
     rows = []
     for i in range(n):
         o = odd[i % half]
-        shift = -i * (N // n) % N  # times X^shift
-        rot = o[N - shift:] + o[:N - shift] if shift else o
-        rows.append([a + b for a, b in zip(even[i % half], rot)])
+        bits = -i * (N // n) % N * slot  # times X^shift: a rotation by shift slots
+        if bits:
+            o = (o >> bits) | ((o & ((1 << bits) - 1)) << (N * slot - bits))
+        rows.append(even[i % half] + o - plan.bias)
     return rows
 
 
@@ -240,12 +256,12 @@ def thm2_check(ctx, t):
     _check_t(ctx, t)
     h = bit_length_h(t)
     T = ctx.seq.T
+    plan, _ = ctx.level(h)
     rows = ctx.matrix_rows(h)
-    acc = [0] * ctx.conductor(h)
-    for i in index_set(t):
-        acc = [a + b for a, b in zip(acc, rows[i])]
-    acc[0] += (1 << h) * binom_mod2(T // 2, t)
-    return ideal_membership(acc, ctx.rf, h + 1)
+    index = index_set(t)
+    acc = sum(map(rows.__getitem__, index)) - (len(index) - 1) * plan.bias
+    acc += binom_mod2(T // 2, t) << (h + plan.top)
+    return ideal_membership(acc, ctx.rf, h + 1, plan)
 
 
 def thm3_check(ctx, h):
@@ -257,13 +273,12 @@ def thm3_check(ctx, h):
         raise HOutOfRange(f"h = {h} outside 1..u = {ctx.seq.u}")
     T = ctx.seq.T
     two_h = 1 << h
-    rows = ctx.matrix_rows(h)
+    plan, _ = ctx.level(h)
     d_index = (T // 2) % two_h
-    for i in range(two_h):
-        acc = list(rows[i])
+    for i, row in enumerate(ctx.matrix_rows(h)):
         if i == d_index:
-            acc[0] += two_h
-        if not ideal_membership(acc, ctx.rf, h + 1):
+            row += two_h << plan.top
+        if not ideal_membership(row, ctx.rf, h + 1, plan):
             return False
     return True
 
@@ -273,12 +288,8 @@ def necessary_condition_check(ctx, h):
     to be congruent to -1 modulo 2 P Z[z_{2^h k}]. Never sufficient."""
     if not 1 <= h <= ctx.seq.u:
         raise HOutOfRange(f"h = {h} outside 1..u = {ctx.seq.u}")
-    for counts in ctx.ksum_counts(h):
-        acc = list(counts)
-        acc[0] += 1
-        if not ideal_membership(acc, ctx.rf, 1):
-            return False
-    return True
+    plan, ksums = ctx.level(h)
+    return all(ideal_membership(x + (1 << plan.top), ctx.rf, 1, plan) for x in ksums)
 
 
 def prop_check(ctx, which):
@@ -287,17 +298,15 @@ def prop_check(ctx, which):
     require q = 1 mod 4 (otherwise t = 2, 3 are out of range anyway)."""
     q = ctx.field.q
     if which == 1:
-        acc = list(ctx.ksum_counts(0)[0])
-        acc[0] += 1
-        return ideal_membership(acc, ctx.rf, 1)
+        plan, (K0,) = ctx.level(0)
+        return ideal_membership(K0 + (1 << plan.top), ctx.rf, 1, plan)
     if which == 2:
-        K0, K1 = ctx.ksum_counts(1)
+        plan, (K0, K1) = ctx.level(1)
         if q % 4 == 1:
-            acc = [a - b for a, b in zip(K0, K1)]
+            acc = K0 - K1 + plan.bias
         else:
-            acc = [a + b for a, b in zip(K0, K1)]
-            acc[0] += 2
-        return ideal_membership(acc, ctx.rf, 2)
+            acc = K0 + K1 - plan.bias + (2 << plan.top)
+        return ideal_membership(acc, ctx.rf, 2, plan)
     if which not in (3, 4):
         raise ValueError("which must be in 1..4")
     if q % 4 != 1:

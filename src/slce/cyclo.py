@@ -15,12 +15,15 @@ an exact Gauss sum would drag in the conductor lcm(p, q-1) for no benefit.
 
 import cmath
 import math
+import weakref
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import polybin
 from .errors import ConductorMismatch, InternalInconsistency, NotSemiprimitive
 from .ff import build_field, field_order
-from .numth import _check_conductor, _repeat, cyclotomic_polynomial, fold, fold_slots, poly_mul
+from .numth import (CONDUCTORS_HELD, _check_conductor, cyclotomic_polynomial, fold, fold_packed,
+                    fold_slots, poly_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +192,6 @@ class Character:
 # Jacobi and Gauss sums
 
 
-def _one_minus_dlogs(field):
-    """dlog(1 - alpha^dx) for dx in [0, T), None at dx = 0: the Zech table
-    rotated by T/2, since 1 - alpha^dx = 1 + alpha^(dx + T/2)."""
-    zech = field.zech_log()
-    half = len(zech) // 2
-    return zech[half:] + zech[:half]
-
-
 def jacobi_sum(chi1, chi2):
     """J(chi1, chi2) = sum over x of chi1(x) chi2(1-x), exactly.
 
@@ -210,36 +205,54 @@ def jacobi_sum(chi1, chi2):
     b1 = (N // chi1.order) * chi1._c
     b2 = (N // chi2.order) * chi2._c
     counts = [0] * N
-    for dx, dy in enumerate(_one_minus_dlogs(field)):
-        if dy is None:
-            continue
-        counts[(b1 * dx + b2 * dy) % N] += 1
+    # 1 - alpha^dx = 1 + alpha^(dx + T/2), so dlog(1 - alpha^dx) = zech[dx + T/2]
+    zech = field.zech_log()
+    half = len(zech) // 2
+    for dx, dy in enumerate(zech[half:] + zech[:half]):
+        if dy is not None:  # None at dx = 0
+            counts[(b1 * dx + b2 * dy) % N] += 1
     return CycInt.from_exponent_counts(N, counts)
+
+
+_SIGNED_SUMS = weakref.WeakKeyDictionary()  # field -> {o: D_o}, dropped with the field
+
+
+def _signed_sums(field, o):
+    # D_o[s] = the sum of rho(x) over the x != 0, 1 with dlog(1 - x) = s mod o
+    T = field.q - 1
+    tables = _SIGNED_SUMS.setdefault(field, {})
+    if T not in tables:
+        # x = alpha^(n + T/2) has 1 - x = 1 + alpha^n and rho(x) = (-1)^(n + T/2)
+        tables[T] = signs = [0] * T
+        for n, z in enumerate(field.zech_log()):
+            if z is not None:
+                signs[z] = -1 if (n + T // 2) & 1 else 1
+    if o not in tables:
+        tables[o] = [sum(tables[T][s::o]) for s in range(o)]
+    return tables[o]
 
 
 def k_sum_counts(chi, conductor):
     """Raw root-of-unity multiplicities of K(chi) = J(rho, chi): entry e
     counts (with sign from rho) the terms equal to z_conductor^e.
 
+    With o = order chi and chi(alpha) = z_o^c, the terms with dlog(1 - x) =
+    s mod o all equal z_o^(c s), so entry (conductor / o) (c s mod o) is
+    the field's signed sum D_o[s] and the other entries are 0.
+
     Callers that combine many K sums stay in this representation, where
     multiplying by a root of unity is a cyclic rotation, and fold to the
     power basis only when a congruence is finally tested."""
     _check_conductor(conductor)
-    field = chi.field
     o = chi.order
     if conductor % o != 0:
-        raise ConductorMismatch(
-            f"conductor {conductor} does not contain order {o} values"
-        )
-    b = (conductor // o) * chi._c
+        raise ConductorMismatch(f"conductor {conductor} does not contain order {o} values")
+    sums = _signed_sums(chi.field, o)
+    inv = pow(chi._c, -1, o)
     counts = [0] * conductor
-    for dx, dy in enumerate(_one_minus_dlogs(field)):
-        if dy is None:
-            continue
-        if dx & 1:
-            counts[(b * dy) % conductor] -= 1
-        else:
-            counts[(b * dy) % conductor] += 1
+    # entry (conductor / o) r takes D_o[s] for s = inv r mod o
+    s = map(o.__rmod__, map(inv.__mul__, range(o)))
+    counts[::conductor // o] = list(map(sums.__getitem__, s))
     return counts
 
 
@@ -368,10 +381,18 @@ def semiprimitive_gauss_closed(p, m, N):
 # the prime over 2
 
 
-def ideal_membership(x, rf, c):
+@lru_cache(maxsize=CONDUCTORS_HELD)
+def _generator(modulus, h):
+    # the generator of the image of P O_L mod 2 (see ideal_membership)
+    return modulus if h == 0 else polybin._frobenius_pow(modulus, 1 << (h - 1))
+
+
+def ideal_membership(x, rf, c, plan=None):
     """Is x in 2^c P O_L? P = (2, f_can(z_k)) is the canonical prime over 2,
     with f_can = rf.modulus, and O_L = Z[z_N] is x's own ring, N = 2^h k.
-    x is a CycInt, or the list of N exponent counts of sum counts[e] z_N^e.
+    x is a CycInt, the list of N exponent counts of sum counts[e] z_N^e,
+    or with the FoldPlan plan such counts packed as numth.fold_packed takes
+    them, in slots that hold bit c + 1 below the bias.
 
     Since O_L is torsion-free this splits as: every power-basis coordinate
     divisible by 2^c, and y = x / 2^c lying in P O_L. The latter only
@@ -380,23 +401,22 @@ def ideal_membership(x, rf, c):
     image of P O_L in GF(2)[X]/(Phi_N) is generated by their gcd
     f_can^(2^(h-1)), or f_can at h = 0, and y is in P O_L iff it divides y.
 
-    Both tests read the coordinates mod 2^(c+1) only: numth.fold_slots
-    gives them exactly, in slots that hold bit c + 1, and one AND keeps the
-    low c + 1 bits of every slot.
+    Both tests read the coordinates mod 2^(c+1) only: the fold gives them
+    exactly, and one AND keeps the low c + 1 bits of every slot.
     """
     if isinstance(x, CycInt):
-        N, values = x.conductor, x.coeffs
+        x, plan = fold_slots(x.coeffs, x.conductor, c + 1)
+    elif plan is None:
+        x, plan = fold_slots(x, len(x), c + 1)
     else:
-        N, values = len(x), x
-    h = (N & -N).bit_length() - 1
-    if N >> h != rf.k:
-        raise ConductorMismatch(f"conductor {N} is not 2^h k for k = {rf.k}")
-    rem, d, w = fold_slots(values, N, c + 1)
-    low = _repeat((1 << (c + 1)) - 1, d, w)
-    rem &= low
-    if rem & (low >> 1):
+        x = fold_packed(x, plan)
+    h = (plan.N & -plan.N).bit_length() - 1
+    if plan.N >> h != rf.k:
+        raise ConductorMismatch(f"conductor {plan.N} is not 2^h k for k = {rf.k}")
+    low = plan.ones * ((2 << c) - 1)
+    x &= low
+    if x & (low >> 1):
         return False
-    digits = (rem >> c).to_bytes(w * d, "little")[::w]  # bit c of each slot, r[phi - 1] first
-    ybits = polybin._pack_bits(digits)
-    generator = rf.modulus if h == 0 else polybin._frobenius_pow(rf.modulus, 1 << (h - 1))
-    return polybin._mod2(ybits, generator) == 0
+    # bit c of each slot, r[phi - 1] first
+    digits = (x >> c).to_bytes(plan.w * plan.d, "little")[::plan.w]
+    return polybin._mod2(polybin._pack_bits(digits), _generator(rf.modulus, h)) == 0

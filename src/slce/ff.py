@@ -272,7 +272,10 @@ class ExtField:
     def zech_log(self):
         """Zech-logarithm table z[n] = dlog(1 + alpha^n); the n = (q - 1)/2
         entry is None since 1 + alpha^((q-1)/2) = 1 - 1 = 0."""
-        if self._zech is None:
+        if self._zech is None and self.m == 1:
+            # adding 1 never carries: 1 + a is code a + 1, and 0 at a = p - 1
+            self._zech = list(map((self._dlog[1:] + [None]).__getitem__, self._pow))
+        elif self._zech is None:
             p = self.p
             out = []
             for a in self._pow:

@@ -5,6 +5,7 @@ integer polynomials, each by Kronecker substitution."""
 
 import math
 import struct
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InternalInconsistency, SizeExceeded
@@ -205,12 +206,13 @@ def _width(bound, bits=0):
 
 
 def _pack(values, w, bias):
-    # sum values[i] 2^(8wi); bias holds 2^(8w-1) in at least len(values) slots
+    # values[i] + 2^(8w-1) in slot i, and 2^(8w-1) in the further slots of
+    # bias, which holds it in at least len(values) slots
     if w in _FORMATS:
         raw = struct.Struct(f"<{len(values)}{_FORMATS[w]}").pack(*values)
     else:  # past int64, one slot at a time
         raw = b"".join(v.to_bytes(w, "little", signed=True) for v in values)
-    return (int.from_bytes(raw, "little") ^ bias) - bias
+    return int.from_bytes(raw, "little") ^ bias
 
 
 def _unpack(biased, n, w):
@@ -228,40 +230,72 @@ def poly_mul(a, b):
     # the + 1s let the slots hold the coefficients of a and b as well
     w = _width((sum(map(abs, a)) + 1) * (max(map(abs, b)) + 1))
     bias = _repeat(1 << (8 * w - 1), n, w)
-    return _unpack(_pack(a, w, bias) * _pack(b, w, bias) + bias, n, w)
+    return _unpack((_pack(a, w, bias) - bias) * (_pack(b, w, bias) - bias) + bias, n, w)
 
 
 @lru_cache(maxsize=CONDUCTORS_HELD)
 def _fold_spread(N):
     # 1 + |Psi_N|_1 |Phi_N|_1, which times |a|_inf + 1 bounds every slot of
-    # fold_slots, the coefficients of Phi_N and Psi_N included
+    # fold_packed, the coefficients of Phi_N and Psi_N included
     psi_norm = sum(map(abs, inverse_cyclotomic_polynomial(N)))
     return 1 + psi_norm * sum(map(abs, cyclotomic_polynomial(N)))
 
 
-def fold_slots(a, N, bits=0):
-    """(x, phi, w): coordinates r of sum a[e] z_N^e in the power basis, with
-    r[phi - 1 - i] + 2^(8w-1) in the w-byte slot i of x and 8w - 1 >= bits.
-    Needs phi(N) <= len(a) <= N + phi(N), and len(a) = 1 at N = 1.
+# The constants of fold_packed for n slots of w bytes at conductor N, with
+# d = phi(N) and m = n - d: bias holds 2^(8w-1) in n slots, top is the bit
+# where the top slot starts, low masks m slots and out d slots, ones holds 1
+# in each of d slots, psi and phi are Psi_N[:m] and Phi_N packed unbiased,
+# and skip and m8 are the bits of max(m - d, 0) and m slots.
+FoldPlan = namedtuple("FoldPlan", "N d w bias top low out ones psi phi skip m8")
+
+
+def fold_plan(n, N, bound, bits=0):
+    """The FoldPlan of n slots at conductor N, wide enough for fold_packed
+    on values up to bound and for bit `bits` below the bias."""
+    # Phi_N and Psi_N looked up on every call keep their caches in use order
+    cyclotomic_polynomial(N), inverse_cyclotomic_polynomial(N)
+    return _fold_plan(n, N, _width((bound + 1) * _fold_spread(N), bits))
+
+
+@lru_cache(maxsize=CONDUCTORS_HELD)
+def _fold_plan(n, N, w):
+    phi, psi = cyclotomic_polynomial(N), inverse_cyclotomic_polynomial(N)
+    d, slot = len(phi) - 1, 8 * w
+    m8 = slot * (n - d)
+    wide = _repeat(1 << (slot - 1), n + 1, w)  # one slot more than n, for Phi_N at n = d
+    ones = _repeat(1, d, w)
+    return FoldPlan(N, d, w, wide >> slot, slot * (n - 1), (1 << m8) - 1,
+                    ones * ((1 << slot) - 1), ones, _pack(psi[:n - d], w, wide) - wide,
+                    _pack(phi, w, wide) - wide, slot * max(n - 2 * d, 0), m8)
+
+
+def fold_packed(x, plan):
+    """The coordinates r of sum a[e] z_N^e in the power basis, as the int
+    with r[phi - 1 - i] + 2^(8w-1) in its w-byte slot i, from x, which holds
+    a[n - 1 - i] + 2^(8w-1) in its slot i; (n, N, w) are the plan's.
 
     Division by reversal (von zur Gathen and Gerhard, Modern Computer
     Algebra, 9.1): Phi_N is palindromic and -Psi_N = 1/Phi_N mod X^N, so
-    with m = len(a) - phi and R = rev(a[phi:]) Psi_N mod X^m, rev(r) is
-    rev(a[:phi]) plus slots m to m + phi - 1 of R Phi_N. The slots of R are
-    at most |a|_inf |Psi_N|_1, those of R Phi_N |Phi_N|_1 times that."""
-    phi, psi = cyclotomic_polynomial(N), inverse_cyclotomic_polynomial(N)
-    d = len(phi) - 1
-    m = len(a) - d
-    w = _width((max(map(abs, a)) + 1) * _fold_spread(N), bits)
-    bias = _repeat(1 << (8 * w - 1), m + d + 1, w)
-    low = (1 << (8 * w * m)) - 1
-    skip = 8 * w * max(m - d, 0)  # the slots of R below m - phi reach no coordinate
-    R = ((_pack(a[:d - 1:-1], w, bias) * _pack(psi[:m], w, bias) + bias) & low) >> skip
-    R -= (bias & low) >> skip
-    x = ((R * _pack(phi, w, bias) + bias) >> (8 * w * m - skip)) + _pack(a[d - 1::-1], w, bias)
-    return x & ((1 << (8 * w * d)) - 1), d, w
+    with m = n - phi and R = rev(a[phi:]) Psi_N mod X^m, rev(r) is
+    rev(a[:phi]) plus slots m to m + phi - 1 of R Phi_N. rev(a[phi:]) is
+    the low m slots of x and rev(a[:phi]) the others, and only R's top phi
+    slots reach a coordinate. The slots of R are at most |a|_inf |Psi_N|_1,
+    those of R Phi_N |Phi_N|_1 times that."""
+    low, skip, m8 = plan.low, plan.skip, plan.m8
+    bias = plan.bias & low
+    R = (((((x & low) - bias) * plan.psi + bias) & low) >> skip) - (bias >> skip)
+    # biased, the slots below m borrow nothing from slot m
+    return (((R * plan.phi + (bias >> skip)) >> (m8 - skip)) + (x >> m8)) & plan.out
+
+
+def fold_slots(a, N, bits=0):
+    """(fold_packed of the list a, its plan), with phi(N) <= len(a) <= N +
+    phi(N), and len(a) = 1 at N = 1."""
+    plan = fold_plan(len(a), N, max(map(abs, a)), bits)
+    return fold_packed(_pack(a[::-1], plan.w, plan.bias), plan), plan
 
 
 def fold(a, N):
-    """The power-basis coordinates of sum a[e] z_N^e (see fold_slots)."""
-    return _unpack(*fold_slots(a, N))[::-1]
+    """The power-basis coordinates of sum a[e] z_N^e (see fold_packed)."""
+    x, plan = fold_slots(a, N)
+    return _unpack(x, plan.d, plan.w)[::-1]

@@ -27,6 +27,7 @@ from slce.numth import (
     CONDUCTORS_HELD,
     cyclotomic_polynomial,
     divisors,
+    _unpack,
     inverse_cyclotomic_polynomial,
     units,
 )
@@ -237,6 +238,12 @@ def rotate_and_add_rows(ctx, h):
     return rows
 
 
+def decoded_rows(ctx, h):
+    """The packed matrix rows of level h as count lists."""
+    plan, _ = ctx.level(h)
+    return [list(_unpack(x, plan.N, plan.w)[::-1]) for x in ctx.matrix_rows(h)]
+
+
 class TestMatrixRows:
     @pytest.mark.parametrize("p,m", [(97, 1), (193, 1), (17, 2)])
     def test_butterfly_matches_rotate_and_add(self, p, m):
@@ -246,22 +253,26 @@ class TestMatrixRows:
         for k in divisors(seq.Tprime)[1:]:
             ctx = AnalysisContext(seq, k, 1)
             for h in range(6):
-                assert ctx.matrix_rows(h) == rotate_and_add_rows(ctx, h), (k, h)
+                assert decoded_rows(ctx, h) == rotate_and_add_rows(ctx, h), (k, h)
 
     def test_rows_read_as_counts_or_folded(self):
-        # thm3's row vectors: membership read from the counts equals
-        # membership of their fold, at every level and both depths used
+        # thm3's row vectors: membership read from the counts, from the
+        # packed row and from their fold agree, at every level and both
+        # depths used
         seq = generate_slce(build_field(97, 1), 2)
         ctx = AnalysisContext(seq, 3, 1)
         seen = set()
         for h in range(1, 6):
             N = ctx.conductor(h)
-            for i, row in enumerate(ctx.matrix_rows(h)):
-                acc = list(row)
-                acc[0] += (1 << h) * (i == (seq.T // 2) % (1 << h))
+            plan, _ = ctx.level(h)
+            for i, (acc, row) in enumerate(zip(decoded_rows(ctx, h), ctx.matrix_rows(h))):
+                extra = (1 << h) * (i == (seq.T // 2) % (1 << h))
+                acc[0] += extra
+                row += extra << (8 * plan.w * (N - 1))  # count 0 is the top slot
                 for c in (1, h + 1):
                     verdict = ideal_membership(acc, ctx.rf, c)
                     assert verdict == ideal_membership(CycInt.from_exponent_counts(N, acc), ctx.rf, c)
+                    assert verdict == ideal_membership(row, ctx.rf, c, plan)
                     seen.add(verdict)
         assert seen == {False, True}
 
@@ -308,7 +319,7 @@ class TestGaloisOrbits:
         assert list(galois_orbits(21, all_units=True)) == [(e, (e,)) for e in units(21)]
 
     @pytest.mark.parametrize(
-        "p,m", [(p, m) for p, m, q in odd_prime_powers(128)] + [(3, 5), (5, 4)])
+        "p,m", [(p, m) for p, m, q in odd_prime_powers(128)] + [(3, 5), (5, 4), (769, 1)])
     def test_reduced_equals_all_units(self, p, m):
         assert analyze_field(p, m) == analyze_field(p, m, all_units=True)
         s = generate_slce(build_field(p, m), 2)

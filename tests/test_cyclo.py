@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slce import cyclo
 from slce.cyclo import (
     Character,
     CycInt,
@@ -15,18 +16,26 @@ from slce.cyclo import (
     ideal_membership,
     jacobi_sum,
     k_sum,
+    k_sum_counts,
     quadratic_gauss_closed,
     semiprimitive_gauss_closed,
     semiprimitive_vw,
 )
 from slce import polybin
 from slce.errors import CompositeP, ConductorMismatch, NotSemiprimitive, SizeExceeded
-from slce.ff import build_field, build_residue_field
+from slce.criteria import odd_prime_powers
+from slce.ff import ExtField, build_field, build_residue_field
 from slce.numth import (
+    CONDUCTORS_HELD,
+    _fold_plan,
     _int_divmod,
+    _pack,
+    _unpack,
     cyclotomic_polynomial,
     divisors,
     fold,
+    fold_packed,
+    fold_plan,
     inverse_cyclotomic_polynomial,
     poly_mul,
 )
@@ -224,6 +233,25 @@ class TestFoldOracle:
         import random
 
         self.check(N, oracle_vectors(random.Random(N), N)[1])
+
+    def test_packed_at_wider_slots(self):
+        # the criteria route folds packed vectors in slots sized from a
+        # bound over a whole twist level and from the depth, so wider than
+        # one vector needs: 1, 2, 4, 8 and 9 bytes
+        import random
+
+        rng = random.Random(601)
+        for N in range(1, 601):
+            counts = oracle_vectors(rng, N)[1]
+            expect = tuple(_int_divmod(counts, cyclotomic_polynomial(N))[1])
+            widths = set()
+            for bound, bits in [(31, 0), (31, 9), (31 << 8, 17), (31, 40), (31 << 16, 70)]:
+                plan = fold_plan(N, N, bound, bits)
+                x = fold_packed(_pack(counts[::-1], plan.w, plan.bias), plan)
+                assert _unpack(x, plan.d, plan.w)[::-1] == expect, (N, plan.w)
+                widths.add(plan.w)
+            assert 8 in widths and max(widths) > 8
+        assert _fold_plan.cache_info().maxsize == CONDUCTORS_HELD
 
     @pytest.mark.parametrize("N", [1, 2, 3, 9, 96, 105, 210, 4098])
     def test_coordinates_past_int64(self, N):
@@ -457,6 +485,58 @@ class TestKSums:
         F = build_field(7, 1)
         with pytest.raises(ConductorMismatch):
             k_sum(Character(F, 1), conductor=4)
+
+
+def k_sum_counts_by_term(chi, conductor):
+    """Oracle: the counts of K(chi) = sum of rho(x) chi(1 - x) one term at
+    a time, as k_sum_counts summed them before the signed tables, with
+    1 - x formed digit by digit."""
+    F = chi.field
+    b = (conductor // chi.order) * chi._c
+    counts = [0] * conductor
+    for dx in range(1, F.q - 1):
+        dy = F.dlog_code(F.add_codes(1, F.neg_code(F.pow_alpha(dx))))
+        counts[b * dy % conductor] += -1 if dx & 1 else 1
+    return counts
+
+
+class TestKSumCounts:
+    """k_sum_counts, read off the field's signed sums, against the per-term
+    loop for every character of every field with q <= 128."""
+
+    def test_every_character_to_128(self):
+        seen = 0
+        for p, m, q in odd_prime_powers(128):
+            F = build_field(p, m)
+            for a in range(q - 1):
+                chi = Character(F, a)
+                for N in (chi.order, 2 * chi.order, 3 * chi.order):
+                    assert k_sum_counts(chi, N) == k_sum_counts_by_term(chi, N), (q, a, N)
+                    seen += (q - 1) % N != 0
+        assert seen > 1000  # conductors that do not divide q - 1
+
+    def test_refusals(self):
+        chi = Character(build_field(13, 1), 4)  # order 3
+        for N in (1, 2, 4, 8):
+            with pytest.raises(ConductorMismatch):
+                k_sum_counts(chi, N)
+        with pytest.raises(SizeExceeded):
+            k_sum_counts(chi, 3 * (1 << 16))
+        with pytest.raises(ValueError):
+            k_sum_counts(chi, 0)
+
+    def test_tables_live_with_their_field(self):
+        import gc
+        import weakref
+
+        before = len(cyclo._SIGNED_SUMS)
+        F = ExtField(29, 1)  # a new object, outside the field registry
+        k_sum_counts(Character(F, 1), 28)
+        assert len(cyclo._SIGNED_SUMS) == before + 1
+        ref = weakref.ref(F)
+        del F
+        gc.collect()
+        assert ref() is None and len(cyclo._SIGNED_SUMS) == before
 
 
 class TestGaussSums:

@@ -226,6 +226,32 @@ def raw_mul_walk(F):
 EXTENSION_FIELDS = [f for f in map_fields(lambda p, m: (p, m), 2048) if f[1] > 1]
 
 
+def zech_by_digit(F):
+    """Oracle: the Zech table element by element, as it was built at every
+    m: 1 + alpha^n changes digit 0 only."""
+    p, out = F.p, []
+    for a in F._pow:
+        y = a - (p - 1) if a % p == p - 1 else a + 1
+        out.append(None if y == 0 else F._dlog[y])
+    return out
+
+
+class TestZechTable:
+    """At m = 1 the Zech table is one shifted read of the dlog table."""
+
+    def test_prime_fields_to_2048(self):
+        fields = [p for p, m in map_fields(lambda p, m: (p, m), 2048) if m == 1]
+        assert len(fields) == 308
+        for p in fields:
+            F = ExtField(p, 1)
+            assert F.zech_log() == zech_by_digit(F), p
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (5, 3), (3, 7)])
+    def test_extension_fields(self, p, m):
+        F = ExtField(p, m)
+        assert F.zech_log() == zech_by_digit(F)
+
+
 class TestPowerTable:
     """The multiply-by-alpha step against the element-by-element walk."""
 
