@@ -243,10 +243,10 @@ def _fold_spread(N):
 
 # The constants of fold_packed for n slots of w bytes at conductor N, with
 # d = phi(N) and m = n - d: bias holds 2^(8w-1) in n slots, top is the bit
-# where the top slot starts, low masks m slots and out d slots, ones holds 1
-# in each of d slots, psi and phi are Psi_N[:m] and Phi_N packed unbiased,
-# and skip and m8 are the bits of max(m - d, 0) and m slots.
-FoldPlan = namedtuple("FoldPlan", "N d w bias top low out ones psi phi skip m8")
+# where the top slot starts, ones holds 1 in each of d slots, psi and phi
+# are Psi_N[:m] and Phi_N packed unbiased, and skip and m8 are the bits of
+# max(m - d, 0) and m slots.
+FoldPlan = namedtuple("FoldPlan", "N d w bias top ones psi phi skip m8")
 
 
 def fold_plan(n, N, bound, bits=0):
@@ -261,12 +261,10 @@ def fold_plan(n, N, bound, bits=0):
 def _fold_plan(n, N, w):
     phi, psi = cyclotomic_polynomial(N), inverse_cyclotomic_polynomial(N)
     d, slot = len(phi) - 1, 8 * w
-    m8 = slot * (n - d)
     wide = _repeat(1 << (slot - 1), n + 1, w)  # one slot more than n, for Phi_N at n = d
-    ones = _repeat(1, d, w)
-    return FoldPlan(N, d, w, wide >> slot, slot * (n - 1), (1 << m8) - 1,
-                    ones * ((1 << slot) - 1), ones, _pack(psi[:n - d], w, wide) - wide,
-                    _pack(phi, w, wide) - wide, slot * max(n - 2 * d, 0), m8)
+    return FoldPlan(N, d, w, wide >> slot, slot * (n - 1), _repeat(1, d, w),
+                    _pack(psi[:n - d], w, wide) - wide, _pack(phi, w, wide) - wide,
+                    slot * max(n - 2 * d, 0), slot * (n - d))
 
 
 def fold_packed(x, plan):
@@ -281,11 +279,13 @@ def fold_packed(x, plan):
     the low m slots of x and rev(a[:phi]) the others, and only R's top phi
     slots reach a coordinate. The slots of R are at most |a|_inf |Psi_N|_1,
     those of R Phi_N |Phi_N|_1 times that."""
-    low, skip, m8 = plan.low, plan.skip, plan.m8
+    skip, m8 = plan.skip, plan.m8
+    low = (1 << m8) - 1
     bias = plan.bias & low
     R = (((((x & low) - bias) * plan.psi + bias) & low) >> skip) - (bias >> skip)
     # biased, the slots below m borrow nothing from slot m
-    return (((R * plan.phi + (bias >> skip)) >> (m8 - skip)) + (x >> m8)) & plan.out
+    R = ((R * plan.phi + (bias >> skip)) >> (m8 - skip)) + (x >> m8)
+    return R & ((1 << (8 * plan.w * plan.d)) - 1)
 
 
 def fold_slots(a, N, bits=0):
