@@ -156,7 +156,7 @@ def _cyclic_dft(vectors, plan):
     rows = []
     for i in range(n):
         o = odd[i % half]
-        bits = -i * (N // n) % N * slot  # times X^shift: a rotation by shift slots
+        bits = -i * (N // n) % N * slot  # times X^s, s = -i N/n mod N: a rotation by s slots
         if bits:
             o = (o >> bits) | ((o & ((1 << bits) - 1)) << (N * slot - bits))
         rows.append(even[i % half] + o - plan.bias)
