@@ -41,6 +41,11 @@ and m = 2; and the sweep reaches T = 1022 with the m > 1 fields 729 and
 kept its count vectors packed into one int each: it reaches twist level 8,
 with 256 K sums at that level, where thm2's subset sums add 3^7 rows, so a
 wrong slot width, rotation or bias in the packed vectors shows there.
+The CSV and two-worker verify up to q = 181, and its summary, were taken
+before each Galois orbit's verdicts became one block shared by its
+members, rendered once and stamped with each member's e: they pin the CSV
+line, the blocks as they come back pickled from a worker, and the summary
+counted block by block, on the benchmark's verify-wide workload.
 """
 
 import hashlib
@@ -115,6 +120,10 @@ GOLDEN = [
      "eb3bbd5b33cc7d40c5bed893a60e615676ab909e5c6793bb82e2864bc36c3c29"),
     (("verify", "--p", "769", "--qmax", "769", "--jobs", "1"),
      "9e45e0f5353bff9b8d471339cad6acbc957483876cea8e3bbe4163024eec858b"),
+    (("verify", "--qmax", "181", "--format", "csv"),
+     "532553cdacfe06cd0b3484e374dc664b840c5a3313f3715a57c64996cc7e35cf"),
+    (("verify", "--qmax", "181", "--jobs", "2"),
+     "c18b501cc27e14ab998c7312f8620d826ba6e82c3709ce0ee14fa5b16e6c4c23"),
 ]
 
 
@@ -137,3 +146,10 @@ def test_output_file_digest(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert json.loads(out) == {"summary": {"checks": 1236, "contexts": 116, "mismatches": 0}}
+
+
+def test_verify_wide_summary(capsys):
+    assert main(["verify", "--qmax", "181"]) == 0
+    assert capsys.readouterr().err == (
+        '{"summary": {"checks": 14192, "contexts": 1254, "mismatches": 0}}\n'
+    )
