@@ -7,12 +7,10 @@ sorted records, no timestamps.
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
 from contextlib import nullcontext
-from operator import itemgetter
 
 from .criteria import (
     ALL_CHECKS,
@@ -20,7 +18,7 @@ from .criteria import (
     map_fields,
     multiplicity_profile,
     normalize_checks,
-    run_verify,
+    verify_fields,
 )
 from .cyclo import (
     Character,
@@ -104,37 +102,50 @@ def cmd_complexity(args):
     return 0
 
 
-# json.dumps(record.to_json(), sort_keys=True) spelled out: the keys in
-# sorted order, JSON booleans, and a check name from ALL_CHECKS, which is
-# plain ASCII and needs no escaping
-_RECORD_LINE = ('{"check": "%s", "e": %d, "ground_truth": %s, "index": %d, "k": %d, '
-                '"m": %d, "match": %s, "p": %d, "predicted": %s, "q": %d}\n')
+# One verify record as a JSONL line: json.dumps(record.to_json(),
+# sort_keys=True) spelled out, the keys in sorted order, JSON booleans, and
+# a check name from ALL_CHECKS, which is plain ASCII and needs no escaping
+_RECORD_JSONL = ('{"check": "%s", "e": %s, "ground_truth": %s, "index": %d, "k": %d, '
+                 '"m": %d, "match": %s, "p": %d, "predicted": %s, "q": %d}\n')
 _JSON_BOOL = ("false", "true")
 
 
-def _record_line(r):
+def _jsonl_line(r):
     q, p, m, k, e, check, index, predicted, ground_truth, match = r
-    return _RECORD_LINE % (check, e, _JSON_BOOL[ground_truth], index, k,
-                           m, _JSON_BOOL[match], p, _JSON_BOOL[predicted], q)
+    return _RECORD_JSONL % (check, e, _JSON_BOOL[ground_truth], index, k,
+                            m, _JSON_BOOL[match], p, _JSON_BOOL[predicted], q)
+
+
+def _csv_line(row):
+    # csv.writer's line: no value of a verify record or a sweep row holds a
+    # comma, a quote or a line break, so none is quoted
+    return ",".join(map(str, row)) + "\r\n"
 
 
 def cmd_verify(args):
     checks = ALL_CHECKS if args.theorems is None else normalize_checks(args.theorems.split(","))
-    records = run_verify(args.qmax, p_filter=args.p, checks=checks, jobs=args.jobs)
+    fields = verify_fields(args.qmax, p_filter=args.p, checks=checks, jobs=args.jobs)
+    line = _csv_line if args.format == "csv" else _jsonl_line
     summary = {"contexts": 0, "checks": 0, "mismatches": 0}
 
-    def rows():
-        # records arrive sorted, so each context's records are contiguous
-        context = None
-        for r in records:
-            if (r.q, r.k, r.e) != context:
-                context = (r.q, r.k, r.e)
-                summary["contexts"] += 1
-            summary["checks"] += 1
-            summary["mismatches"] += not r.match
-            yield r
+    def lines():
+        # each distinct (k, verdicts) block of a field is rendered once, with
+        # \0 for e and split there, and counted once
+        for q, p, m, contexts in fields:
+            blocks = {}
+            for k, e, verdicts in contexts:
+                block = blocks.get((k, verdicts))
+                if block is None:
+                    block = blocks[k, verdicts] = (
+                        "".join(line((q, p, m, k, "\0") + v) for v in verdicts).split("\0"),
+                        len(verdicts), sum(not v[4] for v in verdicts))
+                pieces, checked, mismatches = block
+                summary["contexts"] += checked > 0
+                summary["checks"] += checked
+                summary["mismatches"] += mismatches
+                yield str(e).join(pieces)
 
-    _write_rows(args, CriterionRecord._fields, rows(), _record_line)
+    _write_lines(args, CriterionRecord._fields, lines())
     dest = sys.stdout if args.output else sys.stderr
     print(_dump({"summary": summary}), file=dest)
     return 0 if summary["mismatches"] == 0 else 3
@@ -210,31 +221,27 @@ def sweep_row(p, m):
     }
 
 
-def _sweep_line(row):
-    return _dump(dict(zip(SWEEP_FIELDS, row))) + "\n"
-
-
 def cmd_sweep(args):
-    rows = map(itemgetter(*SWEEP_FIELDS), map_fields(sweep_row, args.qmax, args.p))
-    _write_rows(args, SWEEP_FIELDS, rows, _sweep_line)
+    rows = map_fields(sweep_row, args.qmax, args.p)
+    if args.format == "csv":
+        lines = (_csv_line(map(row.get, SWEEP_FIELDS)) for row in rows)
+    else:
+        lines = (_dump(row) + "\n" for row in rows)
+    _write_lines(args, SWEEP_FIELDS, lines)
     return 0
 
 
-def _write_rows(args, fields, rows, line):
-    """Write each row, a tuple in the order of fields, as it arrives to
-    --output or stdout: CSV under a header of fields, or line(row), one
-    JSON object per line. An --output that cannot be opened is bad input."""
+def _write_lines(args, fields, lines):
+    """Write each line as it arrives to --output or stdout, in CSV under a
+    header of fields. An --output that cannot be opened is bad input."""
     try:
         dest = open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)
     except OSError as exc:
         raise SlceError(f"cannot open --output {args.output}: {exc.strerror}") from exc
     with dest as out:
         if args.format == "csv":
-            writer = csv.writer(out)
-            writer.writerow(fields)
-            writer.writerows(rows)
-        else:
-            out.writelines(map(line, rows))
+            out.write(",".join(fields) + "\r\n")
+        out.writelines(lines)
 
 
 # ---------------------------------------------------------------------------

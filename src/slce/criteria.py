@@ -16,8 +16,8 @@ Naming: beta = gamma^e in the canonical GF(2^f); the paired character chi
 sends alpha to z_k^e, so chi reduces to beta modulo the canonical prime.
 The verification sweep covers every unit e rather than stipulating one
 pairing, but evaluates each Galois orbit {e, 2e, 4e, ...} mod k once, at
-its smallest e, and copies the verdicts to the other members. Each route
-is Frobenius-invariant on its own: S^[t](beta^2) = S^[t](beta)^2, and
+its smallest e, and its members share those verdicts. Each route is
+Frobenius-invariant on its own: S^[t](beta^2) = S^[t](beta)^2, and
 z_k -> z_k^2 fixes the canonical prime. analyze_field(..., all_units=True)
 makes every e its own orbit and so evaluates every unit, as an audit.
 """
@@ -62,7 +62,7 @@ class AnalysisContext:
     cached packed per twist level h."""
 
     __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi",
-                 "_levels", "_rows", "_ones")
+                 "_levels", "_rows")
 
     def __init__(self, seq, k, e):
         field = seq.field
@@ -88,7 +88,6 @@ class AnalysisContext:
             raise InternalInconsistency(f"chi(alpha) does not reduce to beta in {self!r}")
         self._levels = {}
         self._rows = {}
-        self._ones = seq.ones_positions()
 
     def conductor(self, h):
         return (1 << h) * self.k
@@ -213,7 +212,7 @@ def derivative_vanishes_direct(ctx, t):
     witness for the t-th Hasse derivative of S vanishing at beta; by Lucas,
     C(n,t) is odd exactly when the bits of t are among those of n."""
     _check_t(ctx, t)
-    return _masked_sum(ctx._ones, ctx.rf.gamma_pow_bits(), ctx.k, ctx.e, t, t) == 0
+    return _masked_sum(ctx.seq.ones_positions(), ctx.rf.gamma_pow_bits(), ctx.k, ctx.e, t, t) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +451,7 @@ def all_ones_power_divides(seq, k, h):
 class CriterionRecord(NamedTuple):
     """One verdict pair: a criterion's prediction next to the ground truth.
     A named tuple in CSV column order, so it equals the plain tuple of its
-    values and records of one field sort by (k, e, check, index)."""
+    values."""
 
     q: int
     p: int
@@ -469,15 +468,11 @@ class CriterionRecord(NamedTuple):
         return self._asdict()
 
 
-_CHECK_TOKENS = {
-    "1": "thm1", "thm1": "thm1",
-    "2": "thm2", "thm2": "thm2",
-    "3": "thm3", "thm3": "thm3",
-    "prop1": "prop1", "prop2": "prop2", "prop3": "prop3", "prop4": "prop4",
-    "necessary": "necessary", "nc": "necessary",
-}
-
 ALL_CHECKS = ("thm1", "thm2", "thm3", "prop1", "prop2", "prop3", "prop4", "necessary")
+
+# each check's own name, and the short forms
+_CHECK_TOKENS = {name: name for name in ALL_CHECKS} | {
+    "1": "thm1", "2": "thm2", "3": "thm3", "nc": "necessary"}
 
 
 def normalize_checks(tokens):
@@ -540,21 +535,16 @@ def _apply(fn, field):
 
 
 def analyze_field(p, m, checks=ALL_CHECKS, all_units=False):
-    """All criterion records for one field, sorted canonically. Each Galois
-    orbit of units e mod k is evaluated at its smallest e and its records
-    are copied to every member; all_units evaluates every e."""
+    """The field's contexts in (k, e) order, each as (k, e, verdicts), with
+    verdicts a tuple of (check, index, predicted, ground_truth, match)
+    sorted by (check, index). Each Galois orbit of units e mod k is
+    evaluated at its smallest e, and its members share one verdicts tuple;
+    all_units evaluates every e."""
     field = build_field(p, m)
     seq = generate_slce(field, 2)
     profile = multiplicity_profile(seq, all_units)
     q, u = field.q, seq.u
-    records = []
-
-    def rec(members, check, index, predicted, ground_truth, match=None):
-        # the same verdict for every member of the orbit of the loop's k
-        match = (predicted == ground_truth) if match is None else match
-        records.extend(CriterionRecord(q, p, m, k, e, check, index, predicted, ground_truth, match)
-                       for e in members)
-
+    contexts = []
     for k in divisors(seq.Tprime):
         if k == 1:
             continue
@@ -562,36 +552,37 @@ def analyze_field(p, m, checks=ALL_CHECKS, all_units=False):
             ctx = AnalysisContext(seq, k, e)
             mult = profile.entries[(k, e)]
             direct = [derivative_vanishes_direct(ctx, t) for t in range(1 << u)]
+            verdicts = []  # (check, index, predicted, ground_truth)
             for check in checks:
-                if check == "thm1":
-                    for t in range(1 << u):
-                        rec(members, check, t, thm1_check(ctx, t), direct[t])
-                elif check == "thm2":
-                    for t in range(1 << u):
-                        rec(members, check, t, thm2_check(ctx, t), direct[t])
-                elif check == "thm3":
-                    for h in range(1, u + 1):
-                        rec(members, check, h, thm3_check(ctx, h), mult >= (1 << h))
-                elif check == "necessary":
-                    for h in range(1, u + 1):
-                        pred = necessary_condition_check(ctx, h)
-                        gt = mult >= (1 << h)
-                        rec(members, check, h, pred, gt, match=not (gt and not pred))
-                else:
-                    which = int(check[-1])
-                    t = which - 1
-                    if which >= 3 and q % 4 != 1:
-                        continue
-                    rec(members, check, t, prop_check(ctx, which), direct[t])
-    # q, p and m are fixed here and (k, e, check, index) is unique, so tuple
-    # order is (q, k, e, check, index) order
-    records.sort()
-    return records
+                if check in ("thm1", "thm2"):
+                    fn = thm1_check if check == "thm1" else thm2_check
+                    verdicts += ((check, t, fn(ctx, t), direct[t]) for t in range(1 << u))
+                elif check in ("thm3", "necessary"):
+                    fn = thm3_check if check == "thm3" else necessary_condition_check
+                    verdicts += ((check, h, fn(ctx, h), mult >= (1 << h)) for h in range(1, u + 1))
+                elif (which := int(check[-1])) < 3 or q % 4 == 1:  # prop3, prop4: q = 1 mod 4
+                    verdicts.append((check, which - 1, prop_check(ctx, which), direct[which - 1]))
+            # necessary is one-directional: it fails only where the ground truth holds
+            verdicts = tuple(sorted(
+                (c, i, pred, gt, pred >= gt if c == "necessary" else pred == gt)
+                for c, i, pred, gt in verdicts))
+            contexts += ((k, member, verdicts) for member in members)
+    contexts.sort()  # (k, e) is unique, so no verdicts are compared
+    return contexts
+
+
+def _field_contexts(p, m, checks):
+    return p**m, p, m, analyze_field(p, m, checks)
+
+
+def verify_fields(q_max, p_filter=None, checks=ALL_CHECKS, jobs=1):
+    """(q, p, m, analyze_field(p, m, checks)) per field, as map_fields yields them."""
+    return map_fields(partial(_field_contexts, checks=checks), q_max, p_filter, jobs)
 
 
 def run_verify(q_max, p_filter=None, checks=ALL_CHECKS, jobs=1):
     """Criterion records over every admissible context with q <= q_max, as a
-    lazy iterator sorted by (q, k, e, check, index) for any worker count:
-    map_fields yields the fields in ascending q, analyze_field sorts each."""
-    per_field = partial(analyze_field, checks=checks)
-    return itertools.chain.from_iterable(map_fields(per_field, q_max, p_filter, jobs))
+    lazy iterator sorted by (q, k, e, check, index): verify_fields expanded."""
+    return (CriterionRecord(q, p, m, k, e, *verdict)
+            for q, p, m, contexts in verify_fields(q_max, p_filter, checks, jobs)
+            for k, e, verdicts in contexts for verdict in verdicts)

@@ -315,27 +315,45 @@ class TestSizeCap:
 
 class TestRecordWriter:
     """verify's JSONL and CSV lines against json.dumps and csv.DictWriter,
-    for every check name and every verdict triple."""
+    for every check name and every verdict triple, stamped on contexts that
+    share one verdict block, hold an equal copy of it, hold it under another
+    k, or hold no verdicts at all."""
 
     @staticmethod
-    def records():
-        from slce.criteria import ALL_CHECKS, CriterionRecord
+    def fields():
+        from slce.criteria import ALL_CHECKS
 
-        out = []
-        for check in ALL_CHECKS:
-            for predicted, ground_truth, match in itertools.product((False, True), repeat=3):
-                for q, p, m, k, e, index in [(3, 3, 1, 1, 1, 0),
-                                             (43046721, 3, 16, 21523361, 21523359, 2**70)]:
-                    out.append(CriterionRecord(q, p, m, k, e, check, index,
-                                               predicted, ground_truth, match))
-        return out
+        verdicts = tuple((check, index, predicted, ground_truth, match)
+                         for check in ALL_CHECKS
+                         for predicted, ground_truth, match
+                         in itertools.product((False, True), repeat=3)
+                         for index in (0, 2**70))
+        copy = tuple(list(verdicts))
+        assert copy == verdicts and copy is not verdicts
+        return [(3, 3, 1, [(1, 1, verdicts)]),
+                (43046721, 3, 16, [(21523361, 1, verdicts), (21523361, 2, copy),
+                                   (21523361, 4, ()), (21523361, 21523359, verdicts[::-1]),
+                                   (21523363, 8, verdicts)])]
+
+    @classmethod
+    def records(cls):
+        from slce.criteria import CriterionRecord
+
+        return [CriterionRecord(q, p, m, k, e, *verdict)
+                for q, p, m, contexts in cls.fields()
+                for k, e, verdicts in contexts for verdict in verdicts]
 
     def verify_output(self, capsys, monkeypatch, *argv):
         import slce.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "run_verify", lambda *a, **kw: iter(self.records()))
-        code, out, _ = run_cli(capsys, "verify", "--qmax", "8", *argv)
+        monkeypatch.setattr(cli_mod, "verify_fields", lambda *a, **kw: iter(self.fields()))
+        code, out, err = run_cli(capsys, "verify", "--qmax", "8", *argv)
         assert code == 3
+        records = self.records()
+        assert json.loads(err)["summary"] == {
+            "contexts": len({(r.q, r.k, r.e) for r in records}),
+            "checks": len(records),
+            "mismatches": sum(not r.match for r in records)}
         return out
 
     def test_jsonl_lines(self, capsys, monkeypatch):
@@ -365,17 +383,70 @@ class TestRecordWriter:
             assert back == r and type(back) is CriterionRecord
 
 
+class TestVerifyBlocks:
+    """verify renders each Galois orbit's shared verdict block once; its
+    output must still be what the reference writers make of run_verify's
+    records, on real fields."""
+
+    @pytest.mark.parametrize("argv,kwargs", [
+        (("--qmax", "128"), {"q_max": 128}),
+        # 2 generates the units mod 121, so all 110 contexts of k = 121 share a block
+        (("--p", "3", "--qmax", "243"), {"q_max": 243, "p_filter": 3}),
+    ], ids=["qmax 128", "3^5"])
+    def test_output_is_the_reference_writers_on_run_verify(self, capsys, argv, kwargs):
+        from slce.criteria import CriterionRecord, run_verify
+
+        records = list(run_verify(**kwargs))
+        assert records
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert out == "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=CriterionRecord._fields)
+        writer.writeheader()
+        writer.writerows(r.to_json() for r in records)
+        code, out, _ = run_cli(capsys, "verify", *argv, "--format", "csv")
+        assert code == 0 and out == buf.getvalue()
+
+    @pytest.mark.parametrize("p,m", [(127, 1), (3, 5)])
+    def test_orbit_members_share_one_verdicts_object(self, p, m):
+        from slce.criteria import analyze_field, galois_orbits
+
+        contexts = {(k, e): verdicts for k, e, verdicts in analyze_field(p, m)}
+        for k in {k for k, _ in contexts}:
+            for e, members in galois_orbits(k):
+                assert all(contexts[k, x] is contexts[k, e] for x in members)
+        if (p, m) == (3, 5):
+            assert len({id(v) for (k, _), v in contexts.items() if k == 121}) == 1
+
+    def test_verify_builds_no_records(self, capsys, monkeypatch):
+        from slce.criteria import CriterionRecord, run_verify
+
+        built = []
+        new = CriterionRecord.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(CriterionRecord, "__new__", counting)
+        assert next(run_verify(7)).q == 7 and len(built) == 1  # the count sees a record
+        built.clear()
+        code, out, _ = run_cli(capsys, "verify", "--qmax", "49")
+        assert code == 0 and len(out.splitlines()) == 1236
+        assert built == []
+
+
 class TestExitCode3:
     def test_verify_mismatch_exits_3(self, capsys, monkeypatch):
         import slce.cli as cli_mod
-        from slce.criteria import CriterionRecord
 
-        fake = [CriterionRecord(7, 7, 1, 3, 1, "thm1", 0, True, False, False)]
+        fake = [(7, 7, 1, [(3, 1, (("thm1", 0, True, False, False),))])]
 
         def fake_verify(*args, **kwargs):
             return iter(fake)
 
-        monkeypatch.setattr(cli_mod, "run_verify", fake_verify)
+        monkeypatch.setattr(cli_mod, "verify_fields", fake_verify)
         code, out, err = run_cli(capsys, "verify", "--qmax", "8")
         assert code == 3
         assert out == (

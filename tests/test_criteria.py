@@ -4,6 +4,7 @@ import pytest
 
 from slce.criteria import (
     AnalysisContext,
+    CriterionRecord,
     analyze_field,
     all_ones_power_divides,
     derivative_vanishes_direct,
@@ -41,6 +42,12 @@ from oracles import (
     primitive_elements,
     with_primitive_element,
 )
+
+
+def field_records(p, m):
+    """analyze_field's contexts expanded into records, as run_verify does."""
+    return [CriterionRecord(p**m, p, m, k, e, *verdict)
+            for k, e, verdicts in analyze_field(p, m) for verdict in verdicts]
 
 
 def ctx_q7():
@@ -345,7 +352,7 @@ class TestGaloisOrbits:
                 super().__init__(seq, k, e)
 
         monkeypatch.setattr(criteria_mod, "AnalysisContext", Counting)
-        records = analyze_field(127, 1)  # T' = 63, and 2^6 = 1 mod 63
+        records = field_records(127, 1)  # T' = 63, and 2^6 = 1 mod 63
         orbits = {(k, frozenset(e * 2**i % k for i in range(6)))
                   for k in (3, 7, 9, 21, 63) for e in units(k)}
         assert len(built) == len(set(built)) == len(orbits) == 12
@@ -430,9 +437,7 @@ class TestDeepTwoAdicRamification:
         # T = 192 = 64 * 3: twist levels up to h = 6 put the congruences in
         # conductor-192 rings where 2 ramifies to the 32nd power, far beyond
         # what q <= 128 reaches
-        from slce.criteria import analyze_field
-
-        records = analyze_field(193, 1)
+        records = field_records(193, 1)
         assert records and all(r.match for r in records)
 
 
@@ -446,9 +451,9 @@ class TestRunVerify:
 
     @pytest.mark.parametrize("p,m", [(127, 1), (3, 5)])
     def test_field_order_is_the_canonical_key(self, p, m):
-        # records sort as plain tuples; within one field that is the order
-        # of (q, k, e, check, index)
-        records = analyze_field(p, m)
+        # contexts come in (k, e) order and each one's verdicts in (check,
+        # index) order, so the field's records are in (q, k, e, check, index) order
+        records = field_records(p, m)
         assert records == sorted(
             records, key=lambda r: (r.q, r.k, r.e, r.check, r.index)
         )
