@@ -46,6 +46,9 @@ before each Galois orbit's verdicts became one block shared by its
 members, rendered once and stamped with each member's e: they pin the CSV
 line, the blocks as they come back pickled from a worker, and the summary
 counted block by block, on the benchmark's verify-wide workload.
+The whole-field verify at q = 4093 was taken before props 3 and 4 became
+rotations of the packed level-2 K sums: q = 5 mod 8 there, so it runs that
+branch of both closed forms at the large conductor 4 k = 4092.
 """
 
 import hashlib
@@ -124,6 +127,8 @@ GOLDEN = [
      "532553cdacfe06cd0b3484e374dc664b840c5a3313f3715a57c64996cc7e35cf"),
     (("verify", "--qmax", "181", "--jobs", "2"),
      "c18b501cc27e14ab998c7312f8620d826ba6e82c3709ce0ee14fa5b16e6c4c23"),
+    (("verify", "--p", "4093", "--qmax", "4093", "--jobs", "1"),
+     "68a17d1a4dbbef6c74f26c1e3c6f4b480aa3eebd1e3c1048fa998a331a4be869"),
 ]
 
 
