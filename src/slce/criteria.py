@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 from .cyclo import (
     Character,
-    CycInt,
     ideal_membership,
     k_sum,
     k_sum_counts,
@@ -46,7 +45,7 @@ from .errors import (
     SizeExceeded,
 )
 from .ff import SIZE_CAP, build_field, build_residue_field, field_order
-from .numth import _pack, _unpack, divisors, fold_plan, is_prime, two_adic_split, units
+from .numth import _pack, divisors, fold, fold_plan, is_prime, two_adic_split, units
 from .polybin import _frobenius_pow, _mod2, binom_mod2, bit_length_h, index_set
 from .seq import generate_slce
 
@@ -81,9 +80,10 @@ class AnalysisContext:
         self.rf = build_residue_field(k)
         self.beta = self.rf.gamma_pow_bits()[self.e]
         self.chi = Character(field, self.e * (field.q - 1) // k)
-        # chi(alpha) mod P: its coordinates' parities as a polynomial in gamma
-        coeffs = CycInt.root(self.chi.order, self.chi.exponent_at(1)).coeffs
-        bits = sum(1 << i for i, c in enumerate(coeffs) if c & 1)
+        # chi(alpha) = z_o^c mod P: its coordinates' parities as a polynomial in gamma
+        o, c = self.chi.order, self.chi.exponent_at(1)
+        coeffs = fold([0] * c + [1] + [0] * (o - 1 - c), o)
+        bits = sum(1 << i for i, x in enumerate(coeffs) if x & 1)
         if _mod2(bits, self.rf.modulus) != self.beta:
             raise InternalInconsistency(f"chi(alpha) does not reduce to beta in {self!r}")
         self._levels = {}
@@ -109,16 +109,12 @@ class AnalysisContext:
             # butterfly) is a sum of +-X^s K[j] over distinct j, so at most
             # M; thm2 adds at most 2^h rows and 2^h, thm3 a row and 2^h,
             # necessary K[j] and 1, prop1 (h = 0) K[0] and 1, prop2 (h = 1)
-            # K[0] +- K[1] and at most 2. So every vector is at most
-            # 2^h (M + 1), and its fold must hold bit c + 1 <= h + 2.
+            # K[0] +- K[1] and at most 2, and props 3 and 4 (h = 2, c = 3)
+            # at most 2M + 4. So every vector is at most 2^h (M + 1), and its
+            # fold must hold bit c + 1 <= h + 2.
             plan = fold_plan(N, N, (sum(max(map(abs, v)) for v in counts) + 1) << h, h + 2)
             self._levels[h] = plan, [_pack(v[::-1], plan.w, plan.bias) for v in counts]
         return self._levels[h]
-
-    def ksum_counts(self, h):
-        """The exponent-count vectors of level h, unpacked."""
-        plan, ksums = self.level(h)
-        return [_unpack(x, plan.N, plan.w)[::-1] for x in ksums]
 
     def matrix_rows(self, h):
         """Row i of the root-of-unity matrix applied to the signed K sums:
@@ -149,17 +145,18 @@ def _cyclic_dft(vectors, plan):
     n = len(vectors)
     if n == 1:
         return vectors
-    half, N, slot = n // 2, plan.N, 8 * plan.w
+    half = n // 2
     even = _cyclic_dft(vectors[0::2], plan)
     odd = _cyclic_dft(vectors[1::2], plan)
-    rows = []
-    for i in range(n):
-        o = odd[i % half]
-        bits = -i * (N // n) % N * slot  # times X^s, s = -i N/n mod N: a rotation by s slots
-        if bits:
-            o = (o >> bits) | ((o & ((1 << bits) - 1)) << (N * slot - bits))
-        rows.append(even[i % half] + o - plan.bias)
-    return rows
+    return [even[i % half] + _rotate(odd[i % half], -i * (plan.N // n), plan) - plan.bias
+            for i in range(n)]
+
+
+def _rotate(x, s, plan):
+    # x times X^s, packed as in AnalysisContext.level: slot i + s moves to
+    # slot i, and the low s slots wrap round to the top
+    bits = s % plan.N * 8 * plan.w
+    return (x >> bits) | ((x & ((1 << bits) - 1)) << (8 * plan.w * plan.N - bits))
 
 
 def galois_orbits(k, all_units=False):
@@ -310,21 +307,19 @@ def prop_check(ctx, which):
         raise ValueError("which must be in 1..4")
     if q % 4 != 1:
         raise PreconditionUnmet("props 3 and 4 require q = 1 mod 4")
-    N = ctx.conductor(2)
-    K = [CycInt.from_exponent_counts(N, counts) for counts in ctx.ksum_counts(2)]
-    z4 = CycInt.root(N, ctx.k)
-    one = CycInt.from_int(N, 1)
-    if which == 3:
-        if q % 8 == 1:
-            value = 2 * K[0] - (one - z4) * K[1] - (one + z4) * K[3]
-        else:
-            value = CycInt.from_int(N, 4) + 2 * K[0] + (one - z4) * K[1] + (one + z4) * K[3]
+    # times z4 = z_N^k is a rotation by k slots. With s = 1 if q = 1 mod 8
+    # and -1 if q = 5 mod 8, prop 4 is K0 - K2 + s z4 (K1 - K3) and prop 3
+    # 4 (1 - s) / 2 + 2 K0 - s (K1 + K3) + s z4 (K1 - K3), left with one bias
+    plan, (K0, K1, K2, K3) = ctx.level(2)
+    s = 1 if q % 8 == 1 else -1
+    z4_diff = _rotate(s * (K1 - K3) + plan.bias, ctx.k, plan)
+    if which == 4:
+        value = K0 - K2 + z4_diff
+    elif s == 1:
+        value = 2 * K0 - K1 - K3 + z4_diff
     else:
-        if q % 8 == 1:
-            value = K[0] + z4 * K[1] - K[2] - z4 * K[3]
-        else:
-            value = K[0] - z4 * K[1] - K[2] + z4 * K[3]
-    return ideal_membership(value, ctx.rf, 3)
+        value = 2 * K0 + K1 + K3 + z4_diff - 4 * plan.bias + (4 << plan.top)
+    return ideal_membership(value, ctx.rf, 3, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +546,9 @@ def analyze_field(p, m, checks=ALL_CHECKS, all_units=False):
         for e, members in galois_orbits(k, all_units):
             ctx = AnalysisContext(seq, k, e)
             mult = profile.entries[(k, e)]
-            direct = [derivative_vanishes_direct(ctx, t) for t in range(1 << u)]
+            # the profile's masked sums vanish below t = mult, not at it
+            direct = [t < mult or t > mult and derivative_vanishes_direct(ctx, t)
+                      for t in range(1 << u)]
             verdicts = []  # (check, index, predicted, ground_truth)
             for check in checks:
                 if check in ("thm1", "thm2"):

@@ -1,14 +1,17 @@
 """Test-only helpers shared by the test files: the enumeration of every
-analysis context, coset sums summed term by term, Horner evaluation in a
-residue field, and fields rebuilt around another primitive element. The
-package itself needs none of them: analyze_field enumerates one context
-per Galois orbit, and the ground truth goes through the masked-sum kernel."""
+analysis context, a level's K sums unpacked, props 3 and 4 as CycInt
+products, coset sums summed term by term, Horner evaluation in a residue
+field, and fields rebuilt around another primitive element. The package
+itself needs none of them: analyze_field enumerates one context per Galois
+orbit, the criteria stay on packed count vectors, and the ground truth goes
+through the masked-sum kernel."""
 
 import copy
 import math
 
 from slce.criteria import AnalysisContext
-from slce.numth import divisors, units
+from slce.cyclo import CycInt
+from slce.numth import _unpack, divisors, units
 
 
 def admissible_contexts(seq):
@@ -18,6 +21,28 @@ def admissible_contexts(seq):
             continue
         for e in units(k):
             yield AnalysisContext(seq, k, e)
+
+
+def ksum_counts(ctx, h):
+    """The exponent-count vectors of ctx.level(h), unpacked."""
+    plan, ksums = ctx.level(h)
+    return [_unpack(x, plan.N, plan.w)[::-1] for x in ksums]
+
+
+def prop34_value(ctx, which):
+    """The element whose membership in 8 P O_L is prop 3 or prop 4, built
+    from the level-2 K sums as CycInt products with z4 = z_N^k."""
+    N, q = ctx.conductor(2), ctx.field.q
+    K = [CycInt.from_exponent_counts(N, counts) for counts in ksum_counts(ctx, 2)]
+    z4 = CycInt.root(N, ctx.k)
+    one = CycInt.from_int(N, 1)
+    if which == 3:
+        if q % 8 == 1:
+            return 2 * K[0] - (one - z4) * K[1] - (one + z4) * K[3]
+        return CycInt.from_int(N, 4) + 2 * K[0] + (one - z4) * K[1] + (one + z4) * K[3]
+    if q % 8 == 1:
+        return K[0] + z4 * K[1] - K[2] - z4 * K[3]
+    return K[0] - z4 * K[1] - K[2] + z4 * K[3]
 
 
 def coset_sum(ctx, i, h):

@@ -39,7 +39,9 @@ from oracles import (
     admissible_contexts,
     coset_sum,
     horner,
+    ksum_counts,
     primitive_elements,
+    prop34_value,
     with_primitive_element,
 )
 
@@ -188,7 +190,7 @@ class TestMultiplicityCriterion:
         s = generate_slce(build_field(5, 2), 2)
         for e in (1, 2):
             ctx = AnalysisContext(s, 3, e)
-            K0, K1 = (CycInt.from_exponent_counts(6, c) for c in ctx.ksum_counts(1))
+            K0, K1 = (CycInt.from_exponent_counts(6, c) for c in ksum_counts(ctx, 1))
             assert K0 == K1
             assert necessary_condition_check(ctx, 1) == prop_check(ctx, 1)
 
@@ -215,6 +217,21 @@ class TestPropositions:
                 assert prop_check(ctx, 3) == thm2_check(ctx, 2)
                 assert prop_check(ctx, 4) == thm2_check(ctx, 3)
 
+    def test_props34_match_the_cycint_products(self):
+        # the packed rotations against the closed forms multiplied out in
+        # Z[z_N], at every unit e, on both branches q = 1 and 5 mod 8; at q =
+        # 601 prop 3 holds at some units of k = 15 and fails at others
+        seen = set()
+        for p, m in [(13, 1), (29, 1), (37, 1), (41, 1), (97, 1), (5, 3), (449, 1), (601, 1)]:
+            s = generate_slce(build_field(p, m), 2)
+            for ctx in admissible_contexts(s):
+                for which in (3, 4):
+                    verdict = prop_check(ctx, which)
+                    assert verdict == ideal_membership(prop34_value(ctx, which), ctx.rf, 3), (
+                        which, ctx)
+                    seen.add((s.field.q % 8, verdict))
+        assert seen == {(1, False), (1, True), (5, False), (5, True)}
+
     def test_precondition(self):
         ctx = ctx_q7()  # q = 7 = 3 mod 4
         with pytest.raises(PreconditionUnmet):
@@ -236,7 +253,7 @@ def rotate_and_add_rows(ctx, h):
     rows = []
     for i in range(two_h):
         acc = [0] * N
-        for j, counts in enumerate(ctx.ksum_counts(h)):
+        for j, counts in enumerate(ksum_counts(ctx, h)):
             sign = -1 if j * (T // 2) % two_h else 1
             shift = (-i * j) % two_h * ctx.k
             for e, v in enumerate(counts):

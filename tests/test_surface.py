@@ -5,8 +5,11 @@ file on purpose. Also pinned: no `assert` statement in the package, since
 assertions vanish under `python -O`; failed invariants raise typed errors.
 And one reduction modulo Phi_N: the sparse long division only builds Phi_N,
 and the schoolbook product is gone, so every product and every fold goes
-through the Kronecker kernels of numth. And importing the command line
-loads no dataclasses, which would bring inspect and ast into every start."""
+through the Kronecker kernels of numth. The criteria route names no
+CycInt: its checks stay on packed count vectors, so the CycInt ring
+operators serve only the Jacobi-sum commands and the tests. And importing
+the command line loads no dataclasses, which would bring inspect and ast
+into every start."""
 
 import ast
 import importlib
@@ -66,6 +69,7 @@ DELETED = [
     ("ff", "ExtField.add_one_code"),
     ("criteria", "admissible_contexts"),
     ("criteria", "coset_sum"),
+    ("criteria", "AnalysisContext.ksum_counts"),
     ("polybin", "poly_gcd"),
     ("polybin", "BinaryPoly.from_coeffs"),
     ("polybin", "BinaryPoly.from_hex"),
@@ -131,6 +135,10 @@ def test_one_fold_modulo_phi():
     assert mentions("_int_divmod") == {
         ("numth", "_int_divmod"), ("numth", "cyclotomic_polynomial")}
     assert mentions("_int_mul") == set()
+
+
+def test_criteria_name_no_cycint():
+    assert {top for module, top in mentions("CycInt") if module == "criteria"} == set()
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
