@@ -49,6 +49,11 @@ counted block by block, on the benchmark's verify-wide workload.
 The whole-field verify at q = 4093 was taken before props 3 and 4 became
 rotations of the packed level-2 K sums: q = 5 mod 8 there, so it runs that
 branch of both closed forms at the large conductor 4 k = 4092.
+The whole-field verifies at q = 2689 (u = 7) and q = 5953 (u = 6) were
+taken before every Galois orbit tested one shared set of K sums against
+its own conjugate prime over 2: k = 7 and 21 have two orbits at q = 2689,
+and k = 31 and 93 six at q = 5953, so a wrong conjugate prime shows at
+deep twist levels there.
 """
 
 import hashlib
@@ -129,6 +134,10 @@ GOLDEN = [
      "c18b501cc27e14ab998c7312f8620d826ba6e82c3709ce0ee14fa5b16e6c4c23"),
     (("verify", "--p", "4093", "--qmax", "4093", "--jobs", "1"),
      "68a17d1a4dbbef6c74f26c1e3c6f4b480aa3eebd1e3c1048fa998a331a4be869"),
+    (("verify", "--p", "2689", "--qmax", "2689", "--jobs", "1"),
+     "09c19777a5f5e3f790dffc441e7036e600fa5e8b49811b609d73e4ffbd54047b"),
+    (("verify", "--p", "5953", "--qmax", "5953", "--jobs", "1"),
+     "b299d7fb213cf03f638c03a986e0fcde257b61de79e653026cb9e6562d50c3dd"),
 ]
 
 
