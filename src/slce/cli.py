@@ -15,7 +15,6 @@ from contextlib import nullcontext
 from .criteria import (
     ALL_CHECKS,
     CriterionRecord,
-    map_fields,
     multiplicity_profile,
     normalize_checks,
     verify_fields,
@@ -28,7 +27,7 @@ from .cyclo import (
     semiprimitive_gauss_closed,
 )
 from .errors import InternalInconsistency, SlceError
-from .ff import build_field
+from .ff import build_field, map_fields
 from .polybin import berlekamp_massey, lc_via_gcd
 from .seq import autocorrelation, balance_report, generate_slce
 

@@ -19,13 +19,14 @@ pairing, but evaluates each Galois orbit {e, 2e, 4e, ...} mod k once, at
 its smallest e, and its members share those verdicts. Each route is
 Frobenius-invariant on its own: S^[t](beta^2) = S^[t](beta)^2, and
 z_k -> z_k^2 fixes the canonical prime. analyze_field(..., all_units=True)
-makes every e its own orbit and so evaluates every unit, as an audit.
+makes every e its own orbit and so evaluates every unit, as an audit. The
+criteria test one e = 1 element per (sequence, k) at every conjugate prime.
 """
 
-import itertools
 import math
-import os
-from functools import partial
+import weakref
+from functools import partial, reduce, wraps
+from operator import xor
 from typing import NamedTuple
 
 from .cyclo import (
@@ -42,11 +43,10 @@ from .errors import (
     NotBinary,
     NotSemiprimitive,
     PreconditionUnmet,
-    SizeExceeded,
 )
-from .ff import SIZE_CAP, build_field, build_residue_field, field_order
-from .numth import _pack, divisors, fold, fold_plan, is_prime, two_adic_split, units
-from .polybin import _frobenius_pow, _mod2, binom_mod2, bit_length_h, index_set
+from .ff import build_field, build_residue_field, field_order, map_fields, odd_prime_powers
+from .numth import _pack, divisors, fold, fold_plan, two_adic_split, units
+from .polybin import _frobenius_pow, _mod2, binom_mod2, bit_length_h, factor_phi_mod2, index_set
 from .seq import generate_slce
 
 
@@ -57,11 +57,12 @@ from .seq import generate_slce
 class AnalysisContext:
     """One (sequence, k, e) instance: beta = gamma^e of order k in the
     canonical residue field rf, held as its bits, paired character
-    chi = eta_{e/k}. Immutable; K sums and root-of-unity matrix rows are
-    cached packed per twist level h."""
+    chi = eta_{e/k}, and prime, the index of beta's minimal polynomial in
+    factor_phi_mod2(k). Immutable; it shares its K sums, matrix rows and
+    check verdicts, packed per twist level h, with every live context of its
+    (sequence, k) (see level)."""
 
-    __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi",
-                 "_levels", "_rows")
+    __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi", "prime", "_shared", "__weakref__")
 
     def __init__(self, seq, k, e):
         field = seq.field
@@ -78,7 +79,8 @@ class AnalysisContext:
         self.k = k
         self.e = e % k
         self.rf = build_residue_field(k)
-        self.beta = self.rf.gamma_pow_bits()[self.e]
+        gp = self.rf.gamma_pow_bits()
+        self.beta = gp[self.e]
         self.chi = Character(field, self.e * (field.q - 1) // k)
         # chi(alpha) = z_o^c mod P: its coordinates' parities as a polynomial in gamma
         o, c = self.chi.order, self.chi.exponent_at(1)
@@ -86,23 +88,34 @@ class AnalysisContext:
         bits = sum(1 << i for i, x in enumerate(coeffs) if x & 1)
         if _mod2(bits, self.rf.modulus) != self.beta:
             raise InternalInconsistency(f"chi(alpha) does not reduce to beta in {self!r}")
-        self._levels = {}
-        self._rows = {}
+        # g(beta) is the sum of gamma^(j e) over the set bits j of g
+        self.prime = next(i for i, g in enumerate(factor_phi_mod2(k)) if not reduce(
+            xor, (gp[j * self.e % k] for j in range(g.bit_length()) if g >> j & 1)))
+        live = _LIVE.get((seq, k))
+        self._shared = {} if live is None else live._shared
+        _LIVE[seq, k] = self
 
     def conductor(self, h):
         return (1 << h) * self.k
 
     def level(self, h):
-        """(plan, K): K[j] is the exponent-count vector of K(eta_{j/2^h} chi)
-        in conductor N = 2^h k for j < 2^h, packed as numth.fold_packed
-        takes it, count e in slot N - 1 - e, in the slots of the FoldPlan
-        plan of N slots. A sum of packed vectors is their int sum less the
-        bias for each term past the first, c z^0 adds c << plan.top, and
-        times X^s moves slot i + s to slot i (mod N)."""
-        if h not in self._levels:
+        """(plan, K): K[j] is the exponent-count vector of K(eta_{j/2^h} chi_1),
+        chi_1 = eta_{1/k} whatever e is, in conductor N = 2^h k for j < 2^h,
+        packed as numth.fold_packed takes it, count e in slot N - 1 - e, in
+        the slots of the FoldPlan plan of N slots. A sum of packed vectors is
+        their int sum less the bias for each term past the first, c z^0 adds
+        c << plan.top, and times X^s moves slot i + s to slot i (mod N).
+
+        sigma_a: z_N -> z_N^a, a = e mod k and 1 mod 2^h, maps these to the
+        K(eta_{j/2^h} chi) and fixes z_{2^h} = z_N^k (sigma_a J(chi, psi) =
+        J(chi^a, psi^a)), so a check's element x_e is sigma_a(x_1), and x_e
+        is in 2^c P iff x_1 is in 2^c sigma_a^-1(P) = 2^c P_g, g the factor
+        of Phi_k mod 2 with g(beta) = 0 (cyclo.ideal_membership)."""
+        if ("level", h) not in self._shared:
             N = self.conductor(h)
-            step = (self.field.q - 1) >> h
-            counts = [k_sum_counts(Character(self.field, j * step + self.chi.a), N)
+            # eta_{j/2^h} chi_1 sends alpha to z_N^(j k + 2^h)
+            unit = (self.field.q - 1) // N
+            counts = [k_sum_counts(Character(self.field, (j * self.k + (1 << h)) * unit), N)
                       for j in range(1 << h)]
             # One width serves every vector of the level. With M the sum over j
             # of max |K[j]|, a matrix row (and each partial row of the
@@ -113,26 +126,31 @@ class AnalysisContext:
             # at most 2M + 4. So every vector is at most 2^h (M + 1), and its
             # fold must hold bit c + 1 <= h + 2.
             plan = fold_plan(N, N, (sum(max(map(abs, v)) for v in counts) + 1) << h, h + 2)
-            self._levels[h] = plan, [_pack(v[::-1], plan.w, plan.bias) for v in counts]
-        return self._levels[h]
+            self._shared["level", h] = plan, [_pack(v[::-1], plan.w, plan.bias) for v in counts]
+        return self._shared["level", h]
 
     def matrix_rows(self, h):
         """Row i of the root-of-unity matrix applied to the signed K sums:
-        sum over j of eta_{j/2^h}(-1) z_{2^h}^(-ij) K(eta_{j/2^h} chi),
+        sum over j of eta_{j/2^h}(-1) z_{2^h}^(-ij) K(eta_{j/2^h} chi_1),
         packed as the level's K sums. Row sums over subsets of i recover
         the pointwise K-form sums, so both matrix-style checks share this
         cache."""
-        if h not in self._rows:
+        if ("rows", h) not in self._shared:
             T = self.seq.T
             plan, ksums = self.level(h)
             # -v is packed as 2 bias - x
             signed = [x if _eta_sign_at_minus_one(T, j, h) > 0 else 2 * plan.bias - x
                       for j, x in enumerate(ksums)]
-            self._rows[h] = _cyclic_dft(signed, plan)
-        return self._rows[h]
+            self._shared["rows", h] = _cyclic_dft(signed, plan)
+        return self._shared["rows", h]
 
     def __repr__(self):
         return f"AnalysisContext(q={self.field.q}, k={self.k}, e={self.e})"
+
+
+# (sequence, k) -> its newest live context, whose shared state a new one
+# takes: a run over a field's k holds one k's K sums at a time
+_LIVE = weakref.WeakValueDictionary()
 
 
 def _cyclic_dft(vectors, plan):
@@ -190,6 +208,27 @@ def _check_t(ctx, t):
         raise ValueError(f"t = {t} outside [0, 2^u) with u = {ctx.seq.u}")
 
 
+def _at_own_prime(check):
+    # check(ctx, index) returns ideal_membership's verdicts at every prime over
+    # 2, once per (sequence, k, index); each context reads its own prime's
+    @wraps(check)
+    def verdict(ctx, index):
+        key = check.__name__, index
+        if key not in ctx._shared:
+            ctx._shared[key] = check(ctx, index)
+        return ctx._shared[key] >> ctx.prime & 1 == 1
+    return verdict
+
+
+def _every(verdicts):
+    # the primes set in all of the verdicts, read until none is left
+    alive = -1
+    for mask in verdicts:
+        if not (alive := alive & mask):
+            break
+    return alive
+
+
 # ---------------------------------------------------------------------------
 # ground truth
 
@@ -216,6 +255,7 @@ def derivative_vanishes_direct(ctx, t):
 # pointwise criteria
 
 
+@_at_own_prime
 def thm1_check(ctx, t):
     """Criterion 1: C(T/2,t) + sum C(n,t) rho(alpha^n + 1) chi(alpha^n)
     lies in 2P, with every binomial read through its Lucas parity.
@@ -226,7 +266,7 @@ def thm1_check(ctx, t):
     counterexample) while the parity form agrees with the direct
     evaluation everywhere."""
     _check_t(ctx, t)
-    T, k, e = ctx.seq.T, ctx.k, ctx.e
+    T, k = ctx.seq.T, ctx.k
     half = T // 2
     # rho(alpha^n + 1) is (-1)^z[n] with z the Zech-logarithm table, and
     # 0 at n = T/2 where alpha^n + 1 = 0
@@ -234,11 +274,12 @@ def thm1_check(ctx, t):
     counts = [0] * k
     for n in range(T):
         if n & t == t and n != half:
-            counts[n * e % k] += 1 - 2 * (zech[n] & 1)
+            counts[n % k] += 1 - 2 * (zech[n] & 1)
     counts[0] += binom_mod2(half, t)
-    return ideal_membership(counts, ctx.rf, 1)
+    return ideal_membership(counts, ctx.rf, 1, every_prime=True)
 
 
+@_at_own_prime
 def thm2_check(ctx, t):
     """Criterion 2: the K-sum form of thm1_check, with h the bit length of
     t, tested modulo 2^(h+1) P Z[z_{2^h k}].
@@ -257,9 +298,10 @@ def thm2_check(ctx, t):
     index = index_set(t)
     acc = sum(map(rows.__getitem__, index)) - (len(index) - 1) * plan.bias
     acc += binom_mod2(T // 2, t) << (h + plan.top)
-    return ideal_membership(acc, ctx.rf, h + 1, plan)
+    return ideal_membership(acc, ctx.rf, h + 1, plan, every_prime=True)
 
 
+@_at_own_prime
 def thm3_check(ctx, h):
     """Criterion 3: beta has multiplicity at least 2^h iff the 2^h x 2^h
     root-of-unity matrix applied to the twisted K-sums is congruent to
@@ -271,23 +313,23 @@ def thm3_check(ctx, h):
     two_h = 1 << h
     plan, _ = ctx.level(h)
     d_index = (T // 2) % two_h
-    for i, row in enumerate(ctx.matrix_rows(h)):
-        if i == d_index:
-            row += two_h << plan.top
-        if not ideal_membership(row, ctx.rf, h + 1, plan):
-            return False
-    return True
+    return _every(ideal_membership(row + (two_h << plan.top) * (i == d_index), ctx.rf, h + 1,
+                                   plan, every_prime=True)
+                  for i, row in enumerate(ctx.matrix_rows(h)))
 
 
+@_at_own_prime
 def necessary_condition_check(ctx, h):
     """One-directional check: multiplicity >= 2^h forces every twisted K-sum
     to be congruent to -1 modulo 2 P Z[z_{2^h k}]. Never sufficient."""
     if not 1 <= h <= ctx.seq.u:
         raise HOutOfRange(f"h = {h} outside 1..u = {ctx.seq.u}")
     plan, ksums = ctx.level(h)
-    return all(ideal_membership(x + (1 << plan.top), ctx.rf, 1, plan) for x in ksums)
+    return _every(ideal_membership(x + (1 << plan.top), ctx.rf, 1, plan, every_prime=True)
+                  for x in ksums)
 
 
+@_at_own_prime
 def prop_check(ctx, which):
     """Specializations of the congruences at t = which - 1 (which in 1..4),
     written out the way the closed forms are usually quoted. Props 3 and 4
@@ -295,14 +337,14 @@ def prop_check(ctx, which):
     q = ctx.field.q
     if which == 1:
         plan, (K0,) = ctx.level(0)
-        return ideal_membership(K0 + (1 << plan.top), ctx.rf, 1, plan)
+        return ideal_membership(K0 + (1 << plan.top), ctx.rf, 1, plan, every_prime=True)
     if which == 2:
         plan, (K0, K1) = ctx.level(1)
         if q % 4 == 1:
             acc = K0 - K1 + plan.bias
         else:
             acc = K0 + K1 - plan.bias + (2 << plan.top)
-        return ideal_membership(acc, ctx.rf, 2, plan)
+        return ideal_membership(acc, ctx.rf, 2, plan, every_prime=True)
     if which not in (3, 4):
         raise ValueError("which must be in 1..4")
     if q % 4 != 1:
@@ -319,7 +361,7 @@ def prop_check(ctx, which):
         value = 2 * K0 - K1 - K3 + z4_diff
     else:
         value = 2 * K0 + K1 + K3 + z4_diff - 4 * plan.bias + (4 << plan.top)
-    return ideal_membership(value, ctx.rf, 3, plan)
+    return ideal_membership(value, ctx.rf, 3, plan, every_prime=True)
 
 
 # ---------------------------------------------------------------------------
@@ -480,53 +522,6 @@ def normalize_checks(tokens):
         if name not in out:
             out.append(name)
     return tuple(out)
-
-
-def odd_prime_powers(q_max):
-    """(p, m, q) for every odd prime power q <= q_max, ascending in q."""
-    out = []
-    for p in range(3, q_max + 1, 2):
-        if not is_prime(p):
-            continue
-        q, m = p, 1
-        while q <= q_max:
-            out.append((p, m, q))
-            q *= p
-            m += 1
-    return sorted(out, key=lambda t: t[2])
-
-
-def map_fields(fn, q_max, p_filter=None, jobs=1):
-    """fn(p, m) for every odd prime power q = p^m <= q_max (characteristic
-    p_filter only, if given: an odd prime <= SIZE_CAP), lazily in ascending
-    q, each result as soon as its field finishes. The arguments are checked
-    at the call. jobs > 1 maps over a pool of at most one worker per field
-    and per CPU, with Pool.imap, which keeps the order; fn must then be
-    picklable.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if q_max > SIZE_CAP:
-        raise SizeExceeded(f"q_max = {q_max} exceeds the size cap {SIZE_CAP}")
-    if p_filter is not None:
-        field_order(p_filter, 1)
-    fields = [(p, m) for p, m, _ in odd_prime_powers(q_max)
-              if p_filter is None or p == p_filter]
-    jobs = min(jobs, len(fields), os.cpu_count() or 1)
-    if jobs <= 1:
-        return itertools.starmap(fn, fields)
-    return _pooled(fn, fields, jobs)
-
-
-def _pooled(fn, fields, jobs):
-    import multiprocessing
-
-    with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(partial(_apply, fn), fields)
-
-
-def _apply(fn, field):
-    return fn(*field)
 
 
 def analyze_field(p, m, checks=ALL_CHECKS, all_units=False):

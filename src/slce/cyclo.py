@@ -382,14 +382,17 @@ def semiprimitive_gauss_closed(p, m, N):
 
 
 @lru_cache(maxsize=CONDUCTORS_HELD)
-def _generator(modulus, h):
-    # the generator of the image of P O_L mod 2 (see ideal_membership)
-    return modulus if h == 0 else polybin._frobenius_pow(modulus, 1 << (h - 1))
+def _generators(k, h):
+    # the generator of the image of P_g O_L mod 2 for each g in factor_phi_mod2(k)
+    return tuple(g if h == 0 else polybin._frobenius_pow(g, 1 << (h - 1))
+                 for g in polybin.factor_phi_mod2(k))
 
 
-def ideal_membership(x, rf, c, plan=None):
-    """Is x in 2^c P O_L? P = (2, f_can(z_k)) is the canonical prime over 2,
-    with f_can = rf.modulus, and O_L = Z[z_N] is x's own ring, N = 2^h k.
+def ideal_membership(x, rf, c, plan=None, every_prime=False):
+    """Is x in 2^c P O_L? P = P_g for g = f_can = rf.modulus, the canonical
+    prime over 2, where P_g = (2, g(z_k)) for a factor g of Phi_k mod 2, and
+    O_L = Z[z_N] is x's own ring, N = 2^h k. With every_prime, the int whose
+    bit i is the verdict at P_g for g = factor_phi_mod2(k)[i] (f_can is [0]).
     x is a CycInt, the list of N exponent counts of sum counts[e] z_N^e,
     or with the FoldPlan plan such counts packed as numth.fold_packed takes
     them, in slots that hold bit c + 1 below the bias.
@@ -399,7 +402,8 @@ def ideal_membership(x, rf, c, plan=None):
     depends on y mod 2. Mod 2, f_can(z_k) = f_can(X^(2^h)) = f_can^(2^h) and
     Phi_N = Phi_k^(2^(h-1)) for h >= 1; Phi_k is squarefree mod 2, so the
     image of P O_L in GF(2)[X]/(Phi_N) is generated by their gcd
-    f_can^(2^(h-1)), or f_can at h = 0, and y is in P O_L iff it divides y.
+    f_can^(2^(h-1)), or f_can at h = 0, and y is in P O_L iff it divides y;
+    likewise at every P_g.
 
     Both tests read the coordinates mod 2^(c+1) only: the fold gives them
     exactly, and one AND keeps the low c + 1 bits of every slot.
@@ -416,7 +420,9 @@ def ideal_membership(x, rf, c, plan=None):
     low = plan.ones * ((2 << c) - 1)
     x &= low
     if x & (low >> 1):
-        return False
+        return 0 if every_prime else False
     # bit c of each slot, r[phi - 1] first
-    digits = (x >> c).to_bytes(plan.w * plan.d, "little")[::plan.w]
-    return polybin._mod2(polybin._pack_bits(digits), _generator(rf.modulus, h)) == 0
+    y = polybin._pack_bits((x >> c).to_bytes(plan.w * plan.d, "little")[::plan.w])
+    if every_prime:
+        return sum(1 << i for i, g in enumerate(_generators(rf.k, h)) if not polybin._mod2(y, g))
+    return polybin._mod2(y, _generators(rf.k, h)[0]) == 0

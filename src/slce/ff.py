@@ -22,8 +22,13 @@ the class gamma of X has multiplicative order exactly k; an element is the
 int bit-vector of its polynomial in gamma, and the field holds the table
 of gamma's powers. This is the concrete home for odd-order roots of
 X^T - 1 and for reductions of cyclotomic integers modulo a prime over 2.
+
+map_fields runs a function over every field up to a given q, as verify and
+sweep do.
 """
 
+import itertools
+import os
 import weakref
 from functools import lru_cache, partial
 from operator import mul
@@ -357,3 +362,54 @@ def build_residue_field(k):
         raise KisOne("k = 1 gives the prime field; use the profile helpers")
     fcan = polybin.factor_phi_mod2(k)[0]
     return ResidueField(k, fcan, polybin._deg(fcan))
+
+
+# ---------------------------------------------------------------------------
+# runs over fields
+
+
+def odd_prime_powers(q_max):
+    """(p, m, q) for every odd prime power q <= q_max, ascending in q."""
+    out = []
+    for p in range(3, q_max + 1, 2):
+        if not is_prime(p):
+            continue
+        q, m = p, 1
+        while q <= q_max:
+            out.append((p, m, q))
+            q *= p
+            m += 1
+    return sorted(out, key=lambda t: t[2])
+
+
+def map_fields(fn, q_max, p_filter=None, jobs=1):
+    """fn(p, m) for every odd prime power q = p^m <= q_max (characteristic
+    p_filter only, if given: an odd prime <= SIZE_CAP), lazily in ascending
+    q, each result as soon as its field finishes. The arguments are checked
+    at the call. jobs > 1 maps over a pool of at most one worker per field
+    and per CPU, with Pool.imap, which keeps the order; fn must then be
+    picklable.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if q_max > SIZE_CAP:
+        raise SizeExceeded(f"q_max = {q_max} exceeds the size cap {SIZE_CAP}")
+    if p_filter is not None:
+        field_order(p_filter, 1)
+    fields = [(p, m) for p, m, _ in odd_prime_powers(q_max)
+              if p_filter is None or p == p_filter]
+    jobs = min(jobs, len(fields), os.cpu_count() or 1)
+    if jobs <= 1:
+        return itertools.starmap(fn, fields)
+    return _pooled(fn, fields, jobs)
+
+
+def _pooled(fn, fields, jobs):
+    import multiprocessing
+
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(partial(_apply, fn), fields)
+
+
+def _apply(fn, field):
+    return fn(*field)

@@ -1,17 +1,20 @@
 """Test-only helpers shared by the test files: the enumeration of every
-analysis context, a level's K sums unpacked, props 3 and 4 as CycInt
-products, coset sums summed term by term, Horner evaluation in a residue
-field, and fields rebuilt around another primitive element. The package
-itself needs none of them: analyze_field enumerates one context per Galois
-orbit, the criteria stay on packed count vectors, and the ground truth goes
-through the masked-sum kernel."""
+analysis context, a level's K sums unpacked, every check built the way
+each context built it on its own (from its own character's K sums, tested
+in the canonical prime), props 3 and 4 as CycInt products, coset sums
+summed term by term, Horner evaluation in a residue field, and fields
+rebuilt around another primitive element. The package itself needs none of
+them: analyze_field enumerates one context per Galois orbit, the criteria
+build one element per (sequence, k) and test it at every prime over 2, and
+the ground truth goes through the masked-sum kernel."""
 
 import copy
 import math
 
-from slce.criteria import AnalysisContext
-from slce.cyclo import CycInt
-from slce.numth import _unpack, divisors, units
+from slce.criteria import AnalysisContext, _cyclic_dft
+from slce.cyclo import Character, CycInt, ideal_membership, k_sum_counts
+from slce.numth import _pack, _unpack, divisors, fold_plan, units
+from slce.polybin import binom_mod2, bit_length_h, index_set
 
 
 def admissible_contexts(seq):
@@ -29,11 +32,86 @@ def ksum_counts(ctx, h):
     return [_unpack(x, plan.N, plan.w)[::-1] for x in ksums]
 
 
+def own_ksum_counts(ctx, h):
+    """The exponent-count vectors of K(eta_{j/2^h} chi) in conductor 2^h k
+    for j < 2^h, chi = eta_{e/k} the context's own character, straight from
+    k_sum_counts."""
+    step = (ctx.field.q - 1) >> h
+    return [k_sum_counts(Character(ctx.field, j * step + ctx.chi.a), ctx.conductor(h))
+            for j in range(1 << h)]
+
+
+class OwnContext:
+    """A context's checks the way each context built them on its own: the
+    levels and matrix rows from its own character's K sums, packed as
+    AnalysisContext packs them, and every element tested in the canonical
+    prime ctx.rf; thm1 sums chi(alpha^n) = z_k^(n e)."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self._levels, self._rows = {}, {}
+
+    def level(self, h):
+        if h not in self._levels:
+            counts = own_ksum_counts(self.ctx, h)
+            N = self.ctx.conductor(h)
+            plan = fold_plan(N, N, (sum(max(map(abs, v)) for v in counts) + 1) << h, h + 2)
+            self._levels[h] = plan, [_pack(v[::-1], plan.w, plan.bias) for v in counts]
+        return self._levels[h]
+
+    def matrix_rows(self, h):
+        if h not in self._rows:
+            plan, ksums = self.level(h)
+            half = self.ctx.seq.T // 2
+            signed = [2 * plan.bias - x if j * half % (1 << h) else x for j, x in enumerate(ksums)]
+            self._rows[h] = _cyclic_dft(signed, plan)
+        return self._rows[h]
+
+    def verdict(self, check, index):
+        """check's verdict at index, a name of ALL_CHECKS; props at t = index."""
+        ctx = self.ctx
+        T, k, rf, q = ctx.seq.T, ctx.k, ctx.rf, ctx.field.q
+        if check == "thm1":
+            zech = ctx.field.zech_log()
+            counts = [0] * k
+            for n in range(T):
+                if n & index == index and n != T // 2:
+                    counts[n * ctx.e % k] += 1 - 2 * (zech[n] & 1)
+            counts[0] += binom_mod2(T // 2, index)
+            return ideal_membership(counts, rf, 1)
+        if check == "thm2":
+            h = bit_length_h(index)
+            plan, _ = self.level(h)
+            rows, subset = self.matrix_rows(h), index_set(index)
+            acc = sum(rows[i] for i in subset) - (len(subset) - 1) * plan.bias
+            acc += binom_mod2(T // 2, index) << (h + plan.top)
+            return ideal_membership(acc, rf, h + 1, plan)
+        if check == "thm3":
+            plan, _ = self.level(index)
+            d = (T // 2) % (1 << index)
+            return all(ideal_membership(row + ((1 << index) << plan.top) * (i == d), rf,
+                                        index + 1, plan)
+                       for i, row in enumerate(self.matrix_rows(index)))
+        if check == "necessary":
+            plan, ksums = self.level(index)
+            return all(ideal_membership(x + (1 << plan.top), rf, 1, plan) for x in ksums)
+        if check == "prop1":
+            plan, (K0,) = self.level(0)
+            return ideal_membership(K0 + (1 << plan.top), rf, 1, plan)
+        if check == "prop2":
+            plan, (K0, K1) = self.level(1)
+            if q % 4 == 1:
+                return ideal_membership(K0 - K1 + plan.bias, rf, 2, plan)
+            return ideal_membership(K0 + K1 - plan.bias + (2 << plan.top), rf, 2, plan)
+        return ideal_membership(prop34_value(ctx, int(check[-1])), rf, 3)
+
+
 def prop34_value(ctx, which):
-    """The element whose membership in 8 P O_L is prop 3 or prop 4, built
-    from the level-2 K sums as CycInt products with z4 = z_N^k."""
+    """The element whose membership in 8 P O_L is prop 3 or prop 4 for the
+    context's own character, built from its level-2 K sums (own_ksum_counts)
+    as CycInt products with z4 = z_N^k."""
     N, q = ctx.conductor(2), ctx.field.q
-    K = [CycInt.from_exponent_counts(N, counts) for counts in ksum_counts(ctx, 2)]
+    K = [CycInt.from_exponent_counts(N, counts) for counts in own_ksum_counts(ctx, 2)]
     z4 = CycInt.root(N, ctx.k)
     one = CycInt.from_int(N, 1)
     if which == 3:

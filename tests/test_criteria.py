@@ -40,6 +40,7 @@ from oracles import (
     coset_sum,
     horner,
     ksum_counts,
+    OwnContext,
     primitive_elements,
     prop34_value,
     with_primitive_element,
@@ -219,7 +220,8 @@ class TestPropositions:
 
     def test_props34_match_the_cycint_products(self):
         # the packed rotations against the closed forms multiplied out in
-        # Z[z_N], at every unit e, on both branches q = 1 and 5 mod 8; at q =
+        # Z[z_N] from each context's own K sums and tested in the canonical
+        # prime, at every unit e, on both branches q = 1 and 5 mod 8; at q =
         # 601 prop 3 holds at some units of k = 15 and fails at others
         seen = set()
         for p, m in [(13, 1), (29, 1), (37, 1), (41, 1), (97, 1), (5, 3), (449, 1), (601, 1)]:
@@ -375,6 +377,72 @@ class TestGaloisOrbits:
         assert len(built) == len(set(built)) == len(orbits) == 12
         assert {(k, min(c)) for k, c in orbits} == set(built)
         assert {(r.k, r.e) for r in records} == {(k, e) for k, c in orbits for e in c}
+
+
+CHECK_FNS = {"thm1": thm1_check, "thm2": thm2_check, "thm3": thm3_check,
+             "necessary": necessary_condition_check}
+
+
+def every_check(ctx):
+    """(name, check, index) for every check analyze_field runs on ctx."""
+    u = ctx.seq.u
+    for name in ("thm1", "thm2"):
+        yield from ((name, CHECK_FNS[name], t) for t in range(1 << u))
+    for name in ("thm3", "necessary"):
+        yield from ((name, CHECK_FNS[name], h) for h in range(1, u + 1))
+    for which in (1, 2, 3, 4) if ctx.field.q % 4 == 1 else (1, 2):
+        yield f"prop{which}", lambda c, w: prop_check(c, w + 1), which - 1
+
+
+class TestConjugatePrimes:
+    """Every check builds its element once per (sequence, k) from the K sums
+    of chi_1 and reads each context's verdict at the prime over 2 of the
+    factor of Phi_k mod 2 that vanishes at beta. The oracle builds every
+    element from the context's own character and tests it in the canonical
+    prime, as each context did on its own."""
+
+    @pytest.mark.parametrize("p,m", [(p, m) for p, m, q in odd_prime_powers(128)]
+                             + [(3, 5), (449, 1), (601, 1), (2689, 1)])
+    def test_every_check_matches_its_own_construction(self, p, m):
+        # e descends, so the state the contexts of each k share is built at
+        # e = k - 1, not at e = 1
+        s = generate_slce(build_field(p, m), 2)
+        for k in divisors(s.Tprime)[1:]:
+            for e in reversed(units(k)):
+                ctx = AnalysisContext(s, k, e)
+                own = OwnContext(ctx)
+                for name, fn, index in every_check(ctx):
+                    assert fn(ctx, index) == own.verdict(name, index), (ctx, name, index)
+
+    def test_orbits_of_one_k_can_disagree(self):
+        # so a verdict read at the wrong prime shows: at q = 29 the two
+        # orbits of k = 7 differ in prop 3. The context at e = 3 is built
+        # first and alone, so the state both share is built there.
+        s = generate_slce(build_field(29, 1), 2)
+        three = AnalysisContext(s, 7, 3)
+        assert prop_check(three, 3) == OwnContext(three).verdict("prop3", 2)
+        assert prop_check(AnalysisContext(s, 7, 1), 3) != prop_check(three, 3)
+
+    def test_orbits_map_onto_the_factors(self):
+        # every k | T' with q <= 1024: each orbit's prime indexes a factor of
+        # Phi_k mod 2 that vanishes at beta, the orbits take each factor
+        # once, and every member of an orbit takes its orbit's factor
+        seen = set()
+        for p, m, q in odd_prime_powers(1024):
+            s = generate_slce(build_field(p, m), 2)
+            for k in divisors(s.Tprime)[1:]:
+                if k in seen:
+                    continue
+                seen.add(k)
+                factors = factor_phi_mod2(k)
+                primes = []
+                for e, members in galois_orbits(k):
+                    ctx = AnalysisContext(s, k, e)
+                    assert horner(factors[ctx.prime], ctx.rf, ctx.beta) == 0, (k, e)
+                    assert {AnalysisContext(s, k, x).prime for x in members} == {ctx.prime}
+                    primes.append(ctx.prime)
+                assert sorted(primes) == list(range(len(factors))), k
+        assert len(seen) > 100
 
 
 class TestAlphaInvariance:
