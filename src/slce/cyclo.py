@@ -389,11 +389,11 @@ def _generators(k, h):
 
 
 def ideal_membership(x, rf, c, plan=None, every_prime=False):
-    """Is x in 2^c P O_L? P = P_g for g = f_can = rf.modulus, the canonical
-    prime over 2, where P_g = (2, g(z_k)) for a factor g of Phi_k mod 2, and
-    O_L = Z[z_N] is x's own ring, N = 2^h k. With every_prime, the int whose
-    bit i is the verdict at P_g for g = factor_phi_mod2(k)[i] (f_can is [0]).
-    x is a CycInt, the list of N exponent counts of sum counts[e] z_N^e,
+    """Is x in 2^c P O_L? P = (2, f_can(z_k)) is the canonical prime over 2,
+    with f_can = rf.modulus = factor_phi_mod2(k)[0], and O_L = Z[z_N] is x's
+    own ring, N = 2^h k. With every_prime, the int whose bit i is the
+    verdict at P_g = (2, g(z_k)) for g = factor_phi_mod2(k)[i], the prime
+    over 2 of that factor, so bit 0 is P's. x is a CycInt, the list of N exponent counts of sum counts[e] z_N^e,
     or with the FoldPlan plan such counts packed as numth.fold_packed takes
     them, in slots that hold bit c + 1 below the bias.
 
