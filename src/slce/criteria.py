@@ -24,7 +24,6 @@ criteria test one e = 1 element per (sequence, k) at every conjugate prime.
 """
 
 import math
-import weakref
 from functools import partial, reduce, wraps
 from operator import xor
 from typing import NamedTuple
@@ -58,11 +57,11 @@ class AnalysisContext:
     """One (sequence, k, e) instance: beta = gamma^e of order k in the
     canonical residue field rf, held as its bits, paired character
     chi = eta_{e/k}, and prime, the index of beta's minimal polynomial in
-    factor_phi_mod2(k). Immutable; it shares its K sums, matrix rows and
-    check verdicts, packed per twist level h, with every live context of its
-    (sequence, k) (see level)."""
+    factor_phi_mod2(k). Immutable; its K sums, matrix rows and check
+    verdicts, packed per twist level h, depend on (sequence, k) only (see
+    level), and analyze_field gives every orbit of a k one dict of them."""
 
-    __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi", "prime", "_shared", "__weakref__")
+    __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi", "prime", "_shared")
 
     def __init__(self, seq, k, e):
         field = seq.field
@@ -91,9 +90,7 @@ class AnalysisContext:
         # g(beta) is the sum of gamma^(j e) over the set bits j of g
         self.prime = next(i for i, g in enumerate(factor_phi_mod2(k)) if not reduce(
             xor, (gp[j * self.e % k] for j in range(g.bit_length()) if g >> j & 1)))
-        live = _LIVE.get((seq, k))
-        self._shared = {} if live is None else live._shared
-        _LIVE[seq, k] = self
+        self._shared = {}
 
     def conductor(self, h):
         return (1 << h) * self.k
@@ -146,11 +143,6 @@ class AnalysisContext:
 
     def __repr__(self):
         return f"AnalysisContext(q={self.field.q}, k={self.k}, e={self.e})"
-
-
-# (sequence, k) -> its newest live context, whose shared state a new one
-# takes: a run over a field's k holds one k's K sums at a time
-_LIVE = weakref.WeakValueDictionary()
 
 
 def _cyclic_dft(vectors, plan):
@@ -538,8 +530,10 @@ def analyze_field(p, m, checks=ALL_CHECKS, all_units=False):
     for k in divisors(seq.Tprime):
         if k == 1:
             continue
+        shared = {}  # one k's K sums, rows and verdicts at a time
         for e, members in galois_orbits(k, all_units):
             ctx = AnalysisContext(seq, k, e)
+            ctx._shared = shared
             mult = profile.entries[(k, e)]
             # the profile's masked sums vanish below t = mult, not at it
             direct = [t < mult or t > mult and derivative_vanishes_direct(ctx, t)

@@ -404,20 +404,21 @@ class TestConjugatePrimes:
     @pytest.mark.parametrize("p,m", [(p, m) for p, m, q in odd_prime_powers(128)]
                              + [(3, 5), (449, 1), (601, 1), (2689, 1)])
     def test_every_check_matches_its_own_construction(self, p, m):
-        # e descends, so the state the contexts of each k share is built at
-        # e = k - 1, not at e = 1
+        # the contexts of each k share one state, as in analyze_field, and e
+        # descends, so that state is built at e = k - 1, not at e = 1
         s = generate_slce(build_field(p, m), 2)
         for k in divisors(s.Tprime)[1:]:
+            shared = {}
             for e in reversed(units(k)):
                 ctx = AnalysisContext(s, k, e)
+                ctx._shared = shared
                 own = OwnContext(ctx)
                 for name, fn, index in every_check(ctx):
                     assert fn(ctx, index) == own.verdict(name, index), (ctx, name, index)
 
     def test_orbits_of_one_k_can_disagree(self):
         # so a verdict read at the wrong prime shows: at q = 29 the two
-        # orbits of k = 7 differ in prop 3. The context at e = 3 is built
-        # first and alone, so the state both share is built there.
+        # orbits of k = 7 differ in prop 3
         s = generate_slce(build_field(29, 1), 2)
         three = AnalysisContext(s, 7, 3)
         assert prop_check(three, 3) == OwnContext(three).verdict("prop3", 2)
