@@ -54,6 +54,12 @@ taken before every Galois orbit tested one shared set of K sums against
 its own conjugate prime over 2: k = 7 and 21 have two orbits at q = 2689,
 and k = 31 and 93 six at q = 5953, so a wrong conjugate prime shows at
 deep twist levels there.
+The complexity runs at q = 65521 and q = 40961 were taken before the
+ground truth and thm1 read every (orbit, t) off one superset-summed table
+per sequence instead of looping over the sequence: at 65521, T' = 4095 has
+23 divisors k > 1, so the multiplicity profile folds 4,095-bit masks at
+every one of them, and at 40961, u = 13 is the deepest superset transform
+the size cap allows.
 """
 
 import hashlib
@@ -138,6 +144,10 @@ GOLDEN = [
      "09c19777a5f5e3f790dffc441e7036e600fa5e8b49811b609d73e4ffbd54047b"),
     (("verify", "--p", "5953", "--qmax", "5953", "--jobs", "1"),
      "b299d7fb213cf03f638c03a986e0fcde257b61de79e653026cb9e6562d50c3dd"),
+    (("complexity", "--p", "65521"),
+     "72be8e0f0a4285aab9b2913093234d398a9364f944bfdce56f92d8c9d5adae45"),
+    (("complexity", "--p", "40961"),
+     "8fb55547a59c151d3daa268768e31d58708db0eaa3d6b1b594d17dbbeb4e88cd"),
 ]
 
 
