@@ -8,6 +8,14 @@ both sides independently:
   * ground truth: direct evaluation of sum C(n,t) s_n beta^n in GF(2^f);
   * criteria: exact cyclotomic-integer congruences (the numbered checks).
 
+C(n,t) is odd exactly when n & t == t, which for t < 2^u reads only n mod
+2^u, and n < T is fixed by (n mod 2^u, n mod T'). So the ground truth and
+thm1 each read every (orbit, t) off one table per sequence, indexed by t
+and n mod T' and summed over the supersets of t's bits: the parities of s_n
+for the ground truth, the signs rho(alpha^n + 1) for thm1. Each route
+builds its own table, and the ground truth reaches Phi_k only through the
+residue field's gamma powers.
+
 Every check is an if-and-only-if claim, so any disagreement between a
 criterion and the direct evaluation is an implementation bug or an erratum
 and must surface as a mismatch record, never be suppressed.
@@ -25,7 +33,8 @@ criteria test one e = 1 element per (sequence, k) at every conjugate prime.
 
 import math
 from functools import partial, reduce, wraps
-from operator import xor
+from itertools import compress, count
+from operator import add, xor
 from typing import NamedTuple
 
 from .cyclo import (
@@ -225,22 +234,63 @@ def _every(verdicts):
 # ground truth
 
 
-def _masked_sum(ones, gp, k, e, mask, value):
-    # sum of gamma^(n e) over the ones positions n with n & mask == value,
-    # as bits of GF(2^f); gp is the gamma-power table of the order-k field
-    acc = 0
-    for n in ones:
-        if n & mask == value:
-            acc ^= gp[n * e % k]
+def _per_sequence(build):
+    # build(seq) once per sequence, held on the sequence, so that it lives no
+    # longer than the sequence does
+    @wraps(build)
+    def table(seq):
+        if build not in seq._tables:
+            seq._tables[build] = build(seq)
+        return seq._tables[build]
+    return table
+
+
+@_per_sequence
+def _hasse_masks(seq):
+    # masks[t] for t < 2^u: bit b is the parity of the ones positions n with
+    # n & t == t and n = b mod T'. Bit n & t == t reads only n mod 2^u, and
+    # (n mod 2^u, n mod T') is a different pair for every n < T, so the
+    # table holds each one at masks[n mod 2^u], then sums over supersets.
+    cap, Tp = 1 << seq.u, seq.Tprime
+    masks = [0] * cap
+    for n in seq.ones_positions():
+        masks[n & cap - 1] ^= 1 << n % Tp
+    for i in range(seq.u):
+        for a in range(cap):
+            if not a >> i & 1:
+                masks[a] ^= masks[a | 1 << i]
+    return masks
+
+
+def _fold_mask(x, k):
+    # x mod X^k - 1 over GF(2)
+    low, acc = (1 << k) - 1, 0
+    while x:
+        acc ^= x & low
+        x >>= k
     return acc
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _evaluate_mask(x, gp, k, e):
+    # x(gamma^e) as bits of the order-k residue field whose gamma powers are
+    # gp, for x < 2^k: the XOR of gamma^(j e mod k) over the set bits j of x
+    bits = bin(x)[:1:-1].encode().translate(_BIT_VALUES)
+    return reduce(xor, map(gp.__getitem__, map(k.__rmod__, compress(count(0, e), bits))), 0)
 
 
 def derivative_vanishes_direct(ctx, t):
     """Does sum C(n,t) s_n beta^n vanish in GF(2^f)? This is the direct
     witness for the t-th Hasse derivative of S vanishing at beta; by Lucas,
-    C(n,t) is odd exactly when the bits of t are among those of n."""
+    C(n,t) is odd exactly when the bits of t are among those of n. The sum
+    is read off the sequence's table of such parities (_hasse_masks),
+    folded mod X^k - 1 and evaluated at beta = gamma^e from the residue
+    field's gamma powers alone."""
     _check_t(ctx, t)
-    return _masked_sum(ctx.seq.ones_positions(), ctx.rf.gamma_pow_bits(), ctx.k, ctx.e, t, t) == 0
+    mask = _fold_mask(_hasse_masks(ctx.seq)[t], ctx.k)
+    return _evaluate_mask(mask, ctx.rf.gamma_pow_bits(), ctx.k, ctx.e) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +308,28 @@ def thm1_check(ctx, t):
     counterexample) while the parity form agrees with the direct
     evaluation everywhere."""
     _check_t(ctx, t)
-    T, k = ctx.seq.T, ctx.k
-    half = T // 2
-    # rho(alpha^n + 1) is (-1)^z[n] with z the Zech-logarithm table, and
-    # 0 at n = T/2 where alpha^n + 1 = 0
-    zech = ctx.field.zech_log()
-    counts = [0] * k
-    for n in range(T):
-        if n & t == t and n != half:
-            counts[n % k] += 1 - 2 * (zech[n] & 1)
-    counts[0] += binom_mod2(half, t)
+    row, k = _rho_sums(ctx.seq)[t], ctx.k
+    counts = [sum(row[j::k]) for j in range(k)]
+    counts[0] += binom_mod2(ctx.seq.T // 2, t)
     return ideal_membership(counts, ctx.rf, 1, every_prime=True)
+
+
+@_per_sequence
+def _rho_sums(seq):
+    # sums[t][b] for t < 2^u: the sum of rho(alpha^n + 1) over the n with
+    # n & t == t and n = b mod T', built as _hasse_masks builds its parities
+    # but on its own, from the Zech-logarithm table z: rho(alpha^n + 1) is
+    # (-1)^z[n], and 0 at n = T/2 where alpha^n + 1 = 0
+    cap, Tp, half = 1 << seq.u, seq.Tprime, seq.T // 2
+    sums = [[0] * Tp for _ in range(cap)]
+    for n, z in enumerate(seq.field.zech_log()):
+        if n != half:
+            sums[n & cap - 1][n % Tp] += 1 - 2 * (z & 1)
+    for i in range(seq.u):
+        for a in range(cap):
+            if not a >> i & 1:
+                sums[a] = list(map(add, sums[a], sums[a | 1 << i]))
+    return sums
 
 
 @_at_own_prime
@@ -372,23 +433,22 @@ class MultiplicityProfile(NamedTuple):
 
 
 def multiplicity_profile(seq, all_units=False):
-    """The masked sums run at the smallest e of each Galois orbit, whose
-    multiplicity every member shares; all_units runs them at every e."""
+    """The Hasse-derivative sums, read off the sequence's parity table as
+    derivative_vanishes_direct reads them, run at the smallest e of each
+    Galois orbit, whose multiplicity every member shares; all_units runs
+    them at every e."""
     if seq.d != 2:
         raise NotBinary("multiplicity profile is defined for d = 2")
-    T, u = seq.T, seq.u
-    cap = 1 << u
-    ones = seq.ones_positions()
+    T = seq.T
+    cap = 1 << seq.u
+    table = _hasse_masks(seq)
     entries = {}
     for k in divisors(seq.Tprime):
         # at k = 1, beta = 1 lies in GF(2) itself
         gp = (1,) if k == 1 else build_residue_field(k).gamma_pow_bits()
+        masks = [_fold_mask(x, k) for x in table]
         for e, members in galois_orbits(k, all_units):
-            mult = cap
-            for t in range(cap):
-                if _masked_sum(ones, gp, k, e, t, t):
-                    mult = t
-                    break
+            mult = next((t for t, x in enumerate(masks) if _evaluate_mask(x, gp, k, e)), cap)
             for member in members:
                 entries[(k, member)] = mult
     return MultiplicityProfile(entries, T - sum(entries.values()))

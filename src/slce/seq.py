@@ -21,12 +21,13 @@ class SlceSequence:
     """One period of an SLCE sequence over an ExtField, with T = q - 1 and
     its 2-adic split T = 2^u T'."""
 
-    __slots__ = ("field", "d", "terms", "T", "u", "Tprime", "_bits", "_ones")
+    __slots__ = ("field", "d", "terms", "T", "u", "Tprime", "_bits", "_tables")
 
     def __init__(self, field, d, terms, T, u, Tprime):
         self.field, self.d, self.terms = field, d, terms
         self.T, self.u, self.Tprime = T, u, Tprime
-        self._bits = self._ones = None
+        self._bits = None
+        self._tables = {}  # tables the analysis builds once per sequence
 
     @property
     def bits(self):
@@ -37,12 +38,10 @@ class SlceSequence:
         return self._bits
 
     def ones_positions(self):
-        """Positions n with s_n = 1 (binary sequences only), found once."""
+        """Positions n with s_n = 1 (binary sequences only)."""
         if self.d != 2:
             raise NotBinary("ones_positions is defined for d = 2")
-        if self._ones is None:
-            self._ones = tuple(n for n, s in enumerate(self.terms) if s)
-        return self._ones
+        return tuple(n for n, s in enumerate(self.terms) if s)
 
     def to_bitstring(self):
         if self.d != 2:

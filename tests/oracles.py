@@ -1,12 +1,14 @@
 """Test-only helpers shared by the test files: the enumeration of every
 analysis context, a level's K sums unpacked, every check built the way
 each context built it on its own (from its own character's K sums, tested
-in the canonical prime), props 3 and 4 as CycInt products, coset sums
-summed term by term, Horner evaluation in a residue field, and fields
-rebuilt around another primitive element. The package itself needs none of
-them: analyze_field enumerates one context per Galois orbit, the criteria
-build one element per (sequence, k) and test it at every prime over 2, and
-the ground truth goes through the masked-sum kernel."""
+in the canonical prime, thm1 summed term by term), props 3 and 4 as
+CycInt products, coset sums and Hasse-derivative sums summed term by term,
+Horner evaluation in a residue field, and fields rebuilt around another
+primitive element. The package itself needs none of them: analyze_field
+enumerates one context per Galois orbit, the criteria build one element
+per (sequence, k) and test it at every prime over 2, and the ground truth
+and thm1 each read every (orbit, t) off one superset-summed table per
+sequence."""
 
 import copy
 import math
@@ -130,6 +132,17 @@ def coset_sum(ctx, i, h):
     bits = 0
     for n, s_n in enumerate(ctx.seq.terms):
         if s_n and n % (1 << h) == i:
+            bits ^= gp[n * ctx.e % ctx.k]
+    return bits
+
+
+def hasse_sum(ctx, t):
+    """sum C(n,t) s_n beta^n, one term at a time, as bits of the residue
+    field: by Lucas, C(n,t) is odd exactly when n & t == t."""
+    gp = ctx.rf.gamma_pow_bits()
+    bits = 0
+    for n, s_n in enumerate(ctx.seq.terms):
+        if s_n and n & t == t:
             bits ^= gp[n * ctx.e % ctx.k]
     return bits
 

@@ -38,6 +38,7 @@ from slce.seq import generate_slce
 from oracles import (
     admissible_contexts,
     coset_sum,
+    hasse_sum,
     horner,
     ksum_counts,
     OwnContext,
@@ -94,6 +95,21 @@ class TestDirectEvaluation:
     def test_t_range_enforced(self):
         with pytest.raises(ValueError):
             derivative_vanishes_direct(ctx_q7(), 2)  # u = 1 for q = 7
+
+    @pytest.mark.parametrize("p,m", [(449, 1), (5, 4), (769, 1), (2689, 1)])
+    def test_against_term_by_term_sums(self, p, m):
+        # u = 6, 4, 8 and 7: the table's superset sums against the Hasse
+        # sums added one term at a time, at every (k, e, t), and the
+        # profile at every unit against the first t whose sum is nonzero
+        s = generate_slce(build_field(p, m), 2)
+        cap = 1 << s.u
+        profile = multiplicity_profile(s, all_units=True)
+        for ctx in admissible_contexts(s):
+            sums = [hasse_sum(ctx, t) for t in range(cap)]
+            assert [derivative_vanishes_direct(ctx, t) for t in range(cap)] == [
+                x == 0 for x in sums]
+            assert profile.entries[(ctx.k, ctx.e)] == next(
+                (t for t, x in enumerate(sums) if x), cap)
 
 
 class TestCosetSums:

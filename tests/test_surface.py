@@ -9,7 +9,9 @@ through the Kronecker kernels of numth. The criteria route names no
 CycInt: its checks stay on packed count vectors, so the CycInt ring
 operators serve only the Jacobi-sum commands and the tests. And importing
 the command line loads no dataclasses, which would bring inspect and ast
-into every start."""
+into every start. And the two routes keep their own per-sequence tables:
+the ground truth's parity masks and thm1's rho sums are each read by their
+own route only, and the ground truth names no factor of Phi_k mod 2."""
 
 import ast
 import importlib
@@ -70,6 +72,7 @@ DELETED = [
     ("criteria", "admissible_contexts"),
     ("criteria", "coset_sum"),
     ("criteria", "AnalysisContext.ksum_counts"),
+    ("criteria", "_masked_sum"),
     ("polybin", "poly_gcd"),
     ("polybin", "BinaryPoly.from_coeffs"),
     ("polybin", "BinaryPoly.from_hex"),
@@ -139,6 +142,16 @@ def test_one_fold_modulo_phi():
 
 def test_criteria_name_no_cycint():
     assert {top for module, top in mentions("CycInt") if module == "criteria"} == set()
+
+
+def test_routes_read_their_own_tables():
+    assert mentions("_hasse_masks") == {
+        ("criteria", "_hasse_masks"), ("criteria", "derivative_vanishes_direct"),
+        ("criteria", "multiplicity_profile")}
+    assert mentions("_rho_sums") == {("criteria", "_rho_sums"), ("criteria", "thm1_check")}
+    # the import and the context's own prime are the only criteria mentions
+    assert {top for module, top in mentions("factor_phi_mod2") if module == "criteria"} == {
+        None, "AnalysisContext"}
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
