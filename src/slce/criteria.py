@@ -248,9 +248,10 @@ def _per_sequence(build):
 @_per_sequence
 def _hasse_masks(seq):
     # masks[t] for t < 2^u: bit b is the parity of the ones positions n with
-    # n & t == t and n = b mod T'. Bit n & t == t reads only n mod 2^u, and
-    # (n mod 2^u, n mod T') is a different pair for every n < T, so the
-    # table holds each one at masks[n mod 2^u], then sums over supersets.
+    # n & t == t and n = b mod T'. The test n & t == t reads only n mod 2^u,
+    # and (n mod 2^u, n mod T') is a different pair for every n < T, so each
+    # n gets its own bit, n mod T' of masks[n mod 2^u], and summing every
+    # entry into those of its bit subsets leaves in masks[t] the n with n & t == t.
     cap, Tp = 1 << seq.u, seq.Tprime
     masks = [0] * cap
     for n in seq.ones_positions():
@@ -276,7 +277,7 @@ _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 def _evaluate_mask(x, gp, k, e):
     # x(gamma^e) as bits of the order-k residue field whose gamma powers are
-    # gp, for x < 2^k: the XOR of gamma^(j e mod k) over the set bits j of x
+    # gp: the XOR of gamma^(j e mod k) over the set bits j of x
     bits = bin(x)[:1:-1].encode().translate(_BIT_VALUES)
     return reduce(xor, map(gp.__getitem__, map(k.__rmod__, compress(count(0, e), bits))), 0)
 
@@ -446,9 +447,9 @@ def multiplicity_profile(seq, all_units=False):
     for k in divisors(seq.Tprime):
         # at k = 1, beta = 1 lies in GF(2) itself
         gp = (1,) if k == 1 else build_residue_field(k).gamma_pow_bits()
-        masks = [_fold_mask(x, k) for x in table]
         for e, members in galois_orbits(k, all_units):
-            mult = next((t for t, x in enumerate(masks) if _evaluate_mask(x, gp, k, e)), cap)
+            mult = next((t for t, x in enumerate(table)
+                         if _evaluate_mask(_fold_mask(x, k), gp, k, e)), cap)
             for member in members:
                 entries[(k, member)] = mult
     return MultiplicityProfile(entries, T - sum(entries.values()))
