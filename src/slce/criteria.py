@@ -263,22 +263,18 @@ def _hasse_masks(seq):
     return masks
 
 
-def _fold_mask(x, k):
-    # x mod X^k - 1 over GF(2)
-    low, acc = (1 << k) - 1, 0
-    while x:
-        acc ^= x & low
-        x >>= k
-    return acc
-
-
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _evaluate_mask(x, gp, k, e):
-    # x(gamma^e) as bits of the order-k residue field whose gamma powers are
-    # gp: the XOR of gamma^(j e mod k) over the set bits j of x
-    bits = bin(x)[:1:-1].encode().translate(_BIT_VALUES)
+    # x(gamma^e) for a GF(2) polynomial x, as bits of the order-k residue
+    # field whose gamma powers are gp: x folded mod X^k - 1, then the XOR of
+    # gamma^(j e mod k) over the set bits j of the fold
+    low, folded = (1 << k) - 1, 0
+    while x:
+        folded ^= x & low
+        x >>= k
+    bits = bin(folded)[:1:-1].encode().translate(_BIT_VALUES)
     return reduce(xor, map(gp.__getitem__, map(k.__rmod__, compress(count(0, e), bits))), 0)
 
 
@@ -290,8 +286,7 @@ def derivative_vanishes_direct(ctx, t):
     folded mod X^k - 1 and evaluated at beta = gamma^e from the residue
     field's gamma powers alone."""
     _check_t(ctx, t)
-    mask = _fold_mask(_hasse_masks(ctx.seq)[t], ctx.k)
-    return _evaluate_mask(mask, ctx.rf.gamma_pow_bits(), ctx.k, ctx.e) == 0
+    return _evaluate_mask(_hasse_masks(ctx.seq)[t], ctx.rf.gamma_pow_bits(), ctx.k, ctx.e) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +435,6 @@ def multiplicity_profile(seq, all_units=False):
     them at every e."""
     if seq.d != 2:
         raise NotBinary("multiplicity profile is defined for d = 2")
-    T = seq.T
     cap = 1 << seq.u
     table = _hasse_masks(seq)
     entries = {}
@@ -448,11 +442,10 @@ def multiplicity_profile(seq, all_units=False):
         # at k = 1, beta = 1 lies in GF(2) itself
         gp = (1,) if k == 1 else build_residue_field(k).gamma_pow_bits()
         for e, members in galois_orbits(k, all_units):
-            mult = next((t for t, x in enumerate(table)
-                         if _evaluate_mask(_fold_mask(x, k), gp, k, e)), cap)
+            mult = next((t for t, x in enumerate(table) if _evaluate_mask(x, gp, k, e)), cap)
             for member in members:
                 entries[(k, member)] = mult
-    return MultiplicityProfile(entries, T - sum(entries.values()))
+    return MultiplicityProfile(entries, seq.T - sum(entries.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +589,7 @@ def analyze_field(p, m, checks=ALL_CHECKS, all_units=False):
             ctx = AnalysisContext(seq, k, e)
             ctx._shared = shared
             mult = profile.entries[(k, e)]
-            # the profile's masked sums vanish below t = mult, not at it
+            # the profile's Hasse sums vanish below t = mult, not at it
             direct = [t < mult or t > mult and derivative_vanishes_direct(ctx, t)
                       for t in range(1 << u)]
             verdicts = []  # (check, index, predicted, ground_truth)

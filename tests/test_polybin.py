@@ -1,6 +1,6 @@
 """Binary polynomial algebra: gcd, Berlekamp-Massey, Lucas parity, root
-multiplicities through the ground truth's fold and evaluation kernels,
-cyclotomic factors mod 2."""
+multiplicities through the ground truth's evaluation kernel, cyclotomic
+factors mod 2."""
 
 import time
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slce.criteria import _evaluate_mask, _fold_mask, map_fields
+from slce.criteria import _evaluate_mask, map_fields
 from slce.errors import EvenK, InternalInconsistency
 from slce.ff import build_field, build_residue_field
 from slce.numth import euler_phi, multiplicative_order
@@ -234,7 +234,7 @@ def multiplicity(f, k, e=1):
     terms n & t == t of f folded mod X^k - 1 and evaluated at gamma^e."""
     gp = (1,) if k == 1 else build_residue_field(k).gamma_pow_bits()
     t = 0
-    while not _evaluate_mask(_fold_mask(hasse_terms(f, t), k), gp, k, e):
+    while not _evaluate_mask(hasse_terms(f, t), gp, k, e):
         t += 1
     return t
 
@@ -254,7 +254,7 @@ class TestRootMultiplicity:
         assert multiplicity(S, 3) == 0
         # the sum itself is gamma (hand reduction with gamma^2 = gamma + 1)
         gp = build_residue_field(3).gamma_pow_bits()
-        assert _evaluate_mask(_fold_mask(S, 3), gp, 3, 1) == gp[1]
+        assert _evaluate_mask(S, gp, 3, 1) == gp[1]
 
     def test_xt_minus_one(self):
         # X^T - 1 = (X^T' - 1)^(2^u): any T'-th root of unity has mult 2^u
