@@ -230,19 +230,19 @@ def _every(verdicts):
     return alive
 
 
-# ---------------------------------------------------------------------------
-# ground truth
-
-
 def _per_sequence(build):
-    # build(seq) once per sequence, held on the sequence, so that it lives no
-    # longer than the sequence does
+    # build(seq) once per sequence, held on the sequence under build's name,
+    # so that it lives no longer than the sequence does
     @wraps(build)
     def table(seq):
-        if build not in seq._tables:
-            seq._tables[build] = build(seq)
-        return seq._tables[build]
+        if build.__name__ not in seq._tables:
+            seq._tables[build.__name__] = build(seq)
+        return seq._tables[build.__name__]
     return table
+
+
+# ---------------------------------------------------------------------------
+# ground truth
 
 
 @_per_sequence
