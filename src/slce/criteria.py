@@ -53,7 +53,7 @@ from .errors import (
     PreconditionUnmet,
 )
 from .ff import build_field, build_residue_field, field_order, map_fields, odd_prime_powers
-from .numth import _pack, divisors, fold, fold_plan, two_adic_split, units
+from .numth import divisors, fold, fold_plan, pack, rotate, two_adic_split, units
 from .polybin import _frobenius_pow, _mod2, binom_mod2, bit_length_h, factor_phi_mod2, index_set
 from .seq import generate_slce
 
@@ -66,9 +66,9 @@ class AnalysisContext:
     """One (sequence, k, e) instance: beta = gamma^e of order k in the
     canonical residue field rf, held as its bits, paired character
     chi = eta_{e/k}, and prime, the index of beta's minimal polynomial in
-    factor_phi_mod2(k). Immutable; its K sums, matrix rows and check
-    verdicts, packed per twist level h, depend on (sequence, k) only (see
-    level), and analyze_field gives every orbit of a k one dict of them."""
+    factor_phi_mod2(k). Its K sums, matrix rows and check verdicts,
+    packed per twist level h, depend on (sequence, k) only (see level),
+    and analyze_field gives every orbit of a k one dict of them."""
 
     __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi", "prime", "_shared")
 
@@ -107,10 +107,9 @@ class AnalysisContext:
     def level(self, h):
         """(plan, K): K[j] is the exponent-count vector of K(eta_{j/2^h} chi_1),
         chi_1 = eta_{1/k} whatever e is, in conductor N = 2^h k for j < 2^h,
-        packed as numth.fold_packed takes it, count e in slot N - 1 - e, in
-        the slots of the FoldPlan plan of N slots. A sum of packed vectors is
-        their int sum less the bias for each term past the first, c z^0 adds
-        c << plan.top, and times X^s moves slot i + s to slot i (mod N).
+        packed by numth.pack in the FoldPlan plan of N slots. A sum of
+        packed vectors is their int sum, c z^0 adds c << plan.top, and
+        numth.rotate multiplies by X^s.
 
         sigma_a: z_N -> z_N^a, a = e mod k and 1 mod 2^h, maps these to the
         K(eta_{j/2^h} chi) and fixes z_{2^h} = z_N^k (sigma_a J(chi, psi) =
@@ -132,7 +131,7 @@ class AnalysisContext:
             # at most 2M + 4. So every vector is at most 2^h (M + 1), and its
             # fold must hold bit c + 1 <= h + 2.
             plan = fold_plan(N, N, (sum(max(map(abs, v)) for v in counts) + 1) << h, h + 2)
-            self._shared["level", h] = plan, [_pack(v[::-1], plan.w, plan.bias) for v in counts]
+            self._shared["level", h] = plan, [pack(v, plan) for v in counts]
         return self._shared["level", h]
 
     def matrix_rows(self, h):
@@ -144,9 +143,7 @@ class AnalysisContext:
         if ("rows", h) not in self._shared:
             T = self.seq.T
             plan, ksums = self.level(h)
-            # -v is packed as 2 bias - x
-            signed = [x if _eta_sign_at_minus_one(T, j, h) > 0 else 2 * plan.bias - x
-                      for j, x in enumerate(ksums)]
+            signed = [x if _eta_sign_at_minus_one(T, j, h) > 0 else -x for j, x in enumerate(ksums)]
             self._shared["rows", h] = _cyclic_dft(signed, plan)
         return self._shared["rows", h]
 
@@ -167,15 +164,7 @@ def _cyclic_dft(vectors, plan):
     half = n // 2
     even = _cyclic_dft(vectors[0::2], plan)
     odd = _cyclic_dft(vectors[1::2], plan)
-    return [even[i % half] + _rotate(odd[i % half], -i * (plan.N // n), plan) - plan.bias
-            for i in range(n)]
-
-
-def _rotate(x, s, plan):
-    # x times X^s, packed as in AnalysisContext.level: slot i + s moves to
-    # slot i, and the low s slots wrap round to the top
-    bits = s % plan.N * 8 * plan.w
-    return (x >> bits) | ((x & ((1 << bits) - 1)) << (8 * plan.w * plan.N - bits))
+    return [even[i % half] + rotate(odd[i % half], -i * (plan.N // n), plan) for i in range(n)]
 
 
 def galois_orbits(k, all_units=False):
@@ -307,7 +296,8 @@ def thm1_check(ctx, t):
     row, k = _rho_sums(ctx.seq)[t], ctx.k
     counts = [sum(row[j::k]) for j in range(k)]
     counts[0] += binom_mod2(ctx.seq.T // 2, t)
-    return ideal_membership(counts, ctx.rf, 1, every_prime=True)
+    plan = fold_plan(k, k, max(map(abs, counts)), 2)
+    return ideal_membership(pack(counts, plan), ctx.rf, 1, plan)
 
 
 @_per_sequence
@@ -344,10 +334,8 @@ def thm2_check(ctx, t):
     T = ctx.seq.T
     plan, _ = ctx.level(h)
     rows = ctx.matrix_rows(h)
-    index = index_set(t)
-    acc = sum(map(rows.__getitem__, index)) - (len(index) - 1) * plan.bias
-    acc += binom_mod2(T // 2, t) << (h + plan.top)
-    return ideal_membership(acc, ctx.rf, h + 1, plan, every_prime=True)
+    acc = sum(rows[i] for i in index_set(t)) + (binom_mod2(T // 2, t) << (h + plan.top))
+    return ideal_membership(acc, ctx.rf, h + 1, plan)
 
 
 @_at_own_prime
@@ -362,8 +350,7 @@ def thm3_check(ctx, h):
     two_h = 1 << h
     plan, _ = ctx.level(h)
     d_index = (T // 2) % two_h
-    return _every(ideal_membership(row + (two_h << plan.top) * (i == d_index), ctx.rf, h + 1,
-                                   plan, every_prime=True)
+    return _every(ideal_membership(row + (two_h << plan.top) * (i == d_index), ctx.rf, h + 1, plan)
                   for i, row in enumerate(ctx.matrix_rows(h)))
 
 
@@ -374,8 +361,7 @@ def necessary_condition_check(ctx, h):
     if not 1 <= h <= ctx.seq.u:
         raise HOutOfRange(f"h = {h} outside 1..u = {ctx.seq.u}")
     plan, ksums = ctx.level(h)
-    return _every(ideal_membership(x + (1 << plan.top), ctx.rf, 1, plan, every_prime=True)
-                  for x in ksums)
+    return _every(ideal_membership(x + (1 << plan.top), ctx.rf, 1, plan) for x in ksums)
 
 
 @_at_own_prime
@@ -386,31 +372,28 @@ def prop_check(ctx, which):
     q = ctx.field.q
     if which == 1:
         plan, (K0,) = ctx.level(0)
-        return ideal_membership(K0 + (1 << plan.top), ctx.rf, 1, plan, every_prime=True)
+        return ideal_membership(K0 + (1 << plan.top), ctx.rf, 1, plan)
     if which == 2:
         plan, (K0, K1) = ctx.level(1)
-        if q % 4 == 1:
-            acc = K0 - K1 + plan.bias
-        else:
-            acc = K0 + K1 - plan.bias + (2 << plan.top)
-        return ideal_membership(acc, ctx.rf, 2, plan, every_prime=True)
+        acc = K0 - K1 if q % 4 == 1 else K0 + K1 + (2 << plan.top)
+        return ideal_membership(acc, ctx.rf, 2, plan)
     if which not in (3, 4):
         raise ValueError("which must be in 1..4")
     if q % 4 != 1:
         raise PreconditionUnmet("props 3 and 4 require q = 1 mod 4")
     # times z4 = z_N^k is a rotation by k slots. With s = 1 if q = 1 mod 8
     # and -1 if q = 5 mod 8, prop 4 is K0 - K2 + s z4 (K1 - K3) and prop 3
-    # 4 (1 - s) / 2 + 2 K0 - s (K1 + K3) + s z4 (K1 - K3), left with one bias
+    # 4 (1 - s) / 2 + 2 K0 - s (K1 + K3) + s z4 (K1 - K3)
     plan, (K0, K1, K2, K3) = ctx.level(2)
     s = 1 if q % 8 == 1 else -1
-    z4_diff = _rotate(s * (K1 - K3) + plan.bias, ctx.k, plan)
+    z4_diff = rotate(s * (K1 - K3), ctx.k, plan)
     if which == 4:
         value = K0 - K2 + z4_diff
     elif s == 1:
         value = 2 * K0 - K1 - K3 + z4_diff
     else:
-        value = 2 * K0 + K1 + K3 + z4_diff - 4 * plan.bias + (4 << plan.top)
-    return ideal_membership(value, ctx.rf, 3, plan, every_prime=True)
+        value = 2 * K0 + K1 + K3 + z4_diff + (4 << plan.top)
+    return ideal_membership(value, ctx.rf, 3, plan)
 
 
 # ---------------------------------------------------------------------------

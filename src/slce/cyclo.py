@@ -23,7 +23,7 @@ from . import polybin
 from .errors import ConductorMismatch, InternalInconsistency, NotSemiprimitive
 from .ff import build_field, field_order
 from .numth import (CONDUCTORS_HELD, _check_conductor, cyclotomic_polynomial, fold, fold_packed,
-                    fold_slots, poly_mul)
+                    poly_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +388,12 @@ def _generators(k, h):
                  for g in polybin.factor_phi_mod2(k))
 
 
-def ideal_membership(x, rf, c, plan=None, every_prime=False):
-    """Is x in 2^c P O_L? P = (2, f_can(z_k)) is the canonical prime over 2,
-    with f_can = rf.modulus = factor_phi_mod2(k)[0], and O_L = Z[z_N] is x's
-    own ring, N = 2^h k. With every_prime, the int whose bit i is the
-    verdict at P_g = (2, g(z_k)) for g = factor_phi_mod2(k)[i], the prime
-    over 2 of that factor, so bit 0 is P's. x is a CycInt, the list of N exponent counts of sum counts[e] z_N^e,
-    or with the FoldPlan plan such counts packed as numth.fold_packed takes
-    them, in slots that hold bit c + 1 below the bias.
+def ideal_membership(x, rf, c, plan):
+    """The int whose bit i says whether x lies in 2^c P_g O_L, P_g = (2,
+    g(z_k)) the prime over 2 of g = factor_phi_mod2(k)[i], so bit 0 is the
+    canonical prime P's (f_can = rf.modulus). x is sum a[e] z_N^e, with a
+    packed by numth.pack in the FoldPlan plan of conductor N = 2^h k, in
+    slots that hold bit c + 1 below the bias, and O_L = Z[z_N].
 
     Since O_L is torsion-free this splits as: every power-basis coordinate
     divisible by 2^c, and y = x / 2^c lying in P O_L. The latter only
@@ -408,21 +406,13 @@ def ideal_membership(x, rf, c, plan=None, every_prime=False):
     Both tests read the coordinates mod 2^(c+1) only: the fold gives them
     exactly, and one AND keeps the low c + 1 bits of every slot.
     """
-    if isinstance(x, CycInt):
-        x, plan = fold_slots(x.coeffs, x.conductor, c + 1)
-    elif plan is None:
-        x, plan = fold_slots(x, len(x), c + 1)
-    else:
-        x = fold_packed(x, plan)
     h = (plan.N & -plan.N).bit_length() - 1
     if plan.N >> h != rf.k:
         raise ConductorMismatch(f"conductor {plan.N} is not 2^h k for k = {rf.k}")
     low = plan.ones * ((2 << c) - 1)
-    x &= low
+    x = fold_packed(x + plan.bias, plan) & low
     if x & (low >> 1):
-        return 0 if every_prime else False
+        return 0
     # bit c of each slot, r[phi - 1] first
     y = polybin._pack_bits((x >> c).to_bytes(plan.w * plan.d, "little")[::plan.w])
-    if every_prime:
-        return sum(1 << i for i, g in enumerate(_generators(rf.k, h)) if not polybin._mod2(y, g))
-    return polybin._mod2(y, _generators(rf.k, h)[0]) == 0
+    return sum(1 << i for i, g in enumerate(_generators(rf.k, h)) if not polybin._mod2(y, g))

@@ -288,14 +288,24 @@ def fold_packed(x, plan):
     return R & ((1 << (8 * plan.w * plan.d)) - 1)
 
 
-def fold_slots(a, N, bits=0):
-    """(fold_packed of the list a, its plan), with phi(N) <= len(a) <= N +
-    phi(N), and len(a) = 1 at N = 1."""
-    plan = fold_plan(len(a), N, max(map(abs, a)), bits)
-    return fold_packed(_pack(a[::-1], plan.w, plan.bias), plan), plan
+def pack(counts, plan):
+    """The signed int sum counts[e] 2^(8w(n - 1 - e)) over the n slots of the
+    FoldPlan plan, so that sums and integer multiples of packed vectors are
+    those of the counts, while every slot stays in [-2^(8w-1), 2^(8w-1))."""
+    return _pack(counts[::-1], plan.w, plan.bias) - plan.bias
+
+
+def rotate(x, s, plan):
+    """x times X^s in Z[X]/(X^N - 1), packed by pack in a plan of N slots:
+    slot i + s moves to slot i, and the low s slots wrap round to the top.
+    The bias is added while the slots move, so that none is negative."""
+    bits, x = s % plan.N * 8 * plan.w, x + plan.bias
+    x = (x >> bits) | ((x & ((1 << bits) - 1)) << (8 * plan.w * plan.N - bits))
+    return x - plan.bias
 
 
 def fold(a, N):
-    """The power-basis coordinates of sum a[e] z_N^e (see fold_packed)."""
-    x, plan = fold_slots(a, N)
-    return _unpack(x, plan.d, plan.w)[::-1]
+    """The power-basis coordinates of sum a[e] z_N^e (see fold_packed), with
+    phi(N) <= len(a) <= N + phi(N), and len(a) = 1 at N = 1."""
+    plan = fold_plan(len(a), N, max(map(abs, a)))
+    return _unpack(fold_packed(_pack(a[::-1], plan.w, plan.bias), plan), plan.d, plan.w)[::-1]

@@ -1,5 +1,6 @@
 """Test-only helpers shared by the test files: the enumeration of every
-analysis context, a level's K sums unpacked, every check built the way
+analysis context, a level's K sums unpacked, membership read off a CycInt
+or a list of exponent counts, every check built the way
 each context built it on its own (from its own character's K sums, tested
 in the canonical prime, thm1 summed term by term), props 3 and 4 as
 CycInt products, coset sums and Hasse-derivative sums summed term by term,
@@ -15,7 +16,7 @@ import math
 
 from slce.criteria import AnalysisContext, _cyclic_dft
 from slce.cyclo import Character, CycInt, ideal_membership, k_sum_counts
-from slce.numth import _pack, _unpack, divisors, fold_plan, units
+from slce.numth import _unpack, divisors, fold_plan, pack, units
 from slce.polybin import binom_mod2, bit_length_h, index_set
 
 
@@ -31,7 +32,17 @@ def admissible_contexts(seq):
 def ksum_counts(ctx, h):
     """The exponent-count vectors of ctx.level(h), unpacked."""
     plan, ksums = ctx.level(h)
-    return [_unpack(x, plan.N, plan.w)[::-1] for x in ksums]
+    return [_unpack(x + plan.bias, plan.N, plan.w)[::-1] for x in ksums]
+
+
+def member(x, rf, c):
+    """ideal_membership's verdicts, bit i at the prime of
+    factor_phi_mod2(k)[i], for a CycInt (its coordinates, at its conductor)
+    or a list of N exponent counts (at conductor N), packed by numth.pack
+    in slots that hold bit c + 1."""
+    values, N = (x.coeffs, x.conductor) if isinstance(x, CycInt) else (x, len(x))
+    plan = fold_plan(len(values), N, max(map(abs, values)), c + 1)
+    return ideal_membership(pack(values, plan), rf, c, plan)
 
 
 def own_ksum_counts(ctx, h):
@@ -58,14 +69,14 @@ class OwnContext:
             counts = own_ksum_counts(self.ctx, h)
             N = self.ctx.conductor(h)
             plan = fold_plan(N, N, (sum(max(map(abs, v)) for v in counts) + 1) << h, h + 2)
-            self._levels[h] = plan, [_pack(v[::-1], plan.w, plan.bias) for v in counts]
+            self._levels[h] = plan, [pack(v, plan) for v in counts]
         return self._levels[h]
 
     def matrix_rows(self, h):
         if h not in self._rows:
             plan, ksums = self.level(h)
             half = self.ctx.seq.T // 2
-            signed = [2 * plan.bias - x if j * half % (1 << h) else x for j, x in enumerate(ksums)]
+            signed = [-x if j * half % (1 << h) else x for j, x in enumerate(ksums)]
             self._rows[h] = _cyclic_dft(signed, plan)
         return self._rows[h]
 
@@ -80,32 +91,31 @@ class OwnContext:
                 if n & index == index and n != T // 2:
                     counts[n * ctx.e % k] += 1 - 2 * (zech[n] & 1)
             counts[0] += binom_mod2(T // 2, index)
-            return ideal_membership(counts, rf, 1)
+            return member(counts, rf, 1) & 1 == 1
         if check == "thm2":
             h = bit_length_h(index)
             plan, _ = self.level(h)
-            rows, subset = self.matrix_rows(h), index_set(index)
-            acc = sum(rows[i] for i in subset) - (len(subset) - 1) * plan.bias
+            rows = self.matrix_rows(h)
+            acc = sum(rows[i] for i in index_set(index))
             acc += binom_mod2(T // 2, index) << (h + plan.top)
-            return ideal_membership(acc, rf, h + 1, plan)
+            return ideal_membership(acc, rf, h + 1, plan) & 1 == 1
         if check == "thm3":
             plan, _ = self.level(index)
             d = (T // 2) % (1 << index)
             return all(ideal_membership(row + ((1 << index) << plan.top) * (i == d), rf,
-                                        index + 1, plan)
+                                        index + 1, plan) & 1
                        for i, row in enumerate(self.matrix_rows(index)))
         if check == "necessary":
             plan, ksums = self.level(index)
-            return all(ideal_membership(x + (1 << plan.top), rf, 1, plan) for x in ksums)
+            return all(ideal_membership(x + (1 << plan.top), rf, 1, plan) & 1 for x in ksums)
         if check == "prop1":
             plan, (K0,) = self.level(0)
-            return ideal_membership(K0 + (1 << plan.top), rf, 1, plan)
+            return ideal_membership(K0 + (1 << plan.top), rf, 1, plan) & 1 == 1
         if check == "prop2":
             plan, (K0, K1) = self.level(1)
-            if q % 4 == 1:
-                return ideal_membership(K0 - K1 + plan.bias, rf, 2, plan)
-            return ideal_membership(K0 + K1 - plan.bias + (2 << plan.top), rf, 2, plan)
-        return ideal_membership(prop34_value(ctx, int(check[-1])), rf, 3)
+            acc = K0 - K1 if q % 4 == 1 else K0 + K1 + (2 << plan.top)
+            return ideal_membership(acc, rf, 2, plan) & 1 == 1
+        return member(prop34_value(ctx, int(check[-1])), rf, 3) & 1 == 1
 
 
 def prop34_value(ctx, which):

@@ -41,6 +41,7 @@ from oracles import (
     hasse_sum,
     horner,
     ksum_counts,
+    member,
     OwnContext,
     primitive_elements,
     prop34_value,
@@ -245,7 +246,7 @@ class TestPropositions:
             for ctx in admissible_contexts(s):
                 for which in (3, 4):
                     verdict = prop_check(ctx, which)
-                    assert verdict == ideal_membership(prop34_value(ctx, which), ctx.rf, 3), (
+                    assert verdict == member(prop34_value(ctx, which), ctx.rf, 3) & 1, (
                         which, ctx)
                     seen.add((s.field.q % 8, verdict))
         assert seen == {(1, False), (1, True), (5, False), (5, True)}
@@ -283,7 +284,7 @@ def rotate_and_add_rows(ctx, h):
 def decoded_rows(ctx, h):
     """The packed matrix rows of level h as count lists."""
     plan, _ = ctx.level(h)
-    return [list(_unpack(x, plan.N, plan.w)[::-1]) for x in ctx.matrix_rows(h)]
+    return [list(_unpack(x + plan.bias, plan.N, plan.w)[::-1]) for x in ctx.matrix_rows(h)]
 
 
 class TestMatrixRows:
@@ -312,9 +313,9 @@ class TestMatrixRows:
                 acc[0] += extra
                 row += extra << (8 * plan.w * (N - 1))  # count 0 is the top slot
                 for c in (1, h + 1):
-                    verdict = ideal_membership(acc, ctx.rf, c)
-                    assert verdict == ideal_membership(CycInt.from_exponent_counts(N, acc), ctx.rf, c)
-                    assert verdict == ideal_membership(row, ctx.rf, c, plan)
+                    verdict = member(acc, ctx.rf, c) & 1
+                    assert verdict == member(CycInt.from_exponent_counts(N, acc), ctx.rf, c) & 1
+                    assert verdict == ideal_membership(row, ctx.rf, c, plan) & 1
                     seen.add(verdict)
         assert seen == {False, True}
 

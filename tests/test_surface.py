@@ -11,10 +11,14 @@ operators serve only the Jacobi-sum commands and the tests. And importing
 the command line loads no dataclasses, which would bring inspect and ast
 into every start. And the two routes keep their own per-sequence tables:
 the ground truth's parity masks and thm1's rho sums are each read by their
-own route only, and the ground truth names no factor of Phi_k mod 2."""
+own route only, and the ground truth names no factor of Phi_k mod 2. And
+the packed count format stays inside numth: ideal_membership takes packed
+counts with their plan and nothing else, and the criteria name no bias and
+import no private name of numth, so they add and rotate plain signed ints."""
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -73,6 +77,8 @@ DELETED = [
     ("criteria", "coset_sum"),
     ("criteria", "AnalysisContext.ksum_counts"),
     ("criteria", "_masked_sum"),
+    ("criteria", "_rotate"),
+    ("numth", "fold_slots"),
     ("polybin", "poly_gcd"),
     ("polybin", "BinaryPoly.from_coeffs"),
     ("polybin", "BinaryPoly.from_hex"),
@@ -152,6 +158,16 @@ def test_routes_read_their_own_tables():
     # the import and the context's own prime are the only criteria mentions
     assert {top for module, top in mentions("factor_phi_mod2") if module == "criteria"} == {
         None, "AnalysisContext"}
+
+
+def test_packed_format_stays_in_numth():
+    assert list(inspect.signature(slce.ideal_membership).parameters) == ["x", "rf", "c", "plan"]
+    source = (pathlib.Path(slce.__file__).parent / "criteria.py").read_text()
+    assert "bias" not in source
+    imported = [alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "numth"
+                for alias in node.names]
+    assert imported and not [name for name in imported if name.startswith("_")]
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
