@@ -60,6 +60,10 @@ per sequence instead of looping over the sequence: at 65521, T' = 4095 has
 23 divisors k > 1, so the multiplicity profile folds 4,095-bit masks at
 every one of them, and at 40961, u = 13 is the deepest superset transform
 the size cap allows.
+The whole-field verify at q = 7681 (u = 9) was taken before the CycInt
+ring operators that no command or check reached were deleted: it is the
+first pin to reach twist level 9, with 512 K sums of conductor 2^9 k at
+that level.
 """
 
 import hashlib
@@ -148,6 +152,8 @@ GOLDEN = [
      "72be8e0f0a4285aab9b2913093234d398a9364f944bfdce56f92d8c9d5adae45"),
     (("complexity", "--p", "40961"),
      "8fb55547a59c151d3daa268768e31d58708db0eaa3d6b1b594d17dbbeb4e88cd"),
+    (("verify", "--p", "7681", "--qmax", "7681", "--jobs", "1"),
+     "6e58c2a5641ab2b425722e79f100deb074e844c8e5c9fd2f1773c5f58c0d95a6"),
 ]
 
 
