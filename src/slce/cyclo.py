@@ -43,20 +43,6 @@ class CycInt:
         self.conductor = conductor
         self.coeffs = coeffs
 
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def from_int(cls, N, c):
-        return cls(N, (c,) + (0,) * (len(cyclotomic_polynomial(N)) - 2))
-
-    @classmethod
-    def root(cls, N, e):
-        """z_N^e."""
-        d = len(cyclotomic_polynomial(N)) - 1  # refuses N past the size cap
-        counts = [0] * max(e % N + 1, d)
-        counts[e % N] = 1
-        return cls(N, fold(counts, N))
-
     @classmethod
     def from_exponent_counts(cls, N, counts):
         """sum counts[e] * z_N^e for e in [0, N)."""
@@ -64,11 +50,7 @@ class CycInt:
             raise ValueError("counts must have length N")
         return cls(N, fold(counts, N))
 
-    # -- ring operations ------------------------------------------------------
-
     def _match(self, other):
-        if isinstance(other, int):
-            return CycInt.from_int(self.conductor, other)
         if isinstance(other, CycInt):
             if other.conductor != self.conductor:
                 raise ConductorMismatch(
@@ -77,26 +59,6 @@ class CycInt:
             return other
         return None
 
-    def __add__(self, other):
-        o = self._match(other)
-        if o is None:
-            return NotImplemented
-        return CycInt(self.conductor, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycInt(self.conductor, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._match(other)
-        if o is None:
-            return NotImplemented
-        return CycInt(self.conductor, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return CycInt(self.conductor, tuple(a * other for a in self.coeffs))
@@ -104,17 +66,6 @@ class CycInt:
         if o is None:
             return NotImplemented
         return CycInt(self.conductor, fold(poly_mul(self.coeffs, o.coeffs), self.conductor))
-
-    __rmul__ = __mul__
-
-    # -- predicates / conversions ---------------------------------------------
-
-    @property
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero
 
     def __eq__(self, other):
         o = self._match(other)
@@ -127,12 +78,6 @@ class CycInt:
         if any(c for c in self.coeffs[1:]):
             raise ValueError("not a rational integer")
         return self.coeffs[0]
-
-    def to_complex(self):
-        N = self.conductor
-        return sum(
-            c * cmath.exp(2j * math.pi * i / N) for i, c in enumerate(self.coeffs) if c
-        )
 
     def to_json(self):
         return {"conductor": self.conductor, "coeffs": [str(c) for c in self.coeffs]}

@@ -1,16 +1,17 @@
 """Test-only helpers shared by the test files: the enumeration of every
 analysis context, a level's K sums unpacked, membership read off a CycInt
-or a list of exponent counts, every check built the way
-each context built it on its own (from its own character's K sums, tested
-in the canonical prime, thm1 summed term by term), props 3 and 4 as
-CycInt products, coset sums and Hasse-derivative sums summed term by term,
-Horner evaluation in a residue field, and fields rebuilt around another
-primitive element. The package itself needs none of them: analyze_field
-enumerates one context per Galois orbit, the criteria build one element
-per (sequence, k) and test it at every prime over 2, and the ground truth
-and thm1 each read every (orbit, t) off one superset-summed table per
-sequence."""
+or a list of exponent counts, a CycInt's complex value, every check built
+the way each context built it on its own (from its own character's K sums,
+tested in the canonical prime, thm1 summed term by term), props 3 and 4
+as one list of exponent counts folded once, coset sums and
+Hasse-derivative sums summed term by term, Horner evaluation in a residue
+field, and fields rebuilt around another primitive element. The package
+itself needs none of them: analyze_field enumerates one context per
+Galois orbit, the criteria build one element per (sequence, k) and test
+it at every prime over 2, and the ground truth and thm1 each read every
+(orbit, t) off one superset-summed table per sequence."""
 
+import cmath
 import copy
 import math
 
@@ -43,6 +44,12 @@ def member(x, rf, c):
     values, N = (x.coeffs, x.conductor) if isinstance(x, CycInt) else (x, len(x))
     plan = fold_plan(len(values), N, max(map(abs, values)), c + 1)
     return ideal_membership(pack(values, plan), rf, c, plan)
+
+
+def embed(x):
+    """The complex value of a CycInt under z_N = e^(2 pi i / N)."""
+    N = x.conductor
+    return sum(c * cmath.exp(2j * math.pi * i / N) for i, c in enumerate(x.coeffs) if c)
 
 
 def own_ksum_counts(ctx, h):
@@ -121,18 +128,23 @@ class OwnContext:
 def prop34_value(ctx, which):
     """The element whose membership in 8 P O_L is prop 3 or prop 4 for the
     context's own character, built from its level-2 K sums (own_ksum_counts)
-    as CycInt products with z4 = z_N^k."""
-    N, q = ctx.conductor(2), ctx.field.q
-    K = [CycInt.from_exponent_counts(N, counts) for counts in own_ksum_counts(ctx, 2)]
-    z4 = CycInt.root(N, ctx.k)
-    one = CycInt.from_int(N, 1)
-    if which == 3:
-        if q % 8 == 1:
-            return 2 * K[0] - (one - z4) * K[1] - (one + z4) * K[3]
-        return CycInt.from_int(N, 4) + 2 * K[0] + (one - z4) * K[1] + (one + z4) * K[3]
-    if q % 8 == 1:
-        return K[0] + z4 * K[1] - K[2] - z4 * K[3]
-    return K[0] - z4 * K[1] - K[2] + z4 * K[3]
+    as one list of exponent counts, where z4 K_j = z_N^k K_j is K_j rotated
+    by k slots, and folded once."""
+    N, k, q = ctx.conductor(2), ctx.k, ctx.field.q
+    K = own_ksum_counts(ctx, 2)
+    z4K = [v[-k:] + v[:-k] for v in K]
+    if which == 3 and q % 8 == 1:  # 2 K0 - (1 - z4) K1 - (1 + z4) K3
+        terms = [(2, K[0]), (-1, K[1]), (1, z4K[1]), (-1, K[3]), (-1, z4K[3])]
+    elif which == 3:  # 4 + 2 K0 + (1 - z4) K1 + (1 + z4) K3
+        terms = [(2, K[0]), (1, K[1]), (-1, z4K[1]), (1, K[3]), (1, z4K[3])]
+    elif q % 8 == 1:  # K0 + z4 K1 - K2 - z4 K3
+        terms = [(1, K[0]), (1, z4K[1]), (-1, K[2]), (-1, z4K[3])]
+    else:  # K0 - z4 K1 - K2 + z4 K3
+        terms = [(1, K[0]), (-1, z4K[1]), (-1, K[2]), (1, z4K[3])]
+    counts = [sum(a * v[e] for a, v in terms) for e in range(N)]
+    if which == 3 and q % 8 != 1:
+        counts[0] += 4
+    return CycInt.from_exponent_counts(N, counts)
 
 
 def coset_sum(ctx, i, h):

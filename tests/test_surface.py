@@ -6,8 +6,11 @@ assertions vanish under `python -O`; failed invariants raise typed errors.
 And one reduction modulo Phi_N: the sparse long division only builds Phi_N,
 and the schoolbook product is gone, so every product and every fold goes
 through the Kronecker kernels of numth. The criteria route names no
-CycInt: its checks stay on packed count vectors, so the CycInt ring
-operators serve only the Jacobi-sum commands and the tests. And importing
+CycInt: its checks stay on packed count vectors. CycInt itself is pinned
+to what a command, a check or a benchmark span calls, so a ring operator
+deleted because only the tests reached it cannot come back unnoticed: the
+constructor, the fold from exponent counts, equality, the product (which
+the benchmark times by name), as_int, to_json and repr. And importing
 the command line loads no dataclasses, which would bring inspect and ast
 into every start. And the two routes keep their own per-sequence tables:
 the ground truth's parity masks and thm1's rho sums are each read by their
@@ -51,6 +54,17 @@ DELETED = [
     ("cyclo", "Character.__mul__"),
     ("cyclo", "Character.value"),
     ("cyclo", "CycInt.zero"),
+    ("cyclo", "CycInt.from_int"),
+    ("cyclo", "CycInt.root"),
+    ("cyclo", "CycInt.__add__"),
+    ("cyclo", "CycInt.__radd__"),
+    ("cyclo", "CycInt.__sub__"),
+    ("cyclo", "CycInt.__rsub__"),
+    ("cyclo", "CycInt.__neg__"),
+    ("cyclo", "CycInt.__rmul__"),
+    ("cyclo", "CycInt.is_zero"),
+    ("cyclo", "CycInt.__bool__"),
+    ("cyclo", "CycInt.to_complex"),
     ("ff", "with_primitive_element"),
     ("ff", "primitive_elements"),
     ("ff", "dlog"),
@@ -112,6 +126,22 @@ def test_deleted_name_absent(module, name):
         owner = getattr(owner, part, None)
     assert not hasattr(owner, last)
     assert not hasattr(slce, last)
+
+
+CYCINT_MEMBERS = {
+    "__init__", "conductor", "coeffs", "from_exponent_counts", "_match", "__mul__", "__eq__",
+    "__hash__", "as_int", "to_json", "__repr__",
+}
+
+
+def test_cycint_members_are_pinned():
+    class Slotted:  # what every slotted class defines: module, docstring, slots
+        __slots__ = ()
+
+    assert set(vars(slce.CycInt)) - set(vars(Slotted)) == CYCINT_MEMBERS
+    # __eq__ is defined, so __hash__ is None; and an int is no CycInt
+    assert slce.CycInt.__hash__ is None
+    assert (slce.CycInt(3, (5, 0)) == 5) is False
 
 
 SOURCES = sorted(pathlib.Path(slce.__file__).parent.glob("*.py"))
