@@ -64,6 +64,10 @@ The whole-field verify at q = 7681 (u = 9) was taken before the CycInt
 ring operators that no command or check reached were deleted: it is the
 first pin to reach twist level 9, with 512 K sums of conductor 2^9 k at
 that level.
+The verify at q = 449 of necessary, prop2 and thm2 alone, given in that
+order, was taken before the checks were evaluated one twist level at a
+time, each once per (sequence, k): it pins a partial check list, named out
+of order, at a field that reaches twist level 6.
 """
 
 import hashlib
@@ -154,6 +158,9 @@ GOLDEN = [
      "8fb55547a59c151d3daa268768e31d58708db0eaa3d6b1b594d17dbbeb4e88cd"),
     (("verify", "--p", "7681", "--qmax", "7681", "--jobs", "1"),
      "6e58c2a5641ab2b425722e79f100deb074e844c8e5c9fd2f1773c5f58c0d95a6"),
+    (("verify", "--p", "449", "--qmax", "449", "--theorems", "necessary,prop2,thm2",
+      "--jobs", "1"),
+     "5eeae7411b0157148b5068225393c2b8e5e1e4f58a88089009656949bc016e19"),
 ]
 
 
