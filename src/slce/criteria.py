@@ -28,13 +28,15 @@ its smallest e, and its members share those verdicts. Each route is
 Frobenius-invariant on its own: S^[t](beta^2) = S^[t](beta)^2, and
 z_k -> z_k^2 fixes the canonical prime. analyze_field(..., all_units=True)
 makes every e its own orbit and so evaluates every unit, as an audit. The
-criteria test one e = 1 element per (sequence, k) at every conjugate prime.
+criteria test one e = 1 element per (sequence, k) at every conjugate prime:
+each check returns ideal_membership's int of verdicts, bit i at the prime
+of factor_phi_mod2(k)[i], and a context reads its own as >> ctx.prime & 1.
 """
 
 import math
 from functools import partial, reduce, wraps
 from itertools import compress, count
-from operator import add, xor
+from operator import add, itemgetter, xor
 from typing import NamedTuple
 
 from .cyclo import (
@@ -66,11 +68,11 @@ class AnalysisContext:
     """One (sequence, k, e) instance: beta = gamma^e of order k in the
     canonical residue field rf, held as its bits, paired character
     chi = eta_{e/k}, and prime, the index of beta's minimal polynomial in
-    factor_phi_mod2(k). Its K sums, matrix rows and check verdicts,
-    packed per twist level h, depend on (sequence, k) only (see level),
-    and analyze_field gives every orbit of a k one dict of them."""
+    factor_phi_mod2(k). Its K sums and matrix rows depend on (sequence, k)
+    only (see level); it holds one twist level's at a time, and asking for
+    another h drops them."""
 
-    __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi", "prime", "_shared")
+    __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi", "prime", "_h", "_level", "_rows")
 
     def __init__(self, seq, k, e):
         field = seq.field
@@ -99,7 +101,7 @@ class AnalysisContext:
         # g(beta) is the sum of gamma^(j e) over the set bits j of g
         self.prime = next(i for i, g in enumerate(factor_phi_mod2(k)) if not reduce(
             xor, (gp[j * self.e % k] for j in range(g.bit_length()) if g >> j & 1)))
-        self._shared = {}
+        self._h = self._level = self._rows = None
 
     def conductor(self, h):
         return (1 << h) * self.k
@@ -116,7 +118,8 @@ class AnalysisContext:
         J(chi^a, psi^a)), so a check's element x_e is sigma_a(x_1), and x_e
         is in 2^c P iff x_1 is in 2^c sigma_a^-1(P) = 2^c P_g, g the factor
         of Phi_k mod 2 with g(beta) = 0 (cyclo.ideal_membership)."""
-        if ("level", h) not in self._shared:
+        if h != self._h:
+            self._h = self._level = self._rows = None  # drop the held level first
             N = self.conductor(h)
             # eta_{j/2^h} chi_1 sends alpha to z_N^(j k + 2^h)
             unit = (self.field.q - 1) // N
@@ -131,21 +134,21 @@ class AnalysisContext:
             # at most 2M + 4. So every vector is at most 2^h (M + 1), and its
             # fold must hold bit c + 1 <= h + 2.
             plan = fold_plan(N, N, (sum(max(map(abs, v)) for v in counts) + 1) << h, h + 2)
-            self._shared["level", h] = plan, [pack(v, plan) for v in counts]
-        return self._shared["level", h]
+            self._h, self._level = h, (plan, [pack(v, plan) for v in counts])
+        return self._level
 
     def matrix_rows(self, h):
         """Row i of the root-of-unity matrix applied to the signed K sums:
         sum over j of eta_{j/2^h}(-1) z_{2^h}^(-ij) K(eta_{j/2^h} chi_1),
-        packed as the level's K sums. Row sums over subsets of i recover
-        the pointwise K-form sums, so both matrix-style checks share this
-        cache."""
-        if ("rows", h) not in self._shared:
+        packed as the level's K sums and held with them. Row sums over
+        subsets of i recover the pointwise K-form sums, so thm2 reads the
+        rows that thm3 tests."""
+        plan, ksums = self.level(h)
+        if self._rows is None:
             T = self.seq.T
-            plan, ksums = self.level(h)
             signed = [x if _eta_sign_at_minus_one(T, j, h) > 0 else -x for j, x in enumerate(ksums)]
-            self._shared["rows", h] = _cyclic_dft(signed, plan)
-        return self._shared["rows", h]
+            self._rows = _cyclic_dft(signed, plan)
+        return self._rows
 
     def __repr__(self):
         return f"AnalysisContext(q={self.field.q}, k={self.k}, e={self.e})"
@@ -196,18 +199,6 @@ def _eta_sign_at_minus_one(T, j, h):
 def _check_t(ctx, t):
     if not 0 <= t < (1 << ctx.seq.u):
         raise ValueError(f"t = {t} outside [0, 2^u) with u = {ctx.seq.u}")
-
-
-def _at_own_prime(check):
-    # check(ctx, index) returns ideal_membership's verdicts at every prime over
-    # 2, once per (sequence, k, index); each context reads its own prime's
-    @wraps(check)
-    def verdict(ctx, index):
-        key = check.__name__, index
-        if key not in ctx._shared:
-            ctx._shared[key] = check(ctx, index)
-        return ctx._shared[key] >> ctx.prime & 1 == 1
-    return verdict
 
 
 def _every(verdicts):
@@ -282,7 +273,6 @@ def derivative_vanishes_direct(ctx, t):
 # pointwise criteria
 
 
-@_at_own_prime
 def thm1_check(ctx, t):
     """Criterion 1: C(T/2,t) + sum C(n,t) rho(alpha^n + 1) chi(alpha^n)
     lies in 2P, with every binomial read through its Lucas parity.
@@ -318,7 +308,6 @@ def _rho_sums(seq):
     return sums
 
 
-@_at_own_prime
 def thm2_check(ctx, t):
     """Criterion 2: the K-sum form of thm1_check, with h the bit length of
     t, tested modulo 2^(h+1) P Z[z_{2^h k}].
@@ -338,7 +327,6 @@ def thm2_check(ctx, t):
     return ideal_membership(acc, ctx.rf, h + 1, plan)
 
 
-@_at_own_prime
 def thm3_check(ctx, h):
     """Criterion 3: beta has multiplicity at least 2^h iff the 2^h x 2^h
     root-of-unity matrix applied to the twisted K-sums is congruent to
@@ -354,7 +342,6 @@ def thm3_check(ctx, h):
                   for i, row in enumerate(ctx.matrix_rows(h)))
 
 
-@_at_own_prime
 def necessary_condition_check(ctx, h):
     """One-directional check: multiplicity >= 2^h forces every twisted K-sum
     to be congruent to -1 modulo 2 P Z[z_{2^h k}]. Never sufficient."""
@@ -364,7 +351,6 @@ def necessary_condition_check(ctx, h):
     return _every(ideal_membership(x + (1 << plan.top), ctx.rf, 1, plan) for x in ksums)
 
 
-@_at_own_prime
 def prop_check(ctx, which):
     """Specializations of the congruences at t = which - 1 (which in 1..4),
     written out the way the closed forms are usually quoted. Props 3 and 4
@@ -556,39 +542,44 @@ def normalize_checks(tokens):
 def analyze_field(p, m, checks=ALL_CHECKS, all_units=False):
     """The field's contexts in (k, e) order, each as (k, e, verdicts), with
     verdicts a tuple of (check, index, predicted, ground_truth, match)
-    sorted by (check, index). Each Galois orbit of units e mod k is
-    evaluated at its smallest e, and its members share one verdicts tuple;
-    all_units evaluates every e."""
+    sorted by (check, index). Each check runs once per (k, index), on the
+    context of k's first orbit, in ascending twist level, so that context
+    builds each level once; each Galois orbit of units e mod k reads its
+    own prime's bits at its smallest e, and its members share one verdicts
+    tuple; all_units evaluates every e."""
     field = build_field(p, m)
     seq = generate_slce(field, 2)
     profile = multiplicity_profile(seq, all_units)
     q, u = field.q, seq.u
+    runs = []  # (twist level read, check, index, function, its argument)
+    for check in checks:
+        if check in ("thm1", "thm2"):
+            fn = thm1_check if check == "thm1" else thm2_check
+            runs += ((bit_length_h(t), check, t, fn, t) for t in range(1 << u))
+        elif check in ("thm3", "necessary"):
+            fn = thm3_check if check == "thm3" else necessary_condition_check
+            runs += ((h, check, h, fn, h) for h in range(1, u + 1))
+        elif (which := int(check[-1])) < 3 or q % 4 == 1:  # prop3, prop4: q = 1 mod 4
+            runs.append((bit_length_h(which - 1), check, which - 1, prop_check, which))
+    runs.sort(key=itemgetter(0))
     contexts = []
-    for k in divisors(seq.Tprime):
-        if k == 1:
-            continue
-        shared = {}  # one k's K sums, rows and verdicts at a time
-        for e, members in galois_orbits(k, all_units):
-            ctx = AnalysisContext(seq, k, e)
-            ctx._shared = shared
-            mult = profile.entries[(k, e)]
+    for k in divisors(seq.Tprime)[1:]:
+        orbits = [(AnalysisContext(seq, k, e), members)
+                  for e, members in galois_orbits(k, all_units)]
+        masks = sorted((check, index, fn(orbits[0][0], arg)) for _, check, index, fn, arg in runs)
+        for ctx, members in orbits:
+            mult = profile.entries[(k, ctx.e)]
             # the profile's Hasse sums vanish below t = mult, not at it
             direct = [t < mult or t > mult and derivative_vanishes_direct(ctx, t)
                       for t in range(1 << u)]
-            verdicts = []  # (check, index, predicted, ground_truth)
-            for check in checks:
-                if check in ("thm1", "thm2"):
-                    fn = thm1_check if check == "thm1" else thm2_check
-                    verdicts += ((check, t, fn(ctx, t), direct[t]) for t in range(1 << u))
-                elif check in ("thm3", "necessary"):
-                    fn = thm3_check if check == "thm3" else necessary_condition_check
-                    verdicts += ((check, h, fn(ctx, h), mult >= (1 << h)) for h in range(1, u + 1))
-                elif (which := int(check[-1])) < 3 or q % 4 == 1:  # prop3, prop4: q = 1 mod 4
-                    verdicts.append((check, which - 1, prop_check(ctx, which), direct[which - 1]))
-            # necessary is one-directional: it fails only where the ground truth holds
-            verdicts = tuple(sorted(
-                (c, i, pred, gt, pred >= gt if c == "necessary" else pred == gt)
-                for c, i, pred, gt in verdicts))
+            verdicts = []
+            for check, index, mask in masks:
+                pred = mask >> ctx.prime & 1 == 1
+                gt = mult >= 1 << index if check in ("thm3", "necessary") else direct[index]
+                # necessary is one-directional: it fails only where the ground truth holds
+                match = pred >= gt if check == "necessary" else pred == gt
+                verdicts.append((check, index, pred, gt, match))
+            verdicts = tuple(verdicts)
             contexts += ((k, member, verdicts) for member in members)
     contexts.sort()  # (k, e) is unique, so no verdicts are compared
     return contexts

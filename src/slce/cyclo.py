@@ -60,8 +60,6 @@ class CycInt:
         return None
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return CycInt(self.conductor, tuple(a * other for a in self.coeffs))
         o = self._match(other)
         if o is None:
             return NotImplemented

@@ -59,6 +59,12 @@ def ctx_q7():
     return AnalysisContext(generate_slce(build_field(7, 1), 2), 3, 1)
 
 
+def bit(check, ctx, index):
+    """check's verdict at ctx's own prime over 2: its bit of the int of
+    verdicts at every prime that the check returns."""
+    return check(ctx, index) >> ctx.prime & 1 == 1
+
+
 class TestContext:
     def test_pairing_invariant(self):
         ctx = ctx_q7()
@@ -140,15 +146,15 @@ class TestCosetSums:
 class TestPointwiseCriteria:
     def test_q7_t0_false(self):
         ctx = ctx_q7()
-        assert thm1_check(ctx, 0) is False
-        assert thm2_check(ctx, 0) is False
+        assert bit(thm1_check, ctx, 0) is False
+        assert bit(thm2_check, ctx, 0) is False
 
     def test_h0_collapse(self):
         # t = 0 verdicts of the two criteria coincide by construction
         for p, m in [(7, 1), (11, 1), (13, 1), (5, 2)]:
             s = generate_slce(build_field(p, m), 2)
             for ctx in admissible_contexts(s):
-                assert thm1_check(ctx, 0) == thm2_check(ctx, 0)
+                assert bit(thm1_check, ctx, 0) == bit(thm2_check, ctx, 0)
 
     @pytest.mark.parametrize("p,m", [(7, 1), (11, 1), (13, 1), (3, 3), (5, 2), (29, 1), (3, 2)])
     def test_equivalence_small_fields(self, p, m):
@@ -156,8 +162,8 @@ class TestPointwiseCriteria:
         for ctx in admissible_contexts(s):
             for t in range(1 << s.u):
                 want = derivative_vanishes_direct(ctx, t)
-                assert thm1_check(ctx, t) == want
-                assert thm2_check(ctx, t) == want
+                assert bit(thm1_check, ctx, t) == want
+                assert bit(thm2_check, ctx, t) == want
 
     def test_galois_orbit_consistency(self):
         # every check, and the ground truth, gives the same verdict at e and 2e
@@ -167,13 +173,16 @@ class TestPointwiseCriteria:
             for ctx in admissible_contexts(s):
                 partner = AnalysisContext(s, ctx.k, 2 * ctx.e % ctx.k)
                 for t in range(min(4, 1 << s.u)):
-                    for fn in (derivative_vanishes_direct, thm1_check, thm2_check):
-                        assert fn(ctx, t) == fn(partner, t), (fn.__name__, ctx, t)
+                    assert (derivative_vanishes_direct(ctx, t)
+                            == derivative_vanishes_direct(partner, t)), (ctx, t)
+                    for fn in (thm1_check, thm2_check):
+                        assert bit(fn, ctx, t) == bit(fn, partner, t), (fn.__name__, ctx, t)
                 for h in range(1, s.u + 1):
                     for fn in (thm3_check, necessary_condition_check):
-                        assert fn(ctx, h) == fn(partner, h), (fn.__name__, ctx, h)
+                        assert bit(fn, ctx, h) == bit(fn, partner, h), (fn.__name__, ctx, h)
                 for which in props:
-                    assert prop_check(ctx, which) == prop_check(partner, which), (which, ctx)
+                    assert bit(prop_check, ctx, which) == bit(prop_check, partner, which), (
+                        which, ctx)
 
 
 class TestMultiplicityCriterion:
@@ -184,14 +193,14 @@ class TestMultiplicityCriterion:
         for ctx in admissible_contexts(s):
             mult = prof.entries[(ctx.k, ctx.e)]
             for h in range(1, s.u + 1):
-                via_matrix = thm3_check(ctx, h)
+                via_matrix = bit(thm3_check, ctx, h)
                 via_mult = mult >= (1 << h)
                 via_cosets = all(
                     coset_sum(ctx, i, h) == 0 for i in range(1 << h)
                 )
                 assert via_matrix == via_mult == via_cosets
                 if via_matrix:
-                    assert necessary_condition_check(ctx, h)
+                    assert bit(necessary_condition_check, ctx, h)
 
     def test_h_range(self):
         ctx = ctx_q7()
@@ -245,7 +254,7 @@ class TestPropositions:
             s = generate_slce(build_field(p, m), 2)
             for ctx in admissible_contexts(s):
                 for which in (3, 4):
-                    verdict = prop_check(ctx, which)
+                    verdict = bit(prop_check, ctx, which)
                     assert verdict == member(prop34_value(ctx, which), ctx.rf, 3) & 1, (
                         which, ctx)
                     seen.add((s.field.q % 8, verdict))
@@ -260,7 +269,7 @@ class TestPropositions:
 
     def test_q7_prop1_false_and_l_full(self):
         ctx = ctx_q7()
-        assert prop_check(ctx, 1) is False
+        assert bit(prop_check, ctx, 1) is False
         assert lc_via_gcd(ctx.seq.bits, 6).L == 6
 
 
@@ -395,51 +404,78 @@ class TestGaloisOrbits:
         assert {(k, min(c)) for k, c in orbits} == set(built)
         assert {(r.k, r.e) for r in records} == {(k, e) for k, c in orbits for e in c}
 
+    @pytest.mark.parametrize("p,ks,calls", [(97, (3,), 63), (2689, (3, 7, 21), 765)])
+    def test_each_level_is_built_once(self, monkeypatch, p, ks, calls):
+        # a context holds one twist level at a time, so the checks must run
+        # in ascending level, once per k: level h of each k sums 2^h K sums,
+        # 2^(u+1) - 1 over h = 0..u
+        import slce.criteria as criteria_mod
+
+        built = []
+        counts = criteria_mod.k_sum_counts
+
+        def counting(chi, N):
+            built.append(N)
+            return counts(chi, N)
+
+        monkeypatch.setattr(criteria_mod, "k_sum_counts", counting)
+        analyze_field(p, 1)
+        u = generate_slce(build_field(p, 1), 2).u
+        assert divisors(p - 1 >> u)[1:] == list(ks)
+        assert len(built) == len(ks) * ((2 << u) - 1) == calls
+
 
 CHECK_FNS = {"thm1": thm1_check, "thm2": thm2_check, "thm3": thm3_check,
              "necessary": necessary_condition_check}
 
 
 def every_check(ctx):
-    """(name, check, index) for every check analyze_field runs on ctx."""
-    u = ctx.seq.u
-    for name in ("thm1", "thm2"):
-        yield from ((name, CHECK_FNS[name], t) for t in range(1 << u))
-    for name in ("thm3", "necessary"):
-        yield from ((name, CHECK_FNS[name], h) for h in range(1, u + 1))
-    for which in (1, 2, 3, 4) if ctx.field.q % 4 == 1 else (1, 2):
-        yield f"prop{which}", lambda c, w: prop_check(c, w + 1), which - 1
+    """(name, check, index) for every check analyze_field runs on ctx, in
+    ascending twist level h, so that ctx builds each level once."""
+    props = (1, 2, 3, 4) if ctx.field.q % 4 == 1 else (1, 2)
+    for h in range(ctx.seq.u + 1):
+        for t in range(1 << h >> 1, 1 << h):  # every t of bit length h
+            yield from ((name, CHECK_FNS[name], t) for name in ("thm1", "thm2"))
+            if t + 1 in props:
+                yield f"prop{t + 1}", lambda c, w: prop_check(c, w + 1), t
+        if h:
+            yield from ((name, CHECK_FNS[name], h) for name in ("thm3", "necessary"))
 
 
 class TestConjugatePrimes:
-    """Every check builds its element once per (sequence, k) from the K sums
-    of chi_1 and reads each context's verdict at the prime over 2 of the
-    factor of Phi_k mod 2 that vanishes at beta. The oracle builds every
-    element from the context's own character and tests it in the canonical
-    prime, as each context did on its own."""
+    """Every check builds its element from the K sums of chi_1, so it returns
+    one int of verdicts at every prime over 2 per (sequence, k), and each
+    context reads its bit at the prime of the factor of Phi_k mod 2 that
+    vanishes at beta. The oracle builds every element from the context's
+    own character and tests it in the canonical prime, as each context did
+    on its own."""
 
     @pytest.mark.parametrize("p,m", [(p, m) for p, m, q in odd_prime_powers(128)]
                              + [(3, 5), (449, 1), (601, 1), (2689, 1)])
     def test_every_check_matches_its_own_construction(self, p, m):
-        # the contexts of each k share one state, as in analyze_field, and e
-        # descends, so that state is built at e = k - 1, not at e = 1
+        # every unit e of a k gets the same int from every check, and its
+        # own prime's bit is what the context's own construction gives
         s = generate_slce(build_field(p, m), 2)
         for k in divisors(s.Tprime)[1:]:
-            shared = {}
-            for e in reversed(units(k)):
+            every = []
+            for e in units(k):
                 ctx = AnalysisContext(s, k, e)
-                ctx._shared = shared
                 own = OwnContext(ctx)
-                for name, fn, index in every_check(ctx):
-                    assert fn(ctx, index) == own.verdict(name, index), (ctx, name, index)
+                masks = {(name, index): fn(ctx, index) for name, fn, index in every_check(ctx)}
+                for (name, index), mask in masks.items():
+                    assert (mask >> ctx.prime & 1 == 1) == own.verdict(name, index), (
+                        ctx, name, index)
+                every.append(masks)
+            assert all(masks == every[0] for masks in every), k
 
     def test_orbits_of_one_k_can_disagree(self):
         # so a verdict read at the wrong prime shows: at q = 29 the two
         # orbits of k = 7 differ in prop 3
         s = generate_slce(build_field(29, 1), 2)
-        three = AnalysisContext(s, 7, 3)
-        assert prop_check(three, 3) == OwnContext(three).verdict("prop3", 2)
-        assert prop_check(AnalysisContext(s, 7, 1), 3) != prop_check(three, 3)
+        one, three = AnalysisContext(s, 7, 1), AnalysisContext(s, 7, 3)
+        assert prop_check(one, 3) == prop_check(three, 3)
+        assert bit(prop_check, three, 3) == OwnContext(three).verdict("prop3", 2)
+        assert bit(prop_check, one, 3) != bit(prop_check, three, 3)
 
     def test_orbits_map_onto_the_factors(self):
         # every k | T' with q <= 1024: each orbit's prime indexes a factor of

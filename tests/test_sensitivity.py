@@ -2,9 +2,10 @@
 misreading of the paper would write it must disagree with the ground truth
 somewhere, or a run with zero mismatches would show nothing. Each variant
 replaces its check in slce.criteria, where analyze_field looks it up at
-call time, and is wrapped in the package's own _at_own_prime, so it is
-evaluated and cached exactly as the check it replaces; the package gains
-no switch.
+call time, and returns ideal_membership's int of verdicts at every prime
+over 2 as the check it replaces does, so analyze_field runs it once per
+(sequence, k, index) and every context reads its own bit; the package
+gains no switch.
 
   * thm1 tested modulo P instead of 2P;
   * thm2 with the exact binomial constant C(T/2, t) 2^h in place of its
@@ -30,7 +31,7 @@ import pytest
 
 from slce import criteria
 from slce.cli import main
-from slce.criteria import _at_own_prime, _every, _per_sequence, _rho_sums, run_verify
+from slce.criteria import _every, _per_sequence, _rho_sums, run_verify
 from slce.cyclo import ideal_membership
 from slce.numth import fold_plan, pack, rotate
 from slce.polybin import binom_mod2, bit_length_h, index_set
@@ -67,7 +68,7 @@ def necessary_modulo_4p(ctx, h):
 def rewrites_prop(which):
     """A prop_check variant that rewrites prop `which` and leaves the other
     props to the package's own check."""
-    own = criteria.prop_check.__wrapped__
+    own = criteria.prop_check
 
     def wrap(variant):
         @wraps(variant)
@@ -119,7 +120,7 @@ NEAR_MISSES = [
 def test_near_miss_is_caught(monkeypatch, name, variant, check, p, m):
     argv = ["verify", "--p", str(p), "--qmax", str(p**m)]
     assert main(argv) == 0
-    monkeypatch.setattr(criteria, name, _at_own_prime(variant))
+    monkeypatch.setattr(criteria, name, variant)
     wrong = [r.q for r in run_verify(128, checks=(check,)) if not r.match]
     assert wrong and min(wrong) == p**m
     assert main(argv) == 3

@@ -9,8 +9,11 @@ through the Kronecker kernels of numth. The criteria route names no
 CycInt: its checks stay on packed count vectors. CycInt itself is pinned
 to what a command, a check or a benchmark span calls, so a ring operator
 deleted because only the tests reached it cannot come back unnoticed: the
-constructor, the fold from exponent counts, equality, the product (which
-the benchmark times by name), as_int, to_json and repr. And importing
+constructor, the fold from exponent counts, equality, the product of two
+CycInts (which the benchmark times by name; an int factor is refused),
+as_int, to_json and repr. And the checks return their verdicts at every
+prime over 2 as one int, so the wrapper that read a context's own bit and
+the per-k state analyze_field shared between contexts are gone. And importing
 the command line loads no dataclasses, which would bring inspect and ast
 into every start. And the two routes keep their own per-sequence tables:
 the ground truth's parity masks and thm1's rho sums are each read by their
@@ -92,6 +95,8 @@ DELETED = [
     ("criteria", "AnalysisContext.ksum_counts"),
     ("criteria", "_masked_sum"),
     ("criteria", "_rotate"),
+    ("criteria", "_at_own_prime"),
+    ("criteria", "AnalysisContext._shared"),
     ("numth", "fold_slots"),
     ("polybin", "poly_gcd"),
     ("polybin", "BinaryPoly.from_coeffs"),
@@ -142,6 +147,8 @@ def test_cycint_members_are_pinned():
     # __eq__ is defined, so __hash__ is None; and an int is no CycInt
     assert slce.CycInt.__hash__ is None
     assert (slce.CycInt(3, (5, 0)) == 5) is False
+    with pytest.raises(TypeError):
+        slce.CycInt(3, (1, 0)) * 5
 
 
 SOURCES = sorted(pathlib.Path(slce.__file__).parent.glob("*.py"))
