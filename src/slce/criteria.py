@@ -36,13 +36,14 @@ of factor_phi_mod2(k)[i], and a context reads its own as >> ctx.prime & 1.
 import math
 from functools import partial, reduce, wraps
 from itertools import compress, count
-from operator import add, itemgetter, xor
+from operator import add, itemgetter, sub, xor
 from typing import NamedTuple
 
 from .cyclo import (
     Character,
     ideal_membership,
     k_sum,
+    k_sum_bound,
     k_sum_counts,
     quadratic_gauss_closed,
     semiprimitive_vw,
@@ -109,9 +110,9 @@ class AnalysisContext:
     def level(self, h):
         """(plan, K): K[j] is the exponent-count vector of K(eta_{j/2^h} chi_1),
         chi_1 = eta_{1/k} whatever e is, in conductor N = 2^h k for j < 2^h,
-        packed by numth.pack in the FoldPlan plan of N slots. A sum of
-        packed vectors is their int sum, c z^0 adds c << plan.top, and
-        numth.rotate multiplies by X^s.
+        packed by numth.pack in the FoldPlan plan of N slots, or of N/2 at
+        h >= 1, in Z[X]/(X^(N/2) + 1), which Phi_N divides. Sums are int sums,
+        c z^0 adds c << plan.top, and numth.rotate multiplies by X^s.
 
         sigma_a: z_N -> z_N^a, a = e mod k and 1 mod 2^h, maps these to the
         K(eta_{j/2^h} chi) and fixes z_{2^h} = z_N^k (sigma_a J(chi, psi) =
@@ -121,20 +122,24 @@ class AnalysisContext:
         if h != self._h:
             self._h = self._level = self._rows = None  # drop the held level first
             N = self.conductor(h)
+            slots = N // 2 if h else N
             # eta_{j/2^h} chi_1 sends alpha to z_N^(j k + 2^h)
             unit = (self.field.q - 1) // N
-            counts = [k_sum_counts(Character(self.field, (j * self.k + (1 << h)) * unit), N)
-                      for j in range(1 << h)]
+            chis = [Character(self.field, (j * self.k + (1 << h)) * unit) for j in range(1 << h)]
             # One width serves every vector of the level. With M the sum over j
-            # of max |K[j]|, a matrix row (and each partial row of the
+            # of K[j]'s k_sum_bound, a matrix row (and each partial row of the
             # butterfly) is a sum of +-X^s K[j] over distinct j, so at most
             # M; thm2 adds at most 2^h rows and 2^h, thm3 a row and 2^h,
             # necessary K[j] and 1, prop1 (h = 0) K[0] and 1, prop2 (h = 1)
             # K[0] +- K[1] and at most 2, and props 3 and 4 (h = 2, c = 3)
             # at most 2M + 4. So every vector is at most 2^h (M + 1), and its
             # fold must hold bit c + 1 <= h + 2.
-            plan = fold_plan(N, N, (sum(max(map(abs, v)) for v in counts) + 1) << h, h + 2)
-            self._h, self._level = h, (plan, [pack(v, plan) for v in counts])
+            plan = fold_plan(slots, N, (sum(map(k_sum_bound, chis)) + 1) << h, h + 2)
+            ksums = []
+            for chi in chis:
+                v = k_sum_counts(chi, N)
+                ksums.append(pack(list(map(sub, v[:slots], v[slots:])) if h else v, plan))
+            self._h, self._level = h, (plan, ksums)
         return self._level
 
     def matrix_rows(self, h):
@@ -145,29 +150,25 @@ class AnalysisContext:
         rows that thm3 tests."""
         plan, ksums = self.level(h)
         if self._rows is None:
-            T = self.seq.T
-            signed = [x if _eta_sign_at_minus_one(T, j, h) > 0 else -x for j, x in enumerate(ksums)]
-            self._rows = _cyclic_dft(signed, plan)
+            rows, n, d = _dft(ksums, plan), 1 << h, (self.seq.T // 2) % (1 << h)
+            # eta_{j/2^h}(-1) = z_{2^h}^(j d), so signed row i is unsigned row i - d
+            self._rows = rows[n - d:] + rows[:n - d]
         return self._rows
 
     def __repr__(self):
         return f"AnalysisContext(q={self.field.q}, k={self.k}, e={self.e})"
 
 
-def _cyclic_dft(vectors, plan):
-    # row i = sum over j of X^(-ij N/n) vectors[j] in Z[X]/(X^N - 1), n =
-    # len(vectors) a power of 2, packed as in AnalysisContext.level, by
-    # radix-2 decimation in time: row i is E_i + X^(-i N/n) O_i with E and
-    # O the half-size transforms of the even and odd j. The ring is cyclic,
-    # so X^(N/2) is a rotation, not -1, and both rows of a butterfly take
-    # their own rotation of O_i.
+def _dft(vectors, plan):
+    # row i = sum over j of w^(-ij) vectors[j], w = X^(N/n), n = len(vectors)
+    # a power of 2, by the radix-2 butterfly: with E and O the transforms of
+    # the even and odd j, rows i and i + n/2 are E_i +- w^(-i) O_i (w^(n/2) = -1)
     n = len(vectors)
     if n == 1:
         return vectors
-    half = n // 2
-    even = _cyclic_dft(vectors[0::2], plan)
-    odd = _cyclic_dft(vectors[1::2], plan)
-    return [even[i % half] + rotate(odd[i % half], -i * (plan.N // n), plan) for i in range(n)]
+    even, odd = _dft(vectors[0::2], plan), _dft(vectors[1::2], plan)
+    turned = [rotate(x, -i * (plan.N // n), plan) for i, x in enumerate(odd)]
+    return list(map(add, even, turned)) + list(map(sub, even, turned))
 
 
 def galois_orbits(k, all_units=False):
@@ -184,16 +185,6 @@ def galois_orbits(k, all_units=False):
                 members.append(x)
             seen.update(members)
             yield e, tuple(members)
-
-
-def _eta_sign_at_minus_one(T, j, h):
-    # eta_{j/2^h}(-1) = zeta_{2^h}^(j T/2); always +-1
-    exp = (j * (T // 2)) % (1 << h)
-    if exp == 0:
-        return 1
-    if exp != 1 << (h - 1):
-        raise InternalInconsistency(f"eta_{{{j}/2^{h}}}(-1) is not a sign")
-    return -1
 
 
 def _check_t(ctx, t):

@@ -184,8 +184,8 @@ def k_sum_counts(chi, conductor):
     the field's signed sum D_o[s] and the other entries are 0.
 
     Callers that combine many K sums stay in this representation, where
-    multiplying by a root of unity is a cyclic rotation, and fold to the
-    power basis only when a congruence is finally tested."""
+    multiplying by a root of unity is a rotation, and fold to the power
+    basis only when a congruence is finally tested."""
     _check_conductor(conductor)
     o = chi.order
     if conductor % o != 0:
@@ -197,6 +197,12 @@ def k_sum_counts(chi, conductor):
     s = map(o.__rmod__, map(inv.__mul__, range(o)))
     counts[::conductor // o] = list(map(sums.__getitem__, s))
     return counts
+
+
+def k_sum_bound(chi):
+    """A bound on |entry| of the counts v = k_sum_counts(chi, N) and of v[:N/2]
+    - v[N/2:]: max |D_o|, doubled for even o, where both halves hold D_o."""
+    return max(map(abs, _signed_sums(chi.field, chi.order))) << (chi.order % 2 == 0)
 
 
 def k_sum(chi, conductor=None):

@@ -296,12 +296,14 @@ def pack(counts, plan):
 
 
 def rotate(x, s, plan):
-    """x times X^s in Z[X]/(X^N - 1), packed by pack in a plan of N slots:
-    slot i + s moves to slot i, and the low s slots wrap round to the top.
-    The bias is added while the slots move, so that none is negative."""
-    bits, x = s % plan.N * 8 * plan.w, x + plan.bias
-    x = (x >> bits) | ((x & ((1 << bits) - 1)) << (8 * plan.w * plan.N - bits))
-    return x - plan.bias
+    """x times X^s in Z[X]/(X^(N/2) + 1), packed by pack in a plan of N/2
+    slots: slot i + s moves to slot i, the low s slots come back negated at
+    the top, s >= N/2 flips the sign, and the bias keeps every slot >= 0."""
+    half = plan.N // 2
+    bits, x = s % half * 8 * plan.w, (x if s % plan.N < half else -x) + plan.bias
+    wrapped = (x & ((1 << bits) - 1)) << (8 * plan.w * half - bits)
+    # the moved slots carry +2^(8w-1) and the wrapped ones -2^(8w-1): cancel both
+    return (x >> bits) - wrapped + plan.bias - 2 * (plan.bias >> bits)
 
 
 def fold(a, N):

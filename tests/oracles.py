@@ -1,21 +1,23 @@
 """Test-only helpers shared by the test files: the enumeration of every
 analysis context, a level's K sums unpacked, membership read off a CycInt
 or a list of exponent counts, a CycInt's complex value, every check built
-the way each context built it on its own (from its own character's K sums,
-tested in the canonical prime, thm1 summed term by term), props 3 and 4
-as one list of exponent counts folded once, coset sums and
-Hasse-derivative sums summed term by term, Horner evaluation in a residue
-field, and fields rebuilt around another primitive element. The package
-itself needs none of them: analyze_field enumerates one context per
-Galois orbit, the criteria build one element per (sequence, k) and test
-it at every prime over 2, and the ground truth and thm1 each read every
-(orbit, t) off one superset-summed table per sequence."""
+the way each context built it on its own (from its own character's K sums
+in the cyclic ring Z[X]/(X^N - 1), with a cyclic butterfly and the
+eta(-1) signs applied one by one, tested in the canonical prime, thm1
+summed term by term), props 3 and 4 as one list of exponent counts folded
+once, coset sums and Hasse-derivative sums summed term by term, Horner
+evaluation in a residue field, and fields rebuilt around another
+primitive element. The package itself needs none of them: analyze_field
+enumerates one context per Galois orbit, the criteria build one element
+per (sequence, k) in Z[X]/(X^(N/2) + 1) and test it at every prime over
+2, and the ground truth and thm1 each read every (orbit, t) off one
+superset-summed table per sequence."""
 
 import cmath
 import copy
 import math
 
-from slce.criteria import AnalysisContext, _cyclic_dft
+from slce.criteria import AnalysisContext
 from slce.cyclo import Character, CycInt, ideal_membership, k_sum_counts
 from slce.numth import _unpack, divisors, fold_plan, pack, units
 from slce.polybin import binom_mod2, bit_length_h, index_set
@@ -31,9 +33,11 @@ def admissible_contexts(seq):
 
 
 def ksum_counts(ctx, h):
-    """The exponent-count vectors of ctx.level(h), unpacked."""
+    """The exponent-count vectors of ctx.level(h), unpacked and padded with
+    zeros to the N counts of z_N^e: the level holds N/2 slots at h >= 1."""
     plan, ksums = ctx.level(h)
-    return [_unpack(x + plan.bias, plan.N, plan.w)[::-1] for x in ksums]
+    n = plan.top // (8 * plan.w) + 1
+    return [list(_unpack(x + plan.bias, n, plan.w)[::-1]) + [0] * (plan.N - n) for x in ksums]
 
 
 def member(x, rf, c):
@@ -63,9 +67,10 @@ def own_ksum_counts(ctx, h):
 
 class OwnContext:
     """A context's checks the way each context built them on its own: the
-    levels and matrix rows from its own character's K sums, packed as
-    AnalysisContext packs them, and every element tested in the canonical
-    prime ctx.rf; thm1 sums chi(alpha^n) = z_k^(n e)."""
+    levels and matrix rows from its own character's K sums, packed in the N
+    slots of Z[X]/(X^N - 1) and transformed by cyclic_dft after each K sum
+    takes its sign eta_{j/2^h}(-1), and every element tested in the
+    canonical prime ctx.rf; thm1 sums chi(alpha^n) = z_k^(n e)."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -84,7 +89,7 @@ class OwnContext:
             plan, ksums = self.level(h)
             half = self.ctx.seq.T // 2
             signed = [-x if j * half % (1 << h) else x for j, x in enumerate(ksums)]
-            self._rows[h] = _cyclic_dft(signed, plan)
+            self._rows[h] = cyclic_dft(signed, plan)
         return self._rows[h]
 
     def verdict(self, check, index):
@@ -123,6 +128,33 @@ class OwnContext:
             acc = K0 - K1 if q % 4 == 1 else K0 + K1 + (2 << plan.top)
             return ideal_membership(acc, rf, 2, plan) & 1 == 1
         return member(prop34_value(ctx, int(check[-1])), rf, 3) & 1 == 1
+
+
+def cyclic_rotate(x, s, plan):
+    """x times X^s in Z[X]/(X^N - 1), packed by numth.pack in a plan of N
+    slots: slot i + s moves to slot i, and the low s slots wrap round to
+    the top. The bias is added while the slots move, so that none is
+    negative."""
+    bits, x = s % plan.N * 8 * plan.w, x + plan.bias
+    x = (x >> bits) | ((x & ((1 << bits) - 1)) << (8 * plan.w * plan.N - bits))
+    return x - plan.bias
+
+
+def cyclic_dft(vectors, plan):
+    """Row i = sum over j of X^(-ij N/n) vectors[j] in Z[X]/(X^N - 1), n =
+    len(vectors) a power of 2, packed in a plan of N slots, by radix-2
+    decimation in time: row i is E_i + X^(-i N/n) O_i with E and O the
+    half-size transforms of the even and odd j. The ring is cyclic, so
+    X^(N/2) is a rotation, not -1, and both rows of a butterfly take their
+    own rotation of O_i."""
+    n = len(vectors)
+    if n == 1:
+        return vectors
+    half = n // 2
+    even = cyclic_dft(vectors[0::2], plan)
+    odd = cyclic_dft(vectors[1::2], plan)
+    return [even[i % half] + cyclic_rotate(odd[i % half], -i * (plan.N // n), plan)
+            for i in range(n)]
 
 
 def prop34_value(ctx, which):

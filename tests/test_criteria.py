@@ -276,7 +276,8 @@ class TestPropositions:
 def rotate_and_add_rows(ctx, h):
     """Test-local root-of-unity matrix rows by the O(4^h) rotate-and-add the
     butterfly replaced: row i = sum over j of eta_{j/2^h}(-1) z_{2^h}^(-ij)
-    K(eta_{j/2^h} chi), with z_{2^h} = z_N^k."""
+    K(eta_{j/2^h} chi), with z_{2^h} = z_N^k, in Z[X]/(X^N - 1), then at
+    h >= 1 reduced mod X^(N/2) + 1 as the level holds them."""
     T, N, two_h = ctx.seq.T, ctx.conductor(h), 1 << h
     rows = []
     for i in range(two_h):
@@ -286,14 +287,15 @@ def rotate_and_add_rows(ctx, h):
             shift = (-i * j) % two_h * ctx.k
             for e, v in enumerate(counts):
                 acc[(e + shift) % N] += sign * v
-        rows.append(acc)
+        rows.append([a - b for a, b in zip(acc[:N // 2], acc[N // 2:])] if h else acc)
     return rows
 
 
 def decoded_rows(ctx, h):
-    """The packed matrix rows of level h as count lists."""
+    """The packed matrix rows of level h as count lists, N/2 of them at h >= 1."""
     plan, _ = ctx.level(h)
-    return [list(_unpack(x + plan.bias, plan.N, plan.w)[::-1]) for x in ctx.matrix_rows(h)]
+    n = plan.top // (8 * plan.w) + 1
+    return [list(_unpack(x + plan.bias, n, plan.w)[::-1]) for x in ctx.matrix_rows(h)]
 
 
 class TestMatrixRows:
@@ -320,13 +322,31 @@ class TestMatrixRows:
             for i, (acc, row) in enumerate(zip(decoded_rows(ctx, h), ctx.matrix_rows(h))):
                 extra = (1 << h) * (i == (seq.T // 2) % (1 << h))
                 acc[0] += extra
-                row += extra << (8 * plan.w * (N - 1))  # count 0 is the top slot
+                acc += [0] * (N // 2)  # the N/2 counts of the row, read at conductor N
+                row += extra << (8 * plan.w * (N // 2 - 1))  # count 0 is the top slot
                 for c in (1, h + 1):
                     verdict = member(acc, ctx.rf, c) & 1
                     assert verdict == member(CycInt.from_exponent_counts(N, acc), ctx.rf, c) & 1
                     assert verdict == ideal_membership(row, ctx.rf, c, plan) & 1
                     seen.add(verdict)
         assert seen == {False, True}
+
+    def test_top_level_peak_memory(self):
+        # GF(769): u = 8 and k = 3, so level 8 holds 256 K sums and 256 rows
+        # at conductor 768. Under tracemalloc the rows peak at 1.35 MB with
+        # each K sum packed as it is made, in 384 slots; holding all 256
+        # count lists until the width is known took 2.5 MB, and the cyclic
+        # ring's 768 slots as well 3.0 MB
+        import tracemalloc
+
+        ctx = AnalysisContext(generate_slce(build_field(769, 1), 2), 3, 1)
+        tracemalloc.start()
+        try:
+            ctx.matrix_rows(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_700_000
 
 
 class TestMultiplicityProfile:

@@ -97,6 +97,8 @@ DELETED = [
     ("criteria", "_rotate"),
     ("criteria", "_at_own_prime"),
     ("criteria", "AnalysisContext._shared"),
+    ("criteria", "_cyclic_dft"),
+    ("criteria", "_eta_sign_at_minus_one"),
     ("numth", "fold_slots"),
     ("polybin", "poly_gcd"),
     ("polybin", "BinaryPoly.from_coeffs"),
