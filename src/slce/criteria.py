@@ -110,9 +110,9 @@ class AnalysisContext:
     def level(self, h):
         """(plan, K): K[j] is the exponent-count vector of K(eta_{j/2^h} chi_1),
         chi_1 = eta_{1/k} whatever e is, in conductor N = 2^h k for j < 2^h,
-        packed by numth.pack in the FoldPlan plan of N slots, or of N/2 at
-        h >= 1, in Z[X]/(X^(N/2) + 1), which Phi_N divides. Sums are int sums,
-        c z^0 adds c << plan.top, and numth.rotate multiplies by X^s.
+        packed by numth.pack in plan.n = N slots, or N/2 at h >= 1 in
+        Z[X]/(X^(N/2) + 1), which Phi_N divides. Sums are int sums, c z^0
+        adds c << plan.top, and numth.rotate multiplies by X^s at h >= 1.
 
         sigma_a: z_N -> z_N^a, a = e mod k and 1 mod 2^h, maps these to the
         K(eta_{j/2^h} chi) and fixes z_{2^h} = z_N^k (sigma_a J(chi, psi) =
@@ -135,11 +135,10 @@ class AnalysisContext:
             # at most 2M + 4. So every vector is at most 2^h (M + 1), and its
             # fold must hold bit c + 1 <= h + 2.
             plan = fold_plan(slots, N, (sum(map(k_sum_bound, chis)) + 1) << h, h + 2)
-            ksums = []
-            for chi in chis:
-                v = k_sum_counts(chi, N)
-                ksums.append(pack(list(map(sub, v[:slots], v[slots:])) if h else v, plan))
-            self._h, self._level = h, (plan, ksums)
+            counts = (k_sum_counts(chi, N) for chi in chis)  # made one at a time
+            if h:  # X^(N/2) = -1
+                counts = (list(map(sub, v[:slots], v[slots:])) for v in counts)
+            self._h, self._level = h, (plan, [pack(v, plan) for v in counts])
         return self._level
 
     def matrix_rows(self, h):
@@ -150,9 +149,10 @@ class AnalysisContext:
         rows that thm3 tests."""
         plan, ksums = self.level(h)
         if self._rows is None:
-            rows, n, d = _dft(ksums, plan), 1 << h, (self.seq.T // 2) % (1 << h)
+            rows = _dft(ksums, plan)
+            d = (self.seq.T // 2) % len(rows)
             # eta_{j/2^h}(-1) = z_{2^h}^(j d), so signed row i is unsigned row i - d
-            self._rows = rows[n - d:] + rows[:n - d]
+            self._rows = rows[-d:] + rows[:-d]
         return self._rows
 
     def __repr__(self):
@@ -166,7 +166,8 @@ def _dft(vectors, plan):
     n = len(vectors)
     if n == 1:
         return vectors
-    even, odd = _dft(vectors[0::2], plan), _dft(vectors[1::2], plan)
+    even = _dft(vectors[0::2], plan)
+    odd = _dft(vectors[1::2], plan)
     turned = [rotate(x, -i * (plan.N // n), plan) for i, x in enumerate(odd)]
     return list(map(add, even, turned)) + list(map(sub, even, turned))
 
@@ -325,10 +326,9 @@ def thm3_check(ctx, h):
     2^(h+1) P Z[z_{2^h k}]."""
     if not 1 <= h <= ctx.seq.u:
         raise HOutOfRange(f"h = {h} outside 1..u = {ctx.seq.u}")
-    T = ctx.seq.T
     two_h = 1 << h
     plan, _ = ctx.level(h)
-    d_index = (T // 2) % two_h
+    d_index = (ctx.seq.T // 2) % two_h
     return _every(ideal_membership(row + (two_h << plan.top) * (i == d_index), ctx.rf, h + 1, plan)
                   for i, row in enumerate(ctx.matrix_rows(h)))
 

@@ -246,7 +246,7 @@ def _fold_spread(N):
 # where the top slot starts, ones holds 1 in each of d slots, psi and phi
 # are Psi_N[:m] and Phi_N packed unbiased, and skip and m8 are the bits of
 # max(m - d, 0) and m slots.
-FoldPlan = namedtuple("FoldPlan", "N d w bias top ones psi phi skip m8")
+FoldPlan = namedtuple("FoldPlan", "N n d w bias top ones psi phi skip m8")
 
 
 def fold_plan(n, N, bound, bits=0):
@@ -262,7 +262,7 @@ def _fold_plan(n, N, w):
     phi, psi = cyclotomic_polynomial(N), inverse_cyclotomic_polynomial(N)
     d, slot = len(phi) - 1, 8 * w
     wide = _repeat(1 << (slot - 1), n + 1, w)  # one slot more than n, for Phi_N at n = d
-    return FoldPlan(N, d, w, wide >> slot, slot * (n - 1), _repeat(1, d, w),
+    return FoldPlan(N, n, d, w, wide >> slot, slot * (n - 1), _repeat(1, d, w),
                     _pack(psi[:n - d], w, wide) - wide, _pack(phi, w, wide) - wide,
                     slot * max(n - 2 * d, 0), slot * (n - d))
 
@@ -296,12 +296,12 @@ def pack(counts, plan):
 
 
 def rotate(x, s, plan):
-    """x times X^s in Z[X]/(X^(N/2) + 1), packed by pack in a plan of N/2
-    slots: slot i + s moves to slot i, the low s slots come back negated at
-    the top, s >= N/2 flips the sign, and the bias keeps every slot >= 0."""
-    half = plan.N // 2
-    bits, x = s % half * 8 * plan.w, (x if s % plan.N < half else -x) + plan.bias
-    wrapped = (x & ((1 << bits) - 1)) << (8 * plan.w * half - bits)
+    """x times X^s in Z[X]/(X^n + 1), packed by pack in a plan of n slots:
+    slot i + s moves to slot i, the low s slots come back negated at the
+    top, s >= n flips the sign, and the bias keeps every slot >= 0."""
+    n = plan.n
+    bits, x = s % n * 8 * plan.w, (x if s % (2 * n) < n else -x) + plan.bias
+    wrapped = (x & ((1 << bits) - 1)) << (8 * plan.w * n - bits)
     # the moved slots carry +2^(8w-1) and the wrapped ones -2^(8w-1): cancel both
     return (x >> bits) - wrapped + plan.bias - 2 * (plan.bias >> bits)
 

@@ -36,8 +36,8 @@ def ksum_counts(ctx, h):
     """The exponent-count vectors of ctx.level(h), unpacked and padded with
     zeros to the N counts of z_N^e: the level holds N/2 slots at h >= 1."""
     plan, ksums = ctx.level(h)
-    n = plan.top // (8 * plan.w) + 1
-    return [list(_unpack(x + plan.bias, n, plan.w)[::-1]) + [0] * (plan.N - n) for x in ksums]
+    return [list(_unpack(x + plan.bias, plan.n, plan.w)[::-1]) + [0] * (plan.N - plan.n)
+            for x in ksums]
 
 
 def member(x, rf, c):

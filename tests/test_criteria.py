@@ -294,8 +294,7 @@ def rotate_and_add_rows(ctx, h):
 def decoded_rows(ctx, h):
     """The packed matrix rows of level h as count lists, N/2 of them at h >= 1."""
     plan, _ = ctx.level(h)
-    n = plan.top // (8 * plan.w) + 1
-    return [list(_unpack(x + plan.bias, n, plan.w)[::-1]) for x in ctx.matrix_rows(h)]
+    return [list(_unpack(x + plan.bias, plan.n, plan.w)[::-1]) for x in ctx.matrix_rows(h)]
 
 
 class TestMatrixRows:

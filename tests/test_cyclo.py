@@ -293,24 +293,23 @@ class TestPackAndRotate:
     """numth.pack and numth.rotate against list arithmetic at slot widths of
     8 bytes and past 8 (the signed to_bytes path), which the level plans of
     the fields measured so far (w in 1, 2, 4) never reach: pack of a sum, a
-    negation and an integer multiple, and rotate by s against the list
-    rotated in Z[X]/(X^(N/2) + 1), where the wrapped slots come back
-    negated, with negative slots and slots at the edges of
-    (-2^(8w-1), 2^(8w-1)), whose negation stays in a slot."""
+    negation and an integer multiple, with negative slots and slots at the
+    edges of [-2^(8w-1), 2^(8w-1)), and rotate by s against the list
+    rotated in Z[X]/(X^N + 1), where the wrapped slots come back negated.
+    The rotated list moves -2^(8w-1) up by one, since its negation does
+    not fit a slot."""
 
-    @pytest.mark.parametrize("n,bits,w", [(7, 40, 8), (12, 64, 9), (96, 130, 17)])
-    def test_against_lists(self, n, bits, w):
-        # n slots at conductor N = 2n
+    @pytest.mark.parametrize("N,bits,w", [(7, 40, 8), (12, 64, 9), (96, 130, 17)])
+    def test_against_lists(self, N, bits, w):
         import random
 
-        N = 2 * n
         rng = random.Random(N)
-        plan = fold_plan(n, N, 1, bits)
+        plan = fold_plan(N, N, 1, bits)
         assert plan.w == w
         top = 1 << (8 * w - 1)
 
         def values(bound):
-            return [rng.randrange(1 - bound, bound) for _ in range(n)]
+            return [rng.randrange(-bound, bound) for _ in range(N)]
 
         a, b = values(top >> 1), values(top >> 1)
         assert pack(a, plan) + pack(b, plan) == pack([x + y for x, y in zip(a, b)], plan)
@@ -319,16 +318,19 @@ class TestPackAndRotate:
         c = values(top // 3)
         assert 3 * pack(c, plan) == pack([3 * x for x in c], plan)
         edge = values(top)
-        edge[:4] = [1 - top, top - 1, -1, 0]
+        edge[:4] = [-top, top - 1, -1, 0]
         rng.shuffle(edge)
         x = pack(edge, plan)
-        assert list(_unpack(x + plan.bias, n, w)[::-1]) == edge
-        assert rotate(x, n, plan) == -x
-        for s in (0, 1, -1, n - 1, n, n + 3, N, N + 1, -n - 2, -2 * N - 5, rng.randrange(N)):
-            rotated = [0] * n
-            for e, v in enumerate(edge):
-                t = (e + s) % N
-                rotated[t % n] += v if t < n else -v
+        assert list(_unpack(x + plan.bias, N, w)[::-1]) == edge
+        spun = [max(v, 1 - top) for v in edge]
+        x = pack(spun, plan)
+        assert rotate(x, N, plan) == -x
+        for s in (0, 1, -1, N - 1, N, N + 3, 2 * N, 2 * N + 1, -N - 2, -4 * N - 5,
+                  rng.randrange(2 * N)):
+            rotated = [0] * N
+            for e, v in enumerate(spun):
+                t = (e + s) % (2 * N)
+                rotated[t % N] += v if t < N else -v
             assert rotate(x, s, plan) == pack(rotated, plan), s
 
 
