@@ -68,6 +68,12 @@ The verify at q = 449 of necessary, prop2 and thm2 alone, given in that
 order, was taken before the checks were evaluated one twist level at a
 time, each once per (sequence, k): it pins a partial check list, named out
 of order, at a field that reaches twist level 6.
+The binary generate over GF(3^7), the ternary generate over GF(7^2) and
+the semiprimitive gauss runs over GF(3^4), GF(3^6) and GF(5^6) were taken
+before GF(p^m) was built on one code path for every m: they pin the
+alpha search and the power walk at m = 7, a d = 3 sequence over an
+extension field, and the traces at m = 4 and 6 that the numeric sign of a
+semiprimitive Gauss sum reads. All five print integers only.
 """
 
 import hashlib
@@ -161,6 +167,16 @@ GOLDEN = [
     (("verify", "--p", "449", "--qmax", "449", "--theorems", "necessary,prop2,thm2",
       "--jobs", "1"),
      "5eeae7411b0157148b5068225393c2b8e5e1e4f58a88089009656949bc016e19"),
+    (("generate", "--p", "3", "--m", "7"),
+     "28813ce297ed248ec37165c0bda651c7c40313dad1838f1a9073b9694366c234"),
+    (("generate", "--p", "7", "--m", "2", "--d", "3"),
+     "1547d92b7f5c9edb1aeeb109a7b55b490d3e99b829796bfcca9d4d5153c560d3"),
+    (("gauss", "--p", "3", "--m", "4", "--semiprimitive", "5"),
+     "9133c997faec23784549dfbc3e362d53db3d3f11887eb7bdb6111f6e49e08424"),
+    (("gauss", "--p", "3", "--m", "6", "--semiprimitive", "7"),
+     "c3f84a8291d95c0fba18f50fd3b7f225ef85c2da5eda0e959f798c4fb2434aa7"),
+    (("gauss", "--p", "5", "--m", "6", "--semiprimitive", "3"),
+     "64871b21ea0e503fcaa49672436db2d504d64cb91f61fa9c7325956d22f41ce7"),
 ]
 
 
