@@ -1,14 +1,16 @@
 """Command-line front end: generation, complexity reports, verification
 sweeps, Gauss/Jacobi sum evaluation, and statistics tables.
 
-Exit codes: 0 success, 2 bad input, 3 criterion/ground-truth mismatch or
-internal inconsistency. Output is deterministic: canonical constructions,
-sorted records, no timestamps.
+Exit codes: 0 success, 1 stdout closed by its reader before the output
+was complete (as by `| head`), 2 bad input, 3 criterion/ground-truth
+mismatch or internal inconsistency. Output is deterministic: canonical
+constructions, sorted records, no timestamps.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 
@@ -301,7 +303,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so the interpreter's
+        # last flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3

@@ -108,6 +108,19 @@ def _is_irreducible(coeffs, p):
     return True
 
 
+def _power_sums(coeffs, p):
+    """Tr(X^j) for j < m in GF(p)[X]/(f), f = coeffs monic of degree m: the
+    j-th power sums of the roots of f (the conjugates X^(p^i) of X), by
+    Newton's identities s_j = -(j a_j + sum_{i<j} a_i s_(j-i)) with
+    a_i = coeffs[m - i] (Lidl-Niederreiter, Finite Fields, 2.3)."""
+    m = len(coeffs) - 1
+    sums = [m % p]
+    for j in range(1, m):
+        acc = j * coeffs[m - j] + sum(coeffs[m - i] * sums[j - i] for i in range(1, j))
+        sums.append(-acc % p)
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # GF(p^m)
 
@@ -146,7 +159,7 @@ class ExtField:
         self.modulus = self._find_modulus()
         self.alpha_code = self._find_alpha()
         self._build_tables()
-        self._trace_basis = None
+        self._trace_basis = _power_sums(self.modulus, p)
         self._zech = None
 
     # -- construction -------------------------------------------------------
@@ -159,34 +172,26 @@ class ExtField:
         return out
 
     def _find_modulus(self):
-        p, m = self.p, self.m
-        if m == 1:
-            return (0, 1)  # X itself: GF(p)[X]/(X) = GF(p)
-        for code in range(p**m):
+        # at m = 1 the first monic X + c is X itself: GF(p)[X]/(X) = GF(p)
+        for code in range(self.q):
             coeffs = self._digits(code) + [1]
-            if _is_irreducible(coeffs, p):
+            if _is_irreducible(coeffs, self.p):
                 return tuple(coeffs)
         raise InternalInconsistency("no irreducible polynomial found")
-
-    def _raw_mul(self, a, b):
-        # code-level multiply straight from the modulus; used only before
-        # the dlog table exists
-        p = self.p
-        if self.m == 1:
-            return a * b % p
-        code = 0
-        for r in reversed(_pp_mulmod(self._digits(a), self._digits(b), list(self.modulus), p)):
-            code = code * p + r
-        return code
 
     def _find_alpha(self):
         p, m, q = self.p, self.m, self.q
         exps = [(q - 1) // r for r in prime_factors(q - 1)]
-        exp = partial(pow, mod=p) if m == 1 else partial(power, mul=self._raw_mul)
-        # at m > 1 the codes below p lie in GF(p)*, whose orders divide p - 1
-        for code in range(2 if m == 1 else p, q):
-            if all(exp(code, e) != 1 for e in exps):
-                return code
+        if m == 1:
+            found = (c for c in range(2, q) if all(pow(c, e, p) != 1 for e in exps))
+        else:
+            # powers of digit lists modulo the modulus; the codes below p lie
+            # in GF(p)*, whose orders divide p - 1
+            mulmod, one = partial(_pp_mulmod, modulus=self.modulus, p=p), self._digits(1)
+            found = (c for c in range(p, q)
+                     if all(power(self._digits(c), e, mulmod, one) != one for e in exps))
+        for code in found:
+            return code
         raise InternalInconsistency("no primitive element found")
 
     def _build_tables(self):
@@ -204,7 +209,9 @@ class ExtField:
                 dlog[x] = n
                 x = x * a % p
         else:
-            rows = tuple(zip(*(self._digits(self._raw_mul(a, p**i)) for i in range(m))))
+            alpha = self._digits(a)
+            rows = tuple(zip(*(_pp_mulmod(alpha, self._digits(p**i), self.modulus, p)
+                               for i in range(m))))
             weights = [p**j for j in range(m)]
             digits = self._digits(1)
             for n in range(q - 1):
@@ -220,11 +227,8 @@ class ExtField:
     # -- code-level arithmetic ----------------------------------------------
 
     def add_codes(self, a, b):
-        p, m = self.p, self.m
-        if m == 1:
-            return (a + b) % p
-        out, mult = 0, 1
-        for _ in range(m):
+        p, out, mult = self.p, 0, 1
+        for _ in range(self.m):
             a, ra = divmod(a, p)
             b, rb = divmod(b, p)
             out += (ra + rb) % p * mult
@@ -232,11 +236,8 @@ class ExtField:
         return out
 
     def neg_code(self, a):
-        p, m = self.p, self.m
-        if m == 1:
-            return (-a) % p
-        out, mult = 0, 1
-        for _ in range(m):
+        p, out, mult = self.p, 0, 1
+        for _ in range(self.m):
             a, ra = divmod(a, p)
             out += (-ra) % p * mult
             mult *= p
@@ -250,44 +251,29 @@ class ExtField:
     def pow_alpha(self, n):
         return self._pow[n % (self.q - 1)]
 
-    # -- traces and the Zech-logarithm table (lazy) --------------------------
+    # -- traces, and the Zech-logarithm table (lazy) -------------------------
 
     def trace_code(self, code):
-        """Absolute trace GF(q) -> GF(p) as an int in [0, p)."""
-        p, m = self.p, self.m
-        if m == 1:
+        """Absolute trace GF(q) -> GF(p) as an int in [0, p): the digits of
+        code dotted with the traces Tr(X^j) of the basis."""
+        if self.m == 1:
             return code
-        if self._trace_basis is None:
-            basis = []
-            for j in range(m):
-                n = self._dlog[p**j]
-                acc = 0
-                for i in range(m):
-                    acc = self.add_codes(acc, self._pow[n * p**i % (self.q - 1)])
-                if acc >= p:
-                    raise InternalInconsistency("trace landed outside the prime subfield")
-                basis.append(acc)
-            self._trace_basis = basis
-        acc, c = 0, code
-        for j in range(m):
-            c, r = divmod(c, p)
-            acc += r * self._trace_basis[j]
+        p, acc = self.p, 0
+        for s in self._trace_basis:
+            code, r = divmod(code, p)
+            acc += r * s
         return acc % p
 
     def zech_log(self):
         """Zech-logarithm table z[n] = dlog(1 + alpha^n); the n = (q - 1)/2
         entry is None since 1 + alpha^((q-1)/2) = 1 - 1 = 0."""
-        if self._zech is None and self.m == 1:
-            # adding 1 never carries: 1 + a is code a + 1, and 0 at a = p - 1
-            self._zech = list(map((self._dlog[1:] + [None]).__getitem__, self._pow))
-        elif self._zech is None:
-            p = self.p
-            out = []
-            for a in self._pow:
-                # adding the constant 1 only touches digit 0
-                y = a - (p - 1) if a % p == p - 1 else a + 1
-                out.append(None if y == 0 else self._dlog[y])
-            self._zech = out
+        if self._zech is None:
+            p, q, dlog = self.p, self.q, self._dlog
+            # adding 1 changes digit 0 only: 1 + a is code a + 1, or a - (p - 1)
+            # where digit 0 is p - 1, and 0 at a = p - 1
+            plus_one = dlog[1:] + [None]
+            plus_one[p - 1::p] = [None] + dlog[p:q:p]
+            self._zech = list(map(plus_one.__getitem__, self._pow))
         return self._zech
 
     def __repr__(self):

@@ -213,13 +213,12 @@ def horner(poly, rf, x):
 def with_primitive_element(field, code):
     """A field over the same modulus whose tables are rebuilt around the
     primitive element with the given code; used to probe generator
-    invariance."""
+    invariance. The traces depend on the modulus only and are kept."""
     if code == 0 or math.gcd(field.dlog_code(code), field.q - 1) != 1:
         raise ValueError("not a primitive element")
     other = copy.copy(field)
     other.alpha_code = code
     other._build_tables()
-    other._trace_basis = None
     other._zech = None
     return other
 

@@ -4,10 +4,14 @@ import csv
 import io
 import itertools
 import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import slce
 from slce.cli import main
 
 
@@ -496,3 +500,28 @@ class TestExitCode3:
         monkeypatch.setattr(cli_mod, "berlekamp_massey", broken_bm)
         code, out, err = run_cli(capsys, "complexity", "--p", "7")
         assert code == 3 and "disagree" in err
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early (`slce ... | head -1`) ends the
+    run with exit 1 and no traceback, with stdout buffered or not. Both
+    outputs are larger than a pipe's buffer, so a write fails after the
+    close whatever the timing."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv,lines", [
+        (("verify", "--qmax", "200"), 1),
+        (("sweep", "--qmax", "2048"), 2),
+    ])
+    def test_reader_closes_early(self, argv, lines, unbuffered):
+        src = os.path.dirname(os.path.dirname(slce.__file__))
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "slce.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert b"Traceback" not in err and b"Exception ignored" not in err

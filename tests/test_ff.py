@@ -237,7 +237,8 @@ def zech_by_digit(F):
 
 
 class TestZechTable:
-    """At m = 1 the Zech table is one shifted read of the dlog table."""
+    """At every m the Zech table is one read of the dlog table, shifted by
+    one where digit 0 does not wrap."""
 
     def test_prime_fields_to_2048(self):
         fields = [p for p, m in map_fields(lambda p, m: (p, m), 2048) if m == 1]
@@ -250,6 +251,42 @@ class TestZechTable:
     def test_extension_fields(self, p, m):
         F = ExtField(p, m)
         assert F.zech_log() == zech_by_digit(F)
+
+
+def trace_by_conjugates(F, code):
+    """Oracle: Tr(x) as the sum of the conjugates x^(p^i), i < m, read off
+    the power and dlog tables and added digit by digit; it must land in
+    the prime subfield."""
+    if code == 0:
+        return 0
+    n, acc = F.dlog_code(code), 0
+    for i in range(F.m):
+        acc = F.add_codes(acc, F.pow_alpha(n * F.p**i))
+    assert acc < F.p, f"trace of {code} landed outside the prime subfield"
+    return acc
+
+
+class TestTrace:
+    """trace_code reads Tr(X^j) off the modulus by Newton's identities; the
+    sum of the conjugates is the reference."""
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (31, 2), (3, 3), (7, 3), (3, 4),
+                                     (5, 4), (3, 5), (3, 6)])
+    def test_every_code(self, p, m):
+        F = build_field(p, m)
+        assert [F.trace_code(c) for c in range(F.q)] == [
+            trace_by_conjugates(F, c) for c in range(F.q)]
+
+    def test_sample_of_gf_3_10(self):
+        F = build_field(3, 10)
+        codes = range(0, F.q, 97)
+        assert [F.trace_code(c) for c in codes] == [trace_by_conjugates(F, c) for c in codes]
+
+    def test_trace_is_onto_and_balanced(self):
+        # a nonzero linear form onto GF(p): every value has q/p preimages
+        F = build_field(5, 3)
+        traces = [F.trace_code(c) for c in range(F.q)]
+        assert [traces.count(v) for v in range(5)] == [25] * 5
 
 
 class TestPowerTable:

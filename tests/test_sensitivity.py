@@ -19,10 +19,12 @@ gains no switch.
 
 For each, `slce verify` exits 3 at the smallest q where it fails.
 
-The ground truth gets one near miss too: the parity table without its
+The ground truth gets two near misses too: the parity table without its
 superset sum, so that masks[t] keeps only the n with n mod 2^u = t, which
-reads Lucas's theorem as n = t. It has its own name, since the table is
-held on the sequence under its builder's name."""
+reads Lucas's theorem as n = t (it has its own name, since the table is
+held on the sequence under its builder's name); and every Hasse sum
+evaluated at beta^-1 = gamma^-e instead of beta = gamma^e, which pairs chi
+with the conjugate of beta."""
 
 import math
 from functools import wraps
@@ -144,4 +146,20 @@ def test_ground_truth_near_miss_is_caught(monkeypatch):
     wrong = [(r.q, r.check) for r in run_verify(128) if not r.match]
     assert wrong and min(wrong)[0] == 19
     assert {check for q, check in wrong if q == 19} == {"thm1", "thm2", "prop1"}
+    assert main(argv) == 3
+
+
+def test_ground_truth_at_inverse_beta_is_caught(monkeypatch):
+    # at q = 29, k = 7: the Hasse sums at gamma^-e, where 2 has order 3 mod 7
+    # and -1 is no power of 2, so beta^-1 lies over the other prime; thm1
+    # and thm2 at t = 2 and 3, prop3 and prop4 disagree at every e
+    argv = ["verify", "--p", "29", "--qmax", "29"]
+    assert main(argv) == 0
+    own = criteria._evaluate_mask
+    monkeypatch.setattr(criteria, "_evaluate_mask", lambda x, gp, k, e: own(x, gp, k, -e % k))
+    wrong = [r for r in run_verify(128) if not r.match]
+    assert wrong and min(r.q for r in wrong) == 29
+    at_29 = {(r.k, r.check, r.index) for r in wrong if r.q == 29}
+    assert at_29 == {(7, "thm1", 2), (7, "thm1", 3), (7, "thm2", 2), (7, "thm2", 3),
+                     (7, "prop3", 2), (7, "prop4", 3)}
     assert main(argv) == 3

@@ -20,7 +20,9 @@ the ground truth's parity masks and thm1's rho sums are each read by their
 own route only, and the ground truth names no factor of Phi_k mod 2. And
 the packed count format stays inside numth: ideal_membership takes packed
 counts with their plan and nothing else, and the criteria name no bias and
-import no private name of numth, so they add and rotate plain signed ints."""
+import no private name of numth, so they add and rotate plain signed ints. And GF(p^m) is built on digit
+lists: ExtField._raw_mul, which turned codes into digits and back for every
+product made before the tables existed, is gone."""
 
 import ast
 import importlib
@@ -90,6 +92,7 @@ DELETED = [
     ("ff", "ResidueField.element"),
     ("ff", "ExtField.one_minus_dlog"),
     ("ff", "ExtField.add_one_code"),
+    ("ff", "ExtField._raw_mul"),
     ("criteria", "admissible_contexts"),
     ("criteria", "coset_sum"),
     ("criteria", "AnalysisContext.ksum_counts"),
