@@ -14,7 +14,9 @@ from slce.ff import (
     build_field,
     build_residue_field,
     field_order,
+    odd_prime_powers,
 )
+from slce.numth import SIZE_CAP
 from slce.polybin import factor_phi_mod2, phi_mod2
 from slce.seq import generate_slce, sequence_from_json
 
@@ -128,6 +130,109 @@ class TestBuildField:
         F = build_field(3, 2)
         assert F.modulus == (1, 0, 1)
         assert all((x * x + 1) % 3 != 0 for x in range(3))
+
+
+# (p, m) -> (modulus, alpha_code) for every field with m > 1 up to SIZE_CAP,
+# as the canonical choices were before the modulus search moved to trial
+# division and the products of digit lists to numth.poly_mul
+CANONICAL = {
+    (3, 2): ((1, 0, 1), 4),
+    (5, 2): ((2, 0, 1), 6),
+    (3, 3): ((1, 2, 0, 1), 3),
+    (7, 2): ((1, 0, 1), 9),
+    (3, 4): ((2, 1, 0, 0, 1), 3),
+    (11, 2): ((1, 0, 1), 15),
+    (5, 3): ((1, 1, 0, 1), 9),
+    (13, 2): ((2, 0, 1), 15),
+    (3, 5): ((1, 2, 0, 0, 0, 1), 3),
+    (17, 2): ((3, 0, 1), 19),
+    (7, 3): ((2, 0, 0, 1), 22),
+    (19, 2): ((1, 0, 1), 22),
+    (23, 2): ((1, 0, 1), 25),
+    (5, 4): ((2, 0, 0, 0, 1), 6),
+    (3, 6): ((2, 1, 0, 0, 0, 0, 1), 3),
+    (29, 2): ((2, 0, 1), 30),
+    (31, 2): ((1, 0, 1), 35),
+    (11, 3): ((4, 1, 0, 1), 11),
+    (37, 2): ((2, 0, 1), 41),
+    (41, 2): ((3, 0, 1), 43),
+    (43, 2): ((1, 0, 1), 45),
+    (3, 7): ((2, 0, 1, 0, 0, 0, 0, 1), 5),
+    (13, 3): ((2, 0, 0, 1), 15),
+    (47, 2): ((1, 0, 1), 49),
+    (7, 4): ((1, 1, 0, 0, 1), 12),
+    (53, 2): ((2, 0, 1), 54),
+    (5, 5): ((1, 4, 0, 0, 0, 1), 10),
+    (59, 2): ((1, 0, 1), 62),
+    (61, 2): ((2, 0, 1), 63),
+    (67, 2): ((1, 0, 1), 74),
+    (17, 3): ((3, 1, 0, 1), 17),
+    (71, 2): ((1, 0, 1), 79),
+    (73, 2): ((5, 0, 1), 76),
+    (79, 2): ((1, 0, 1), 85),
+    (3, 8): ((2, 0, 1, 0, 0, 0, 0, 0, 1), 38),
+    (19, 3): ((2, 0, 0, 1), 29),
+    (83, 2): ((1, 0, 1), 93),
+    (89, 2): ((3, 0, 1), 91),
+    (97, 2): ((5, 0, 1), 101),
+    (101, 2): ((2, 0, 1), 102),
+    (103, 2): ((1, 0, 1), 105),
+    (107, 2): ((1, 0, 1), 109),
+    (109, 2): ((2, 0, 1), 111),
+    (23, 3): ((3, 1, 0, 1), 23),
+    (113, 2): ((3, 0, 1), 117),
+    (11, 4): ((2, 1, 0, 0, 1), 11),
+    (5, 6): ((2, 1, 0, 0, 0, 0, 1), 5),
+    (127, 2): ((1, 0, 1), 135),
+    (7, 5): ((3, 1, 0, 0, 0, 1), 9),
+    (131, 2): ((1, 0, 1), 134),
+    (137, 2): ((3, 0, 1), 145),
+    (139, 2): ((1, 0, 1), 143),
+    (3, 9): ((1, 0, 1, 2, 0, 0, 0, 0, 0, 1), 3),
+    (149, 2): ((2, 0, 1), 152),
+    (151, 2): ((1, 0, 1), 160),
+    (29, 3): ((4, 1, 0, 1), 30),
+    (157, 2): ((2, 0, 1), 159),
+    (163, 2): ((1, 0, 1), 170),
+    (167, 2): ((1, 0, 1), 169),
+    (13, 4): ((2, 0, 0, 0, 1), 17),
+    (31, 3): ((3, 0, 0, 1), 34),
+    (173, 2): ((2, 0, 1), 174),
+    (179, 2): ((1, 0, 1), 182),
+    (181, 2): ((2, 0, 1), 185),
+    (191, 2): ((1, 0, 1), 201),
+    (193, 2): ((5, 0, 1), 198),
+    (197, 2): ((2, 0, 1), 200),
+    (199, 2): ((1, 0, 1), 212),
+    (211, 2): ((1, 0, 1), 215),
+    (223, 2): ((1, 0, 1), 225),
+    (37, 3): ((2, 0, 0, 1), 75),
+    (227, 2): ((1, 0, 1), 229),
+    (229, 2): ((2, 0, 1), 231),
+    (233, 2): ((3, 0, 1), 241),
+    (239, 2): ((1, 0, 1), 247),
+    (241, 2): ((7, 0, 1), 248),
+    (3, 10): ((1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1), 34),
+    (251, 2): ((1, 0, 1), 256),
+}
+
+
+def bare_field(p, m):
+    """An ExtField with p, m and q set and no tables: enough for the
+    modulus search and, once the modulus is set, for the alpha search."""
+    F = object.__new__(ExtField)
+    F.p, F.m, F.q = p, m, p**m
+    return F
+
+
+class TestCanonicalChoices:
+    def test_every_extension_field(self):
+        fields = [(p, m) for p, m, _ in odd_prime_powers(SIZE_CAP) if m > 1]
+        assert fields == list(CANONICAL)
+        for (p, m), (modulus, alpha) in CANONICAL.items():
+            F = bare_field(p, m)
+            F.modulus = F._find_modulus()
+            assert (F.modulus, F._find_alpha()) == (modulus, alpha), (p, m)
 
 
 def mul(F, a, b):
