@@ -11,6 +11,11 @@ the modulus and the primitive element deterministically:
   * modulus: first irreducible monic polynomial of degree m in code order;
   * alpha:   first element of multiplicative order q - 1 in code order.
 
+Both searches rest on one GF(p)[X] remainder, _pp_rem: a candidate
+modulus is irreducible when trial division by every monic polynomial of
+degree 1 to m/2 leaves a nonzero remainder, and a product of digit lists
+is numth.poly_mul reduced by the same remainder.
+
 Construction fills a full power/dlog table, so multiplication, inversion
 and discrete logs are O(1) lookups afterwards. SIZE_CAP keeps tables
 desk-sized; it lives in numth, next to the cyclotomic polynomials whose
@@ -42,70 +47,37 @@ from .errors import (
     LogOfZero,
     SizeExceeded,
 )
-from .numth import CONDUCTORS_HELD, SIZE_CAP, is_prime, power, prime_factors
+from .numth import CONDUCTORS_HELD, SIZE_CAP, is_prime, poly_mul, power, prime_factors
 
 
 # ---------------------------------------------------------------------------
 # dense GF(p) polynomial helpers used only during field construction
 
 
-def _pp_mulmod(a, b, modulus, p):
-    # a, b, modulus: coefficient lists (constant first), modulus monic
-    m = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, m - 1, -1):
-        c = prod[i]
+def _pp_rem(a, b, p):
+    """a modulo the monic b in GF(p)[X], as len(b) - 1 coefficients in
+    [0, p); coefficient lists, constant first, a no shorter than that."""
+    m = len(b) - 1
+    r = list(a)
+    for i in range(len(r) - 1, m - 1, -1):
+        c = r[i] % p
         if c:
-            prod[i] = 0
-            for j in range(m + 1):
-                prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
-    out = prod[:m]
-    out += [0] * (m - len(out))
-    return out
+            for j in range(m):
+                r[i - m + j] -= c * b[j]
+    return [c % p for c in r[:m]]
 
 
-def _pp_gcd(a, b, p):
-    a, b = a[:], b[:]
-
-    def strip(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = strip(a), strip(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b):
-            c = a[-1] * inv % p
-            s = len(a) - len(b)
-            for j in range(len(b)):
-                a[s + j] = (a[s + j] - c * b[j]) % p
-            strip(a)
-            if not a:
-                break
-        a, b = b, a
-    return a
+def _pp_mulmod(a, b, modulus, p):
+    return _pp_rem(poly_mul(a, b), modulus, p)
 
 
 def _is_irreducible(coeffs, p):
-    """Monic f of degree m is irreducible iff it shares no factor with any
-    X^(p^d) - X for d <= m/2 (i.e. no factor of degree <= m/2)."""
-    m = len(coeffs) - 1
-    if m == 1:
-        return True
-    if coeffs[0] == 0:
-        return False  # divisible by X
-    mulmod = partial(_pp_mulmod, modulus=coeffs, p=p)
-    for d in range(1, m // 2 + 1):
-        diff = power([0, 1], p**d, mulmod, [1] + [0] * (m - 1))  # X^(p^d) mod f, length m >= 2
-        diff[1] = (diff[1] - 1) % p
-        if len(_pp_gcd(coeffs[:], diff, p)) != 1:
-            return False
-    return True
+    """Monic f of degree m is irreducible iff no monic g of degree 1 to m/2
+    divides it (Lidl-Niederreiter, Finite Fields, ch. 3): fewer than
+    2 sqrt(q) trial divisions."""
+    return all(any(_pp_rem(coeffs, [*tail, 1], p))
+               for d in range(1, (len(coeffs) - 1) // 2 + 1)
+               for tail in itertools.product(range(p), repeat=d))
 
 
 def _power_sums(coeffs, p):

@@ -6,8 +6,9 @@ in the cyclic ring Z[X]/(X^N - 1), with a cyclic butterfly and the
 eta(-1) signs applied one by one, tested in the canonical prime, thm1
 summed term by term), props 3 and 4 as one list of exponent counts folded
 once, coset sums and Hasse-derivative sums summed term by term, Horner
-evaluation in a residue field, and fields rebuilt around another
-primitive element. The package itself needs none of them: analyze_field
+evaluation in a residue field, fields rebuilt around another primitive
+element, and the schoolbook product of GF(p)[X] digit lists modulo a
+monic polynomial. The package itself needs none of them: analyze_field
 enumerates one context per Galois orbit, the criteria build one element
 per (sequence, k) in Z[X]/(X^(N/2) + 1) and test it at every prime over
 2, and the ground truth and thm1 each read every (orbit, t) off one
@@ -227,3 +228,24 @@ def primitive_elements(field):
     """All primitive elements, as codes, in canonical order."""
     q = field.q
     return sorted(field.pow_alpha(n) for n in range(q - 1) if math.gcd(n, q - 1) == 1)
+
+
+def schoolbook_mulmod(a, b, modulus, p):
+    """a b modulo the monic modulus in GF(p)[X] (coefficient lists, constant
+    first), by the schoolbook product and reduction, m = deg modulus
+    coefficients in [0, p)."""
+    m = len(modulus) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    for i in range(len(prod) - 1, m - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(m + 1):
+                prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
+    out = prod[:m]
+    out += [0] * (m - len(out))
+    return out

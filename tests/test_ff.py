@@ -1,5 +1,8 @@
 """Field construction, canonical choices, dlog tables, residue fields."""
 
+import itertools
+import math
+import random
 import time
 import weakref
 
@@ -16,11 +19,11 @@ from slce.ff import (
     field_order,
     odd_prime_powers,
 )
-from slce.numth import SIZE_CAP
+from slce.numth import SIZE_CAP, divisors, prime_factors
 from slce.polybin import factor_phi_mod2, phi_mod2
 from slce.seq import generate_slce, sequence_from_json
 
-from oracles import primitive_elements, with_primitive_element
+from oracles import primitive_elements, schoolbook_mulmod, with_primitive_element
 
 
 def brute_order(g, p):
@@ -233,6 +236,52 @@ class TestCanonicalChoices:
             F = bare_field(p, m)
             F.modulus = F._find_modulus()
             assert (F.modulus, F._find_alpha()) == (modulus, alpha), (p, m)
+
+
+def mobius(n):
+    primes = prime_factors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
+
+
+def irreducible_count(p, m, is_irreducible):
+    """How many monic polynomials of degree m over GF(p) is_irreducible
+    accepts."""
+    return sum(is_irreducible([*tail, 1], p) for tail in itertools.product(range(p), repeat=m))
+
+
+def trial_below_half(coeffs, p):
+    """Near miss: trial division by the degrees 1 to m/2 - 1 only."""
+    return all(any(ff._pp_rem(coeffs, [*tail, 1], p))
+               for d in range(1, (len(coeffs) - 1) // 2)
+               for tail in itertools.product(range(p), repeat=d))
+
+
+class TestIrreducible:
+    """The trial-division test against Gauss's count of the monic
+    irreducible polynomials of degree m, (1/m) sum_{d | m} mu(d) p^(m/d)."""
+
+    FIELDS = [(p, m) for p, m, _ in odd_prime_powers(2500) if m > 1]
+
+    @pytest.mark.parametrize("p,m", FIELDS)
+    def test_gauss_count(self, p, m):
+        gauss = sum(mobius(d) * p ** (m // d) for d in divisors(m)) // m
+        assert irreducible_count(p, m, ff._is_irreducible) == gauss
+        assert irreducible_count(p, m, trial_below_half) > gauss
+
+
+class TestProduct:
+    """Products of digit lists through numth.poly_mul against the schoolbook
+    product and reduction."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 251])
+    def test_against_schoolbook(self, p):
+        rng = random.Random(p)
+        for m in range(1, 11):
+            for _ in range(20):
+                modulus = [rng.randrange(p) for _ in range(m)] + [1]
+                a = [rng.randrange(p) for _ in range(m)]
+                b = [rng.randrange(p) for _ in range(m)]
+                assert ff._pp_mulmod(a, b, modulus, p) == schoolbook_mulmod(a, b, modulus, p)
 
 
 def mul(F, a, b):

@@ -22,7 +22,9 @@ the packed count format stays inside numth: ideal_membership takes packed
 counts with their plan and nothing else, and the criteria name no bias and
 import no private name of numth, so they add and rotate plain signed ints. And GF(p^m) is built on digit
 lists: ExtField._raw_mul, which turned codes into digits and back for every
-product made before the tables existed, is gone."""
+product made before the tables existed, is gone. And GF(p)[X]
+irreducibility is by trial division through one remainder, with no GF(p)
+gcd."""
 
 import ast
 import importlib
@@ -93,6 +95,7 @@ DELETED = [
     ("ff", "ExtField.one_minus_dlog"),
     ("ff", "ExtField.add_one_code"),
     ("ff", "ExtField._raw_mul"),
+    ("ff", "_pp_gcd"),
     ("criteria", "admissible_contexts"),
     ("criteria", "coset_sum"),
     ("criteria", "AnalysisContext.ksum_counts"),
