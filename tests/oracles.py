@@ -7,8 +7,8 @@ eta(-1) signs applied one by one, tested in the canonical prime, thm1
 summed term by term), props 3 and 4 as one list of exponent counts folded
 once, coset sums and Hasse-derivative sums summed term by term, Horner
 evaluation in a residue field, fields rebuilt around another primitive
-element, and the schoolbook product of GF(p)[X] digit lists modulo a
-monic polynomial. The package itself needs none of them: analyze_field
+element, the power table of GF(p^m) walked by one matrix step, and the
+schoolbook product of GF(p)[X] digit lists modulo a monic polynomial. The package itself needs none of them: analyze_field
 enumerates one context per Galois orbit, the criteria build one element
 per (sequence, k) in Z[X]/(X^(N/2) + 1) and test it at every prime over
 2, and the ground truth and thm1 each read every (orbit, t) off one
@@ -17,7 +17,9 @@ superset-summed table per sequence."""
 import cmath
 import copy
 import math
+from operator import mul
 
+from slce import ff
 from slce.criteria import AnalysisContext
 from slce.cyclo import Character, CycInt, ideal_membership, k_sum_counts
 from slce.numth import _unpack, divisors, fold_plan, pack, units
@@ -228,6 +230,22 @@ def primitive_elements(field):
     """All primitive elements, as codes, in canonical order."""
     q = field.q
     return sorted(field.pow_alpha(n) for n in range(q - 1) if math.gcd(n, q - 1) == 1)
+
+
+def matrix_walk(field):
+    """The power table of field.alpha_code at m > 1, walked by one matrix
+    step: the digits of x alpha are the dot products of x's digits with the
+    rows of the matrix whose column i holds the digits of alpha X^i."""
+    p, m, q = field.p, field.m, field.q
+    alpha = field._digits(field.alpha_code)
+    rows = tuple(zip(*(ff._pp_mulmod(alpha, field._digits(p**i), field.modulus, p)
+                       for i in range(m))))
+    weights = [p**j for j in range(m)]
+    digits, out = field._digits(1), []
+    for _ in range(q - 1):
+        out.append(sum(map(mul, digits, weights)))
+        digits = [sum(map(mul, digits, row)) % p for row in rows]
+    return out
 
 
 def schoolbook_mulmod(a, b, modulus, p):

@@ -1,5 +1,6 @@
 """Field construction, canonical choices, dlog tables, residue fields."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -23,7 +24,7 @@ from slce.numth import SIZE_CAP, divisors, prime_factors
 from slce.polybin import factor_phi_mod2, phi_mod2
 from slce.seq import generate_slce, sequence_from_json
 
-from oracles import primitive_elements, schoolbook_mulmod, with_primitive_element
+from oracles import matrix_walk, primitive_elements, schoolbook_mulmod, with_primitive_element
 
 
 def brute_order(g, p):
@@ -465,6 +466,39 @@ class TestPowerTable:
         assert code != F.alpha_code
         G = with_primitive_element(F, code)
         assert G._pow == raw_mul_walk(G)
+
+
+FIELDS_TO_4096 = [(p, m) for p, m, _ in odd_prime_powers(4096) if m > 1]
+
+# sha256 of repr((p, m, alpha_code, _pow)) over FIELDS_TO_4096 in order,
+# taken while the power tables were walked by one matrix step
+POWER_TABLES_TO_4096 = "014675945e257186fa39145685d365fc898b8566bca4a215780dc87d291d674f"
+
+
+class TestMatrixWalk:
+    """The power tables against the walk by one matrix step (the oracle),
+    at every m > 1 field with q <= 4096, canonical or not, and pinned."""
+
+    def test_pinned(self):
+        assert len(FIELDS_TO_4096) == 29
+        digest = hashlib.sha256()
+        for p, m in FIELDS_TO_4096:
+            F = ExtField(p, m)
+            digest.update(repr((p, m, F.alpha_code, F._pow)).encode())
+        assert digest.hexdigest() == POWER_TABLES_TO_4096
+
+    @pytest.mark.parametrize("p,m", FIELDS_TO_4096)
+    def test_matches_matrix_walk(self, p, m):
+        F = build_field(p, m)
+        assert F._pow == matrix_walk(F)
+
+    @pytest.mark.parametrize("p,m", [(3, 4), (13, 3), (61, 2)])
+    def test_other_primitive_elements(self, p, m):
+        F = build_field(p, m)
+        codes = primitive_elements(F)
+        for code in (codes[1], codes[len(codes) // 2], codes[-1]):
+            G = with_primitive_element(F, code)
+            assert G._pow == matrix_walk(G), code
 
 
 class TestWithPrimitiveElement:
