@@ -93,6 +93,12 @@ def _power_sums(coeffs, p):
     return sums
 
 
+def _slot_bits(p):
+    # bits per digit slot of the half tables: room for the sum of two
+    # digits, up to 2p - 2
+    return (2 * p - 2).bit_length()
+
+
 # ---------------------------------------------------------------------------
 # GF(p^m)
 
@@ -168,9 +174,12 @@ class ExtField:
 
     def _build_tables(self):
         """The power and dlog tables of alpha_code, walked by one
-        multiply-by-alpha step: x alpha mod p at m = 1; above it, the digits
-        of x alpha are the dot products of x's digits with the rows of the
-        matrix whose column i holds the digits of alpha X^i."""
+        multiply-by-alpha step: x alpha mod p at m = 1. Above it, with
+        h = ceil(m/2) and P = p^h, x = x_lo + P x_hi and x alpha is
+        x_lo alpha + (P x_hi) alpha: two half tables hold the digits of
+        each product, one digit per slot of _slot_bits(p) bits, so one int
+        add sums the digits of both without a carry, and two decode tables
+        read the low h and the high m - h slots of the sum as a code."""
         p, m, q, a = self.p, self.m, self.q, self.alpha_code
         pow_table = [0] * (q - 1)
         dlog = [-1] * q
@@ -181,16 +190,33 @@ class ExtField:
                 dlog[x] = n
                 x = x * a % p
         else:
+            h, b = (m + 1) // 2, _slot_bits(p)
+            P, shift = p**h, b * h
             alpha = self._digits(a)
             rows = tuple(zip(*(_pp_mulmod(alpha, self._digits(p**i), self.modulus, p)
                                for i in range(m))))
-            weights = [p**j for j in range(m)]
-            digits = self._digits(1)
+
+            def slots(code):
+                # the digits of code alpha, digit j in bits b j to b (j + 1)
+                digits = self._digits(code)
+                return sum(sum(map(mul, digits, row)) % p << b * j for j, row in enumerate(rows))
+
+            def decode(count):
+                # table[s] = the code of the digits (slot j of s) mod p, j < count
+                table = [0]
+                for j in range(count):
+                    table = [t + d for d in [v % p * p**j for v in range(1 << b)] for t in table]
+                return table
+
+            lo, hi = [slots(c) for c in range(P)], [slots(c * P) for c in range(q // P)]
+            lo_code, hi_code = decode(h), [P * c for c in decode(m - h)]
+            low = (1 << shift) - 1
             for n in range(q - 1):
                 pow_table[n] = x
                 dlog[x] = n
-                digits = [sum(map(mul, digits, row)) % p for row in rows]
-                x = sum(map(mul, digits, weights))
+                x_hi, x_lo = divmod(x, P)
+                s = lo[x_lo] + hi[x_hi]
+                x = lo_code[s & low] + hi_code[s >> shift]
         if x != 1:
             raise InternalInconsistency("alpha does not have order q - 1")
         self._pow = pow_table

@@ -12,7 +12,14 @@ import pytest
 from slce import ff
 from slce.criteria import map_fields
 from slce.cyclo import Character, jacobi_sum
-from slce.errors import CompositeP, EvenK, KisOne, LogOfZero, SizeExceeded
+from slce.errors import (
+    CompositeP,
+    EvenK,
+    InternalInconsistency,
+    KisOne,
+    LogOfZero,
+    SizeExceeded,
+)
 from slce.ff import (
     ExtField,
     build_field,
@@ -491,6 +498,19 @@ class TestMatrixWalk:
     def test_matches_matrix_walk(self, p, m):
         F = build_field(p, m)
         assert F._pow == matrix_walk(F)
+
+    def test_near_miss_one_bit_short(self, monkeypatch):
+        # slots of b - 1 bits, too narrow for the largest digit sum 2p - 2
+        expected = {(p, m): matrix_walk(build_field(p, m)) for p, m in FIELDS_TO_4096}
+        monkeypatch.setattr(ff, "_slot_bits", lambda p: (2 * p - 2).bit_length() - 1)
+        for p, m in FIELDS_TO_4096:
+            F = bare_field(p, m)
+            F.modulus, F.alpha_code = CANONICAL[p, m]
+            try:
+                F._build_tables()
+            except (IndexError, InternalInconsistency):
+                continue
+            assert F._pow != expected[p, m], (p, m)
 
     @pytest.mark.parametrize("p,m", [(3, 4), (13, 3), (61, 2)])
     def test_other_primitive_elements(self, p, m):
