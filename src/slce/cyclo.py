@@ -157,21 +157,24 @@ def jacobi_sum(chi1, chi2):
     return CycInt.from_exponent_counts(N, counts)
 
 
-_SIGNED_SUMS = weakref.WeakKeyDictionary()  # field -> {o: D_o}, dropped with the field
+_SIGNED_SUMS = weakref.WeakKeyDictionary()  # field -> {o: (D_o, max |D_o|)}, dropped with the field
 
 
 def _signed_sums(field, o):
-    # D_o[s] = the sum of rho(x) over the x != 0, 1 with dlog(1 - x) = s mod o
+    # (D_o, max |D_o|), D_o[s] = the sum of rho(x) over the x != 0, 1 with
+    # dlog(1 - x) = s mod o
     T = field.q - 1
     tables = _SIGNED_SUMS.setdefault(field, {})
     if T not in tables:
         # x = alpha^(n + T/2) has 1 - x = 1 + alpha^n and rho(x) = (-1)^(n + T/2)
-        tables[T] = signs = [0] * T
+        signs = [0] * T
         for n, z in enumerate(field.zech_log()):
             if z is not None:
                 signs[z] = -1 if (n + T // 2) & 1 else 1
+        tables[T] = signs, 1  # every entry is 0 or +-1
     if o not in tables:
-        tables[o] = [sum(tables[T][s::o]) for s in range(o)]
+        sums = [sum(tables[T][0][s::o]) for s in range(o)]
+        tables[o] = sums, max(map(abs, sums))
     return tables[o]
 
 
@@ -190,7 +193,7 @@ def k_sum_counts(chi, conductor):
     o = chi.order
     if conductor % o != 0:
         raise ConductorMismatch(f"conductor {conductor} does not contain order {o} values")
-    sums = _signed_sums(chi.field, o)
+    sums = _signed_sums(chi.field, o)[0]
     inv = pow(chi._c, -1, o)
     counts = [0] * conductor
     # entry (conductor / o) r takes D_o[s] for s = inv r mod o
@@ -202,7 +205,7 @@ def k_sum_counts(chi, conductor):
 def k_sum_bound(chi):
     """A bound on |entry| of the counts v = k_sum_counts(chi, N) and of v[:N/2]
     - v[N/2:]: max |D_o|, doubled for even o, where both halves hold D_o."""
-    return max(map(abs, _signed_sums(chi.field, chi.order))) << (chi.order % 2 == 0)
+    return _signed_sums(chi.field, chi.order)[1] << (chi.order % 2 == 0)
 
 
 def k_sum(chi, conductor=None):

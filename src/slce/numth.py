@@ -1,7 +1,8 @@
 """Small deterministic number-theory helpers (desk-scale integers only),
 the size cap, the builders of cyclotomic and inverse cyclotomic
-polynomials over Z, and the exact product and reduction modulo Phi_N of
-integer polynomials, each by Kronecker substitution."""
+polynomials over Z, and the exact product, the product modulo X^n - 1 and
+the reduction modulo Phi_N of integer polynomials, each by Kronecker
+substitution."""
 
 import math
 import struct
@@ -189,9 +190,14 @@ def inverse_cyclotomic_polynomial(N):
 # in slots of w = 1, 2, 4, 8 or more bytes, wide enough for every
 # coefficient of a product; with 2^(8w-1) added to each slot (the bias) the
 # slots are nonnegative, and a product is read off its bytes.
-# struct codes of slots to int64; a Struct is made per call, because the
-# module-level functions keep up to 100 formats (one per length) cached
+# struct codes of slots to int64, and the Struct of n such slots, held for
+# CONDUCTORS_HELD (n, w) at once
 _FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+@lru_cache(maxsize=CONDUCTORS_HELD)
+def _struct(n, w):
+    return struct.Struct(f"<{n}{_FORMATS[w]}")
 
 
 def _repeat(value, n, w):
@@ -209,7 +215,7 @@ def _pack(values, w, bias):
     # values[i] + 2^(8w-1) in slot i, and 2^(8w-1) in the further slots of
     # bias, which holds it in at least len(values) slots
     if w in _FORMATS:
-        raw = struct.Struct(f"<{len(values)}{_FORMATS[w]}").pack(*values)
+        raw = _struct(len(values), w).pack(*values)
     else:  # past int64, one slot at a time
         raw = b"".join(v.to_bytes(w, "little", signed=True) for v in values)
     return int.from_bytes(raw, "little") ^ bias
@@ -219,7 +225,7 @@ def _unpack(biased, n, w):
     # the n values v held as v + 2^(8w-1) in the w-byte slots of biased
     raw = (biased ^ _repeat(1 << (8 * w - 1), n, w)).to_bytes(w * n, "little")
     if w in _FORMATS:
-        return struct.Struct(f"<{n}{_FORMATS[w]}").unpack(raw)
+        return _struct(n, w).unpack(raw)
     return tuple(int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, w * n, w))
 
 
@@ -231,6 +237,20 @@ def poly_mul(a, b):
     w = _width((sum(map(abs, a)) + 1) * (max(map(abs, b)) + 1))
     bias = _repeat(1 << (8 * w - 1), n, w)
     return _unpack((_pack(a, w, bias) - bias) * (_pack(b, w, bias) - bias) + bias, n, w)
+
+
+def cyclic_mul(a, b):
+    """Exact product of two integer polynomials of n coefficients each
+    (constant term first) modulo X^n - 1, as a tuple of n: one int
+    multiplication, whose slots from n on are added onto the low n before
+    one unpack."""
+    n = len(a)
+    # a slot of the sum is at most |a|_1 |b|_inf, as in poly_mul
+    w = _width((sum(map(abs, a)) + 1) * (max(map(abs, b)) + 1))
+    bias, bits = _repeat(1 << (8 * w - 1), n, w), 8 * w * n
+    # biased, the low n slots are >= 0 and borrow nothing from the high ones
+    x = (_pack(a, w, bias) - bias) * (_pack(b, w, bias) - bias) + bias
+    return _unpack((x & ((1 << bits) - 1)) + (x >> bits), n, w)
 
 
 @lru_cache(maxsize=CONDUCTORS_HELD)

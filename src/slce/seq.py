@@ -13,7 +13,7 @@ d > 2 sequences can be generated but only serialized.
 
 from .errors import BadAlphabet, NotBinary
 from .ff import build_field
-from .numth import is_prime, poly_mul, two_adic_split
+from .numth import cyclic_mul, is_prime, two_adic_split
 from .polybin import _BIT_DIGITS
 
 
@@ -90,15 +90,14 @@ def sequence_from_json(doc):
 
 def autocorrelation(s):
     """Periodic autocorrelation C(tau) = sum (-1)^(s_(n+tau) - s_n) for every
-    tau in [0, T), d = 2. With P = S(X) X^(T-1) S(1/X), one exact product,
-    R(tau) = sum s_n s_(n+tau) is P[T-1-tau] + P[2T-1-tau], and
+    tau in [0, T), d = 2. Slot T-1-tau of S(X) X^(T-1) S(1/X) mod X^T - 1,
+    one exact product, is R(tau) = sum s_n s_(n+tau), and
     C(tau) = T - 4W + 4R(tau) for the weight W = R(0)."""
     if s.d != 2:
         raise NotBinary("autocorrelation is defined for d = 2")
-    T = s.T
-    P = poly_mul(s.terms, s.terms[::-1]) + (0,)  # P[2T-1] = 0: no wrapped term at tau = 0
-    base = T - 4 * P[T - 1]
-    return tuple(base + 4 * (a + b) for a, b in zip(P[T - 1::-1], P[:T - 1:-1]))
+    R = cyclic_mul(s.terms, s.terms[::-1])
+    base = s.T - 4 * R[-1]
+    return tuple([base + 4 * r for r in reversed(R)])
 
 
 def balance_report(s):

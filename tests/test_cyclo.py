@@ -16,6 +16,7 @@ from slce.cyclo import (
     gauss_sum_numeric,
     jacobi_sum,
     k_sum,
+    k_sum_bound,
     k_sum_counts,
     quadratic_gauss_closed,
     semiprimitive_gauss_closed,
@@ -30,7 +31,10 @@ from slce.numth import (
     _fold_plan,
     _int_divmod,
     _pack,
+    _struct,
     _unpack,
+    _width,
+    cyclic_mul,
     cyclotomic_polynomial,
     divisors,
     fold,
@@ -287,6 +291,41 @@ class TestFoldOracle:
             b = [rng.randrange(-(1 << bits), (1 << bits) + 1) for _ in range(k)]
             assert list(poly_mul(a, b)) == convolution(a, b)
         assert poly_mul([0, 0], [300, -(1 << 40)]) == (0, 0, 0)
+
+
+class TestCyclicMul:
+    """numth.cyclic_mul against poly_mul with its slots from n on added onto
+    the low n, on random signed inputs at slot widths of 1, 2, 4, 8 and
+    more than 8 bytes."""
+
+    @staticmethod
+    def wrapped(a, b):
+        n, out = len(a), list(poly_mul(a, b)) + [0]
+        return tuple(x + y for x, y in zip(out[:n], out[n:]))
+
+    def test_against_wrapped_product(self):
+        import random
+
+        rng = random.Random(8)
+        widths = set()
+        for n, bits in [(1, 0), (1, 5), (2, 3), (7, 2), (40, 4), (33, 9), (64, 20),
+                        (25, 28), (50, 40), (17, 70), (300, 1)]:
+            for _ in range(5):
+                a = [rng.randrange(-(1 << bits), (1 << bits) + 1) for _ in range(n)]
+                b = [rng.randrange(-(1 << bits), (1 << bits) + 1) for _ in range(n)]
+                assert cyclic_mul(a, b) == self.wrapped(a, b), (n, bits)
+                widths.add(_width((sum(map(abs, a)) + 1) * (max(map(abs, b)) + 1)))
+        assert {1, 2, 4, 8} <= widths and max(widths) > 8
+        assert cyclic_mul([0, 0, 0], [1, -1, 1 << 40]) == (0, 0, 0)
+        assert _struct.cache_info().maxsize == CONDUCTORS_HELD
+
+    def test_edges_of_a_slot(self):
+        # every folded slot at +-|a|_1 |b|_inf, the largest the width allows for
+        for n in (1, 2, 5, 16):
+            for top in (1, 127, 255, 1 << 16):
+                a, b = [top] * n, [-top] * n
+                assert cyclic_mul(a, b) == (-n * top * top,) * n
+                assert cyclic_mul(b, b) == (n * top * top,) * n
 
 
 class TestPackAndRotate:
@@ -572,6 +611,16 @@ class TestKSumCounts:
                     assert k_sum_counts(chi, N) == k_sum_counts_by_term(chi, N), (q, a, N)
                     seen += (q - 1) % N != 0
         assert seen > 1000  # conductors that do not divide q - 1
+
+    def test_bound_is_the_largest_count(self):
+        # k_sum_bound reads max |D_o| kept with D_o: the largest entry of the
+        # counts at conductor o, doubled at even o
+        for p, m, q in odd_prime_powers(243):
+            F = build_field(p, m)
+            for a in range(1, q - 1):
+                chi = Character(F, a)
+                largest = max(map(abs, k_sum_counts(chi, chi.order)))
+                assert k_sum_bound(chi) == largest << (chi.order % 2 == 0), (q, a)
 
     def test_refusals(self):
         chi = Character(build_field(13, 1), 4)  # order 3

@@ -20,11 +20,15 @@ the ground truth's parity masks and thm1's rho sums are each read by their
 own route only, and the ground truth names no factor of Phi_k mod 2. And
 the packed count format stays inside numth: ideal_membership takes packed
 counts with their plan and nothing else, and the criteria name no bias and
-import no private name of numth, so they add and rotate plain signed ints. And GF(p^m) is built on digit
-lists: ExtField._raw_mul, which turned codes into digits and back for every
-product made before the tables existed, is gone. And GF(p)[X]
-irreducibility is by trial division through one remainder, with no GF(p)
-gcd."""
+import no private name of numth, so they add and rotate plain signed ints;
+the autocorrelation, which reads its lags off numth.cyclic_mul, names no
+bias and imports no private name of numth either. And GF(p^m) is built on
+digit lists: ExtField._raw_mul, which turned codes into digits and back for
+every product made before the tables existed, is gone; the power table is
+walked through two half tables of packed digits, x alpha as the sum of
+x_lo alpha and (p^h x_hi) alpha, with no product of digit lists per
+element. And GF(p)[X] irreducibility is by trial division through one
+remainder, with no GF(p) gcd."""
 
 import ast
 import importlib
@@ -207,12 +211,13 @@ def test_routes_read_their_own_tables():
 
 def test_packed_format_stays_in_numth():
     assert list(inspect.signature(slce.ideal_membership).parameters) == ["x", "rf", "c", "plan"]
-    source = (pathlib.Path(slce.__file__).parent / "criteria.py").read_text()
-    assert "bias" not in source
-    imported = [alias.name for node in ast.walk(ast.parse(source))
-                if isinstance(node, ast.ImportFrom) and node.module == "numth"
-                for alias in node.names]
-    assert imported and not [name for name in imported if name.startswith("_")]
+    for module in ("criteria", "seq"):
+        source = (pathlib.Path(slce.__file__).parent / f"{module}.py").read_text()
+        assert "bias" not in source, module
+        imported = [alias.name for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.ImportFrom) and node.module == "numth"
+                    for alias in node.names]
+        assert imported and not [name for name in imported if name.startswith("_")], module
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
