@@ -67,8 +67,12 @@ def _exact_div2(a, b):
 
 
 def _gcd2(a, b):
+    # Euclid with _mod2's reduction inline: no call per step
     while b:
-        a, b = b, _mod2(a, b)
+        lb = b.bit_length()
+        while (s := a.bit_length() - lb) >= 0:
+            a ^= b << s
+        a, b = b, a
     return a
 
 

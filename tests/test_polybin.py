@@ -62,6 +62,20 @@ class TestGcd:
         g = _gcd2(a, b)
         assert _mod2(a, g) == 0 and _mod2(b, g) == 0
 
+    def test_against_euclid_through_mod2(self):
+        # the one-loop Euclid against a call to _mod2 per step, on random
+        # pairs and on pairs with a common factor
+        import random
+
+        rng = random.Random(2)
+        for _ in range(500):
+            a, b, c = (rng.getrandbits(rng.randrange(1, 80)) for _ in range(3))
+            for x, y in ((a, b), (_mul2(a, c), _mul2(b, c))):
+                g, h = x, y
+                while h:
+                    g, h = h, _mod2(g, h)
+                assert _gcd2(x, y) == g
+
 
 def divmod_reference(a, b):
     """The division loop as it was before it took a's bit length once per
