@@ -17,9 +17,12 @@ degree 1 to m/2 leaves a nonzero remainder, and a product of digit lists
 is numth.poly_mul reduced by the same remainder.
 
 Construction fills a full power/dlog table, so multiplication, inversion
-and discrete logs are O(1) lookups afterwards. SIZE_CAP keeps tables
-desk-sized; it lives in numth, next to the cyclotomic polynomials whose
-conductors it also bounds, and bounds q here.
+and discrete logs are O(1) lookups afterwards. At m > 1 the table is
+walked with int operations only: the digits of x alpha are read off two
+half tables, for the low and the high digits of x, whose packed digits add
+without a carry. SIZE_CAP keeps tables desk-sized; it lives in numth, next
+to the cyclotomic polynomials whose conductors it also bounds, and bounds
+q here.
 
 GF(2^f) residue fields are built as GF(2)[X]/(f_can) where f_can is the
 canonical irreducible factor of the k-th cyclotomic polynomial mod 2, so
@@ -197,19 +200,17 @@ class ExtField:
                                for i in range(m))))
 
             def slots(code):
-                # the digits of code alpha, digit j in bits b j to b (j + 1)
+                # the digits of code alpha, digit j in the b bits from bit b j
                 digits = self._digits(code)
                 return sum(sum(map(mul, digits, row)) % p << b * j for j, row in enumerate(rows))
 
-            def decode(count):
-                # table[s] = the code of the digits (slot j of s) mod p, j < count
-                table = [0]
-                for j in range(count):
-                    table = [t + d for d in [v % p * p**j for v in range(1 << b)] for t in table]
-                return table
-
             lo, hi = [slots(c) for c in range(P)], [slots(c * P) for c in range(q // P)]
-            lo_code, hi_code = decode(h), [P * c for c in decode(m - h)]
+            # lo_code[s] is the code whose digit j < h is slot j of s mod p;
+            # the m - h <= h high slots read its head, times P
+            lo_code = [0]
+            for j in range(h):
+                lo_code = [t + d for d in [v % p * p**j for v in range(1 << b)] for t in lo_code]
+            hi_code = [P * c for c in lo_code[:1 << b * (m - h)]]
             low = (1 << shift) - 1
             for n in range(q - 1):
                 pow_table[n] = x
