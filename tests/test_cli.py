@@ -43,9 +43,10 @@ class TestGenerate:
         assert json.loads(out)["d"] == 3
 
     def test_ternary_bits_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "generate", "--p", "7", "--d", "3",
-                             "--format", "bits")
-        assert code == 2
+        code, out, err = run_cli(capsys, "generate", "--p", "7", "--d", "3",
+                                 "--format", "bits")
+        assert code == 2 and out == ""
+        assert err == "error: the bit form of a sequence is defined for d = 2\n"
 
     def test_zero_alphabet_rejected(self, capsys):
         code, out, err = run_cli(capsys, "generate", "--p", "7", "--d", "0")

@@ -74,6 +74,12 @@ before GF(p^m) was built on one code path for every m: they pin the
 alpha search and the power walk at m = 7, a d = 3 sequence over an
 extension field, and the traces at m = 4 and 6 that the numeric sign of a
 semiprimitive Gauss sum reads. All five print integers only.
+The binary JSON generate at q = 5 and q = 13 was taken before the
+sequence type dropped its alphabet size and generate built its JSON
+document itself. The generic and quadratic gauss runs over the prime
+fields GF(7) and GF(5) were taken before the trace lost its m = 1 branch:
+they read the trace at m = 1, where it is the code itself. Their floats
+are formatted by json's repr, which is the same on every run.
 """
 
 import hashlib
@@ -177,6 +183,14 @@ GOLDEN = [
      "c3f84a8291d95c0fba18f50fd3b7f225ef85c2da5eda0e959f798c4fb2434aa7"),
     (("gauss", "--p", "5", "--m", "6", "--semiprimitive", "3"),
      "64871b21ea0e503fcaa49672436db2d504d64cb91f61fa9c7325956d22f41ce7"),
+    (("generate", "--p", "5", "--format", "json"),
+     "79ee5498aa07a7f7a37cd5e2368e58e870ffe724d394831553ad0b55427d49d8"),
+    (("generate", "--p", "13", "--format", "json"),
+     "bac3f6106087ef02879389614e01821066768b7d078eb2af051316c0325b84e5"),
+    (("gauss", "--p", "7", "--m", "1", "--a", "2"),
+     "962680131deb331b22a4eeca8304eae036c59d34dfd09d69edbd991326706589"),
+    (("gauss", "--p", "5", "--m", "1", "--quadratic"),
+     "33f7061cffb2ad4fb4f0b140edab640da5c33422f39c214f3a23de1bb16acb11"),
 ]
 
 
