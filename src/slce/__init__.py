@@ -44,12 +44,6 @@ from .polybin import (
     index_set,
     lc_via_gcd,
 )
-from .seq import (
-    SlceSequence,
-    autocorrelation,
-    balance_report,
-    generate_slce,
-    sequence_from_json,
-)
+from .seq import SlceSequence, autocorrelation, generate_slce
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .cyclo import (
 from .errors import InternalInconsistency, SlceError
 from .ff import build_field, map_fields
 from .polybin import berlekamp_massey, lc_via_gcd
-from .seq import autocorrelation, balance_report, generate_slce
+from .seq import SlceSequence, autocorrelation, generate_slce, slce_terms
 
 
 def _add_field_args(parser):
@@ -62,18 +62,20 @@ def _linear_complexity(s):
 
 def cmd_generate(args):
     field = build_field(args.p, args.m)
-    s = generate_slce(field, args.d)
-    fmt = args.format or ("bits" if args.d == 2 else "json")
-    if fmt == "bits":
-        print(s.to_bitstring())
+    terms = slce_terms(field, args.d)
+    if (args.format or ("bits" if args.d == 2 else "json")) == "json":
+        print(_dump({"p": field.p, "m": field.m, "d": args.d,
+                     "alpha_dlog_basis": "canonical", "terms": list(terms)}))
+    elif args.d != 2:
+        raise SlceError("the bit form of a sequence is defined for d = 2")
     else:
-        print(_dump(s.to_json()))
+        print(SlceSequence(field, terms).to_bitstring())
     return 0
 
 
 def cmd_complexity(args):
     field = build_field(args.p, args.m)
-    s = generate_slce(field, 2)
+    s = generate_slce(field)
     bm, gc, agree = _linear_complexity(s)
     profile = multiplicity_profile(s)
     consistent = agree and gc.L == profile.L
@@ -208,9 +210,9 @@ SWEEP_FIELDS = ("q", "p", "m", "T", "u", "t_odd", "L", "lc_methods_agree", "ones
 def sweep_row(p, m):
     """The statistics row of one field, keyed by SWEEP_FIELDS."""
     field = build_field(p, m)
-    s = generate_slce(field, 2)
+    s = generate_slce(field)
     _, gc, agree = _linear_complexity(s)
-    ones = balance_report(s)[1]
+    ones = s.terms.count(1)
     offpeak = sorted(set(autocorrelation(s)[1:]))
     return {
         "q": field.q, "p": p, "m": m, "T": s.T, "u": s.u, "t_odd": s.Tprime,

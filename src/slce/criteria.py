@@ -51,7 +51,6 @@ from .cyclo import (
 from .errors import (
     HOutOfRange,
     InternalInconsistency,
-    NotBinary,
     NotSemiprimitive,
     PreconditionUnmet,
 )
@@ -77,8 +76,6 @@ class AnalysisContext:
 
     def __init__(self, seq, k, e):
         field = seq.field
-        if seq.d != 2:
-            raise NotBinary("criteria are defined for binary sequences")
         if k % 2 == 0 or k <= 1:
             raise ValueError("k must be an odd integer > 1")
         if seq.Tprime % k != 0:
@@ -393,8 +390,6 @@ def multiplicity_profile(seq, all_units=False):
     derivative_vanishes_direct reads them, run at the smallest e of each
     Galois orbit, whose multiplicity every member shares; all_units runs
     them at every e."""
-    if seq.d != 2:
-        raise NotBinary("multiplicity profile is defined for d = 2")
     cap = 1 << seq.u
     table = _hasse_masks(seq)
     entries = {}
@@ -539,7 +534,7 @@ def analyze_field(p, m, checks=ALL_CHECKS, all_units=False):
     own prime's bits at its smallest e, and its members share one verdicts
     tuple; all_units evaluates every e."""
     field = build_field(p, m)
-    seq = generate_slce(field, 2)
+    seq = generate_slce(field)
     profile = multiplicity_profile(seq, all_units)
     q, u = field.q, seq.u
     runs = []  # (twist level read, check, index, function, its argument)

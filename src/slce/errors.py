@@ -29,10 +29,6 @@ class BadAlphabet(SlceError):
     """Alphabet size d must be a prime divisor of q - 1."""
 
 
-class NotBinary(SlceError):
-    """Operation is defined only for binary sequences."""
-
-
 class ConductorMismatch(SlceError):
     """Cyclotomic integers live in incompatible rings."""
 

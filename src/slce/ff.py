@@ -254,9 +254,8 @@ class ExtField:
 
     def trace_code(self, code):
         """Absolute trace GF(q) -> GF(p) as an int in [0, p): the digits of
-        code dotted with the traces Tr(X^j) of the basis."""
-        if self.m == 1:
-            return code
+        code dotted with the traces Tr(X^j) of the basis (at m = 1 the one
+        trace is Tr(1) = 1, and the trace is the code itself)."""
         p, acc = self.p, 0
         for s in self._trace_basis:
             code, r = divmod(code, p)

@@ -56,7 +56,7 @@ def field_records(p, m):
 
 
 def ctx_q7():
-    return AnalysisContext(generate_slce(build_field(7, 1), 2), 3, 1)
+    return AnalysisContext(generate_slce(build_field(7, 1)), 3, 1)
 
 
 def bit(check, ctx, index):
@@ -72,7 +72,7 @@ class TestContext:
         assert ctx.chi.order == 3
 
     def test_rejects_bad_parameters(self):
-        s = generate_slce(build_field(7, 1), 2)
+        s = generate_slce(build_field(7, 1))
         with pytest.raises(ValueError):
             AnalysisContext(s, 5, 1)  # 5 does not divide T' = 3
         with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ class TestContext:
             AnalysisContext(s, 1, 0)  # k must exceed 1
 
     def test_admissible_enumeration(self):
-        s = generate_slce(build_field(13, 1), 2)  # T' = 3
+        s = generate_slce(build_field(13, 1))  # T' = 3
         ctxs = list(admissible_contexts(s))
         assert [(c.k, c.e) for c in ctxs] == [(3, 1), (3, 2)]
 
@@ -92,7 +92,7 @@ class TestDirectEvaluation:
 
     def test_matches_multiplicity_at_t0(self):
         for p, m in [(7, 1), (11, 1), (13, 1), (5, 2), (3, 3)]:
-            s = generate_slce(build_field(p, m), 2)
+            s = generate_slce(build_field(p, m))
             prof = multiplicity_profile(s)
             for ctx in admissible_contexts(s):
                 assert derivative_vanishes_direct(ctx, 0) == (
@@ -108,7 +108,7 @@ class TestDirectEvaluation:
         # u = 6, 4, 8 and 7: the table's superset sums against the Hasse
         # sums added one term at a time, at every (k, e, t), and the
         # profile at every unit against the first t whose sum is nonzero
-        s = generate_slce(build_field(p, m), 2)
+        s = generate_slce(build_field(p, m))
         cap = 1 << s.u
         profile = multiplicity_profile(s, all_units=True)
         for ctx in admissible_contexts(s):
@@ -133,7 +133,7 @@ class TestCosetSums:
 
     def test_partition(self):
         for p, m in [(13, 1), (5, 2)]:
-            s = generate_slce(build_field(p, m), 2)
+            s = generate_slce(build_field(p, m))
             for ctx in admissible_contexts(s):
                 total_s = horner(s.bits, ctx.rf, ctx.beta)
                 for h in range(s.u + 1):
@@ -152,13 +152,13 @@ class TestPointwiseCriteria:
     def test_h0_collapse(self):
         # t = 0 verdicts of the two criteria coincide by construction
         for p, m in [(7, 1), (11, 1), (13, 1), (5, 2)]:
-            s = generate_slce(build_field(p, m), 2)
+            s = generate_slce(build_field(p, m))
             for ctx in admissible_contexts(s):
                 assert bit(thm1_check, ctx, 0) == bit(thm2_check, ctx, 0)
 
     @pytest.mark.parametrize("p,m", [(7, 1), (11, 1), (13, 1), (3, 3), (5, 2), (29, 1), (3, 2)])
     def test_equivalence_small_fields(self, p, m):
-        s = generate_slce(build_field(p, m), 2)
+        s = generate_slce(build_field(p, m))
         for ctx in admissible_contexts(s):
             for t in range(1 << s.u):
                 want = derivative_vanishes_direct(ctx, t)
@@ -168,7 +168,7 @@ class TestPointwiseCriteria:
     def test_galois_orbit_consistency(self):
         # every check, and the ground truth, gives the same verdict at e and 2e
         for p, m in [(7, 1), (31, 1), (5, 2), (13, 1), (127, 1)]:
-            s = generate_slce(build_field(p, m), 2)
+            s = generate_slce(build_field(p, m))
             props = (1, 2, 3, 4) if s.field.q % 4 == 1 else (1, 2)
             for ctx in admissible_contexts(s):
                 partner = AnalysisContext(s, ctx.k, 2 * ctx.e % ctx.k)
@@ -188,7 +188,7 @@ class TestPointwiseCriteria:
 class TestMultiplicityCriterion:
     @pytest.mark.parametrize("p,m", [(7, 1), (13, 1), (5, 2), (3, 3), (29, 1), (41, 1)])
     def test_triple_equivalence(self, p, m):
-        s = generate_slce(build_field(p, m), 2)
+        s = generate_slce(build_field(p, m))
         prof = multiplicity_profile(s)
         for ctx in admissible_contexts(s):
             mult = prof.entries[(ctx.k, ctx.e)]
@@ -214,7 +214,7 @@ class TestMultiplicityCriterion:
     def test_q25_semiprimitive_collapse(self):
         # K(rho chi) = K(chi) over GF(25), so the h = 1 necessary condition
         # degenerates to the order-0 congruence
-        s = generate_slce(build_field(5, 2), 2)
+        s = generate_slce(build_field(5, 2))
         for e in (1, 2):
             ctx = AnalysisContext(s, 3, e)
             K0, K1 = (CycInt.from_exponent_counts(6, c) for c in ksum_counts(ctx, 1))
@@ -225,19 +225,19 @@ class TestMultiplicityCriterion:
 class TestPropositions:
     def test_prop1_equals_t0(self):
         for p, m in [(7, 1), (13, 1), (5, 2), (3, 3)]:
-            s = generate_slce(build_field(p, m), 2)
+            s = generate_slce(build_field(p, m))
             for ctx in admissible_contexts(s):
                 assert prop_check(ctx, 1) == thm1_check(ctx, 0) == thm2_check(ctx, 0)
 
     def test_prop2_equals_t1(self):
         for p, m in [(7, 1), (13, 1), (5, 2), (3, 3), (11, 1)]:
-            s = generate_slce(build_field(p, m), 2)
+            s = generate_slce(build_field(p, m))
             for ctx in admissible_contexts(s):
                 assert prop_check(ctx, 2) == thm2_check(ctx, 1)
 
     def test_props34_equal_t23(self):
         for p, m in [(13, 1), (5, 2), (29, 1), (17, 1), (3, 4)]:
-            s = generate_slce(build_field(p, m), 2)
+            s = generate_slce(build_field(p, m))
             if s.field.q % 4 != 1:
                 continue
             for ctx in admissible_contexts(s):
@@ -251,7 +251,7 @@ class TestPropositions:
         # 601 prop 3 holds at some units of k = 15 and fails at others
         seen = set()
         for p, m in [(13, 1), (29, 1), (37, 1), (41, 1), (97, 1), (5, 3), (449, 1), (601, 1)]:
-            s = generate_slce(build_field(p, m), 2)
+            s = generate_slce(build_field(p, m))
             for ctx in admissible_contexts(s):
                 for which in (3, 4):
                     verdict = bit(prop_check, ctx, which)
@@ -301,7 +301,7 @@ class TestMatrixRows:
     @pytest.mark.parametrize("p,m", [(97, 1), (193, 1), (17, 2)])
     def test_butterfly_matches_rotate_and_add(self, p, m):
         # u >= 5 in all three fields, so h runs through 0..5
-        seq = generate_slce(build_field(p, m), 2)
+        seq = generate_slce(build_field(p, m))
         assert seq.u >= 5
         for k in divisors(seq.Tprime)[1:]:
             ctx = AnalysisContext(seq, k, 1)
@@ -312,7 +312,7 @@ class TestMatrixRows:
         # thm3's row vectors: membership read from the counts, from the
         # packed row and from their fold agree, at every level and both
         # depths used
-        seq = generate_slce(build_field(97, 1), 2)
+        seq = generate_slce(build_field(97, 1))
         ctx = AnalysisContext(seq, 3, 1)
         seen = set()
         for h in range(1, 6):
@@ -338,7 +338,7 @@ class TestMatrixRows:
         # ring's 768 slots as well 3.0 MB
         import tracemalloc
 
-        ctx = AnalysisContext(generate_slce(build_field(769, 1), 2), 3, 1)
+        ctx = AnalysisContext(generate_slce(build_field(769, 1)), 3, 1)
         tracemalloc.start()
         try:
             ctx.matrix_rows(8)
@@ -350,20 +350,20 @@ class TestMatrixRows:
 
 class TestMultiplicityProfile:
     def test_q7(self):
-        s = generate_slce(build_field(7, 1), 2)
+        s = generate_slce(build_field(7, 1))
         prof = multiplicity_profile(s)
         assert prof.entries == {(1, 0): 0, (3, 1): 0, (3, 2): 0}
         assert prof.L == 6
 
     def test_q5(self):
-        s = generate_slce(build_field(5, 1), 2)
+        s = generate_slce(build_field(5, 1))
         prof = multiplicity_profile(s)
         assert prof.entries == {(1, 0): 1}
         assert prof.L == 3
 
     @pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 4), (31, 1)])
     def test_reconstructs_gcd_degree(self, p, m):
-        s = generate_slce(build_field(p, m), 2)
+        s = generate_slce(build_field(p, m))
         prof = multiplicity_profile(s)
         r = lc_via_gcd(s.bits, s.T)
         assert prof.L == r.L
@@ -393,12 +393,12 @@ class TestGaloisOrbits:
         "p,m", [(p, m) for p, m, q in odd_prime_powers(128)] + [(3, 5), (5, 4), (769, 1)])
     def test_reduced_equals_all_units(self, p, m):
         assert analyze_field(p, m) == analyze_field(p, m, all_units=True)
-        s = generate_slce(build_field(p, m), 2)
+        s = generate_slce(build_field(p, m))
         assert multiplicity_profile(s) == multiplicity_profile(s, all_units=True)
 
     def test_full_profile_is_orbit_invariant(self):
         for p, m in [(31, 1), (5, 3), (3, 5)]:
-            entries = multiplicity_profile(generate_slce(build_field(p, m), 2),
+            entries = multiplicity_profile(generate_slce(build_field(p, m)),
                                            all_units=True).entries
             for (k, e), mult in entries.items():
                 assert entries[(k, 2 * e % k)] == mult
@@ -439,7 +439,7 @@ class TestGaloisOrbits:
 
         monkeypatch.setattr(criteria_mod, "k_sum_counts", counting)
         analyze_field(p, 1)
-        u = generate_slce(build_field(p, 1), 2).u
+        u = generate_slce(build_field(p, 1)).u
         assert divisors(p - 1 >> u)[1:] == list(ks)
         assert len(built) == len(ks) * ((2 << u) - 1) == calls
 
@@ -474,7 +474,7 @@ class TestConjugatePrimes:
     def test_every_check_matches_its_own_construction(self, p, m):
         # every unit e of a k gets the same int from every check, and its
         # own prime's bit is what the context's own construction gives
-        s = generate_slce(build_field(p, m), 2)
+        s = generate_slce(build_field(p, m))
         for k in divisors(s.Tprime)[1:]:
             every = []
             for e in units(k):
@@ -490,7 +490,7 @@ class TestConjugatePrimes:
     def test_orbits_of_one_k_can_disagree(self):
         # so a verdict read at the wrong prime shows: at q = 29 the two
         # orbits of k = 7 differ in prop 3
-        s = generate_slce(build_field(29, 1), 2)
+        s = generate_slce(build_field(29, 1))
         one, three = AnalysisContext(s, 7, 1), AnalysisContext(s, 7, 3)
         assert prop_check(one, 3) == prop_check(three, 3)
         assert bit(prop_check, three, 3) == OwnContext(three).verdict("prop3", 2)
@@ -502,7 +502,7 @@ class TestConjugatePrimes:
         # once, and every member of an orbit takes its orbit's factor
         seen = set()
         for p, m, q in odd_prime_powers(1024):
-            s = generate_slce(build_field(p, m), 2)
+            s = generate_slce(build_field(p, m))
             for k in divisors(s.Tprime)[1:]:
                 if k in seen:
                     continue
@@ -522,11 +522,11 @@ class TestAlphaInvariance:
     @pytest.mark.parametrize("p,m", [(p, m) for p, m, q in odd_prime_powers(64)])
     def test_lc_and_profile_stable(self, p, m):
         F = build_field(p, m)
-        base = multiplicity_profile(generate_slce(F, 2))
+        base = multiplicity_profile(generate_slce(F))
         base_mults = sorted(base.entries.values())
         for code in primitive_elements(F):
             G = with_primitive_element(F, code)
-            prof = multiplicity_profile(generate_slce(G, 2))
+            prof = multiplicity_profile(generate_slce(G))
             assert prof.L == base.L
             assert sorted(prof.entries.values()) == base_mults
 
@@ -577,13 +577,13 @@ class TestSemiprimitive:
 
     def test_predict_vs_brute_force_q625(self):
         F = build_field(5, 4)
-        s = generate_slce(F, 2)
+        s = generate_slce(F)
         assert all_ones_power_divides(s, 3, 1) is True
         assert semiprimitive_predict(5, 4, 3, 1) is True
 
     def test_gap_property_small(self):
         for (p, m, k, h) in [(5, 2, 3, 1), (3, 4, 5, 1), (11, 2, 3, 2), (13, 2, 7, 1)]:
-            s = generate_slce(build_field(p, m), 2)
+            s = generate_slce(build_field(p, m))
             prof = multiplicity_profile(s)
             for (kk, e), mult in prof.entries.items():
                 if kk == k:

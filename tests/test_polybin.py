@@ -184,7 +184,7 @@ class TestBerlekampMasseyOracle:
         fields = list(map_fields(lambda p, m: (p, m), 512))
         assert len(fields) == 108  # odd prime powers q <= 512
         for p, m in fields:
-            terms = generate_slce(build_field(p, m), 2).terms
+            terms = generate_slce(build_field(p, m)).terms
             r = berlekamp_massey(terms)
             assert (r.L, r.minimal_poly) == bm_reference(terms), (p, m)
 

@@ -28,7 +28,11 @@ every product made before the tables existed, is gone; the power table is
 walked through two half tables of packed digits, x alpha as the sum of
 x_lo alpha and (p^h x_hi) alpha, with no product of digit lists per
 element. And GF(p)[X] irreducibility is by trial division through one
-remainder, with no GF(p) gcd."""
+remainder, with no GF(p) gcd. And the sequence type is binary: it holds no
+alphabet size, generate_slce takes the field alone, and d-ary terms exist
+only where the generate command prints them, so no analysis path has a
+d != 2 branch and NotBinary is gone. The README's Python example runs as
+written."""
 
 import ast
 import importlib
@@ -47,13 +51,13 @@ EXPORTS = {
     "AnalysisContext", "Character", "CriterionRecord", "CycInt", "ExtField",
     "LinearComplexityResult", "MultiplicityProfile", "ResidueField",
     "SIZE_CAP", "SemiprimitiveParams", "SlceSequence", "autocorrelation",
-    "balance_report", "berlekamp_massey", "binom_mod2", "bit_length_h",
+    "berlekamp_massey", "binom_mod2", "bit_length_h",
     "build_field", "build_residue_field", "cyclotomic_polynomial", "derivative_vanishes_direct", "factor_phi_mod2",
     "gauss_sum_numeric", "generate_slce", "ideal_membership", "index_set",
     "jacobi_sum", "k_sum", "lc_via_gcd", "lemma1_check", "multiplicity_profile",
     "necessary_condition_check", "prop_check", "quadratic_gauss_closed",
     "run_verify", "semiprimitive_gauss_closed", "semiprimitive_params",
-    "semiprimitive_predict", "sequence_from_json", "thm1_check", "thm2_check",
+    "semiprimitive_predict", "thm1_check", "thm2_check",
     "thm3_check",
 }
 
@@ -120,8 +124,12 @@ DELETED = [
     ("errors", "BothZero"),
     ("errors", "DivisionByZero"),
     ("errors", "ZeroPolynomial"),
+    ("errors", "NotBinary"),
     ("seq", "SlceSequence.to_json_str"),
+    ("seq", "SlceSequence.to_json"),
     ("seq", "characteristic_poly"),
+    ("seq", "sequence_from_json"),
+    ("seq", "balance_report"),
 ]
 
 
@@ -149,6 +157,22 @@ CYCINT_MEMBERS = {
     "__init__", "conductor", "coeffs", "from_exponent_counts", "_match", "__mul__", "__eq__",
     "__hash__", "as_int", "to_json", "__repr__",
 }
+
+
+def test_sequence_is_binary():
+    # the alphabet size lives only where generate prints d-ary terms
+    assert "d" not in slce.SlceSequence.__slots__
+    assert list(inspect.signature(slce.generate_slce).parameters) == ["field"]
+
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_example_runs():
+    text = README.read_text()
+    examples = text.split("```python\n")[1:]
+    assert len(examples) == 1
+    exec(examples[0].split("```")[0], {})
 
 
 def test_cycint_members_are_pinned():
