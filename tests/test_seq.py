@@ -155,7 +155,7 @@ class TestCharacteristicPoly:
 
 class TestSerialization:
     """What the generate command prints: the JSON document, and slce_terms,
-    the d-ary terms it is the only caller of."""
+    the d-ary terms that only it prints."""
 
     def test_json_schema(self, capsys):
         assert main(["generate", "--p", "5", "--format", "json"]) == 0
@@ -168,11 +168,6 @@ class TestSerialization:
         assert main(["generate", "--p", "7", "--d", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["d"] == 3 and tuple(doc["terms"]) == slce_terms(build_field(7, 1), 3)
-
-    def test_binary_terms_are_the_sequence(self):
-        for p, m in [(5, 1), (13, 1), (3, 3)]:
-            F = build_field(p, m)
-            assert slce_terms(F, 2) == generate_slce(F).terms
 
     def test_non_int_field_parameters(self, monkeypatch):
         import slce.ff as ff
