@@ -30,7 +30,6 @@ from .criteria import (
 )
 from .ff import (
     ExtField,
-    ResidueField,
     build_field,
     build_residue_field,
 )

@@ -14,7 +14,7 @@ thm1 each read every (orbit, t) off one table per sequence, indexed by t
 and n mod T' and summed over the supersets of t's bits: the parities of s_n
 for the ground truth, the signs rho(alpha^n + 1) for thm1. Each route
 builds its own table, and the ground truth reaches Phi_k only through the
-residue field's gamma powers.
+tuple of gamma powers that ff.build_residue_field(k) returns.
 
 Every check is an if-and-only-if claim, so any disagreement between a
 criterion and the direct evaluation is an implementation bug or an erratum
@@ -65,14 +65,14 @@ from .seq import generate_slce
 
 
 class AnalysisContext:
-    """One (sequence, k, e) instance: beta = gamma^e of order k in the
-    canonical residue field rf, held as its bits, paired character
-    chi = eta_{e/k}, and prime, the index of beta's minimal polynomial in
-    factor_phi_mod2(k). Its K sums and matrix rows depend on (sequence, k)
-    only (see level); it holds one twist level's at a time, and asking for
-    another h drops them."""
+    """One (sequence, k, e) instance: beta = gamma^e of order k, held as its
+    bits in the canonical residue field, whose gamma powers are gp, paired
+    character chi = eta_{e/k}, and prime, the index of beta's minimal
+    polynomial in factor_phi_mod2(k). Its K sums and matrix rows depend on
+    (sequence, k) only (see level); it holds one twist level's at a time,
+    and asking for another h drops them."""
 
-    __slots__ = ("seq", "field", "k", "e", "rf", "beta", "chi", "prime", "_h", "_level", "_rows")
+    __slots__ = ("seq", "field", "k", "e", "gp", "beta", "chi", "prime", "_h", "_level", "_rows")
 
     def __init__(self, seq, k, e):
         field = seq.field
@@ -86,18 +86,18 @@ class AnalysisContext:
         self.field = field
         self.k = k
         self.e = e % k
-        self.rf = build_residue_field(k)
-        gp = self.rf.gamma_pow_bits()
+        self.gp = gp = build_residue_field(k)
         self.beta = gp[self.e]
         self.chi = Character(field, self.e * (field.q - 1) // k)
         # chi(alpha) = z_o^c mod P: its coordinates' parities as a polynomial in gamma
         o, c = self.chi.order, self.chi.exponent_at(1)
         coeffs = fold([0] * c + [1] + [0] * (o - 1 - c), o)
         bits = sum(1 << i for i, x in enumerate(coeffs) if x & 1)
-        if _mod2(bits, self.rf.modulus) != self.beta:
+        factors = factor_phi_mod2(k)
+        if _mod2(bits, factors[0]) != self.beta:
             raise InternalInconsistency(f"chi(alpha) does not reduce to beta in {self!r}")
         # g(beta) is the sum of gamma^(j e) over the set bits j of g
-        self.prime = next(i for i, g in enumerate(factor_phi_mod2(k)) if not reduce(
+        self.prime = next(i for i, g in enumerate(factors) if not reduce(
             xor, (gp[j * self.e % k] for j in range(g.bit_length()) if g >> j & 1)))
         self._h = self._level = self._rows = None
 
@@ -235,10 +235,11 @@ def _hasse_masks(seq):
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _evaluate_mask(x, gp, k, e):
-    # x(gamma^e) for a GF(2) polynomial x, as bits of the order-k residue
-    # field whose gamma powers are gp: x folded mod X^k - 1, then the XOR of
-    # gamma^(j e mod k) over the set bits j of the fold
+def _evaluate_mask(x, gp, e):
+    # x(gamma^e) for a GF(2) polynomial x, as bits of the residue field
+    # whose k = len(gp) gamma powers are gp: x folded mod X^k - 1, then the
+    # XOR of gamma^(j e mod k) over the set bits j of the fold
+    k = len(gp)
     low, folded = (1 << k) - 1, 0
     while x:
         folded ^= x & low
@@ -255,7 +256,7 @@ def derivative_vanishes_direct(ctx, t):
     folded mod X^k - 1 and evaluated at beta = gamma^e from the residue
     field's gamma powers alone."""
     _check_t(ctx, t)
-    return _evaluate_mask(_hasse_masks(ctx.seq)[t], ctx.rf.gamma_pow_bits(), ctx.k, ctx.e) == 0
+    return _evaluate_mask(_hasse_masks(ctx.seq)[t], ctx.gp, ctx.e) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +277,7 @@ def thm1_check(ctx, t):
     counts = [sum(row[j::k]) for j in range(k)]
     counts[0] += binom_mod2(ctx.seq.T // 2, t)
     plan = fold_plan(k, k, max(map(abs, counts)), 2)
-    return ideal_membership(pack(counts, plan), ctx.rf, 1, plan)
+    return ideal_membership(pack(counts, plan), 1, plan)
 
 
 @_per_sequence
@@ -313,7 +314,7 @@ def thm2_check(ctx, t):
     plan, _ = ctx.level(h)
     rows = ctx.matrix_rows(h)
     acc = sum(rows[i] for i in index_set(t)) + (binom_mod2(T // 2, t) << (h + plan.top))
-    return ideal_membership(acc, ctx.rf, h + 1, plan)
+    return ideal_membership(acc, h + 1, plan)
 
 
 def thm3_check(ctx, h):
@@ -326,7 +327,7 @@ def thm3_check(ctx, h):
     two_h = 1 << h
     plan, _ = ctx.level(h)
     d_index = (ctx.seq.T // 2) % two_h
-    return _every(ideal_membership(row + (two_h << plan.top) * (i == d_index), ctx.rf, h + 1, plan)
+    return _every(ideal_membership(row + (two_h << plan.top) * (i == d_index), h + 1, plan)
                   for i, row in enumerate(ctx.matrix_rows(h)))
 
 
@@ -336,7 +337,7 @@ def necessary_condition_check(ctx, h):
     if not 1 <= h <= ctx.seq.u:
         raise HOutOfRange(f"h = {h} outside 1..u = {ctx.seq.u}")
     plan, ksums = ctx.level(h)
-    return _every(ideal_membership(x + (1 << plan.top), ctx.rf, 1, plan) for x in ksums)
+    return _every(ideal_membership(x + (1 << plan.top), 1, plan) for x in ksums)
 
 
 def prop_check(ctx, which):
@@ -346,11 +347,11 @@ def prop_check(ctx, which):
     q = ctx.field.q
     if which == 1:
         plan, (K0,) = ctx.level(0)
-        return ideal_membership(K0 + (1 << plan.top), ctx.rf, 1, plan)
+        return ideal_membership(K0 + (1 << plan.top), 1, plan)
     if which == 2:
         plan, (K0, K1) = ctx.level(1)
         acc = K0 - K1 if q % 4 == 1 else K0 + K1 + (2 << plan.top)
-        return ideal_membership(acc, ctx.rf, 2, plan)
+        return ideal_membership(acc, 2, plan)
     if which not in (3, 4):
         raise ValueError("which must be in 1..4")
     if q % 4 != 1:
@@ -367,7 +368,7 @@ def prop_check(ctx, which):
         value = 2 * K0 - K1 - K3 + z4_diff
     else:
         value = 2 * K0 + K1 + K3 + z4_diff + (4 << plan.top)
-    return ideal_membership(value, ctx.rf, 3, plan)
+    return ideal_membership(value, 3, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +395,9 @@ def multiplicity_profile(seq, all_units=False):
     table = _hasse_masks(seq)
     entries = {}
     for k in divisors(seq.Tprime):
-        # at k = 1, beta = 1 lies in GF(2) itself
-        gp = (1,) if k == 1 else build_residue_field(k).gamma_pow_bits()
+        gp = build_residue_field(k)
         for e, members in galois_orbits(k, all_units):
-            mult = next((t for t, x in enumerate(table) if _evaluate_mask(x, gp, k, e)), cap)
+            mult = next((t for t, x in enumerate(table) if _evaluate_mask(x, gp, e)), cap)
             for member in members:
                 entries[(k, member)] = mult
     return MultiplicityProfile(entries, seq.T - sum(entries.values()))

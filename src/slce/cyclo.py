@@ -340,12 +340,13 @@ def _generators(k, h):
                  for g in polybin.factor_phi_mod2(k))
 
 
-def ideal_membership(x, rf, c, plan):
+def ideal_membership(x, c, plan):
     """The int whose bit i says whether x lies in 2^c P_g O_L, P_g = (2,
     g(z_k)) the prime over 2 of g = factor_phi_mod2(k)[i], so bit 0 is the
-    canonical prime P's (f_can = rf.modulus). x is sum a[e] z_N^e, with a
-    packed by numth.pack in the FoldPlan plan of conductor N = 2^h k, in
-    slots that hold bit c + 1 below the bias, and O_L = Z[z_N].
+    canonical prime P's (f_can = factor_phi_mod2(k)[0]). x is sum a[e]
+    z_N^e, with a packed by numth.pack in the FoldPlan plan of conductor
+    N = 2^h k, k odd, in slots that hold bit c + 1 below the bias, and
+    O_L = Z[z_N].
 
     Since O_L is torsion-free this splits as: every power-basis coordinate
     divisible by 2^c, and y = x / 2^c lying in P O_L. The latter only
@@ -359,12 +360,10 @@ def ideal_membership(x, rf, c, plan):
     exactly, and one AND keeps the low c + 1 bits of every slot.
     """
     h = (plan.N & -plan.N).bit_length() - 1
-    if plan.N >> h != rf.k:
-        raise ConductorMismatch(f"conductor {plan.N} is not 2^h k for k = {rf.k}")
     low = plan.ones * ((2 << c) - 1)
     x = fold_packed(x + plan.bias, plan) & low
     if x & (low >> 1):
         return 0
     # bit c of each slot, r[phi - 1] first
     y = polybin._pack_bits((x >> c).to_bytes(plan.w * plan.d, "little")[::plan.w])
-    return sum(1 << i for i, g in enumerate(_generators(rf.k, h)) if not polybin._mod2(y, g))
+    return sum(1 << i for i, g in enumerate(_generators(plan.N >> h, h)) if not polybin._mod2(y, g))

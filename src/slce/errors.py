@@ -21,10 +21,6 @@ class EvenK(SlceError):
     """k must be odd."""
 
 
-class KisOne(SlceError):
-    """k must exceed 1."""
-
-
 class BadAlphabet(SlceError):
     """Alphabet size d must be a prime divisor of q - 1."""
 

@@ -1,6 +1,6 @@
 """Finite fields as codes and tables: GF(p^m) with a dense dlog table, and
-GF(2^f) residue fields. Elements are plain ints, codes in GF(p^m) and
-bit-vectors in GF(2^f), combined through the field's tables and helpers.
+GF(2^f) residue fields as the table of gamma's powers. Elements are plain
+ints, codes in GF(p^m) and bit-vectors in GF(2^f).
 
 GF(p^m) elements are encoded as ints in [0, q): the element with
 polynomial-basis coefficients (c_0, ..., c_{m-1}) gets the code
@@ -24,12 +24,11 @@ without a carry. SIZE_CAP keeps tables desk-sized; it lives in numth, next
 to the cyclotomic polynomials whose conductors it also bounds, and bounds
 q here.
 
-GF(2^f) residue fields are built as GF(2)[X]/(f_can) where f_can is the
-canonical irreducible factor of the k-th cyclotomic polynomial mod 2, so
-the class gamma of X has multiplicative order exactly k; an element is the
-int bit-vector of its polynomial in gamma, and the field holds the table
-of gamma's powers. This is the concrete home for odd-order roots of
-X^T - 1 and for reductions of cyclotomic integers modulo a prime over 2.
+A GF(2^f) residue field is GF(2)[X]/(f_can), f_can the canonical
+irreducible factor of the k-th cyclotomic polynomial mod 2, so the class
+gamma of X has multiplicative order exactly k; an element is the int
+bit-vector of its polynomial in gamma, and build_residue_field(k) returns
+gamma's k powers, all that the odd-order roots of X^T - 1 are read from.
 
 map_fields runs a function over every field up to a given q, as verify and
 sweep do.
@@ -44,9 +43,7 @@ from operator import mul
 from . import polybin
 from .errors import (
     CompositeP,
-    EvenK,
     InternalInconsistency,
-    KisOne,
     LogOfZero,
     SizeExceeded,
 )
@@ -298,54 +295,27 @@ def build_field(p, m):
 # GF(2^f) residue fields
 
 
-class ResidueField:
-    """GF(2^f) = GF(2)[X]/(f_can), f_can the canonical factor of Phi_k mod 2.
-
-    The class gamma of X has multiplicative order exactly k, realizing the
-    residue ring of the cyclotomic integers of conductor k modulo the
-    canonical prime over 2.
-    """
-
-    __slots__ = ("k", "f", "modulus", "_gamma_pows")
-
-    def __init__(self, k, modulus_value, f):
-        self.k = k
-        self.f = f
-        self.modulus = modulus_value  # int bit-vector of f_can
-        self._gamma_pows = None
-
-    def mul_bits(self, a, b):
-        return polybin._mod2(polybin._mul2(a, b), self.modulus)
-
-    def gamma_pow_bits(self):
-        """Cached table of gamma^j bits for j in [0, k)."""
-        if self._gamma_pows is None:
-            g = polybin._mod2(2, self.modulus)
-            out = [1]
-            for _ in range(self.k - 1):
-                out.append(self.mul_bits(out[-1], g))
-            if self.mul_bits(out[-1], g) != 1:
-                raise InternalInconsistency(f"gamma does not have order {self.k}")
-            self._gamma_pows = out
-        return self._gamma_pows
-
-    def __repr__(self):
-        return f"ResidueField(k={self.k}, f={self.f})"
-
-
 @lru_cache(maxsize=CONDUCTORS_HELD)
 def build_residue_field(k):
-    """Canonical GF(2^f) containing the order-k roots of unity; k odd > 1.
+    """The canonical GF(2^f) = GF(2)[X]/(f_can) of the order-k roots of
+    unity, f_can = factor_phi_mod2(k)[0], as the tuple of the bits of
+    gamma^j for j < k, gamma the class of X; k odd (Phi_1 = X + 1 mod 2, so
+    k = 1 gives (1,)). Each power is the last one times X: one shift, and
+    one XOR by f_can where the shift reaches degree f.
 
     Held for CONDUCTORS_HELD values of k at once: every k a field touches
     divides q - 1, so one field's residue fields stay cached while memory
     does not grow with the range of a run."""
-    if k % 2 == 0:
-        raise EvenK("k must be odd")
-    if k == 1:
-        raise KisOne("k = 1 gives the prime field; use the profile helpers")
     fcan = polybin.factor_phi_mod2(k)[0]
-    return ResidueField(k, fcan, polybin._deg(fcan))
+    top, x, pows = 1 << polybin._deg(fcan), 1, []
+    for _ in range(k):
+        pows.append(x)
+        x <<= 1
+        if x & top:
+            x ^= fcan
+    if x != 1:
+        raise InternalInconsistency(f"gamma does not have order {k}")
+    return tuple(pows)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import copy
 import math
 from operator import mul
 
-from slce import ff
+from slce import ff, polybin
 from slce.criteria import AnalysisContext
 from slce.cyclo import Character, CycInt, ideal_membership, k_sum_counts
 from slce.numth import _unpack, divisors, fold_plan, pack, units
@@ -43,14 +43,14 @@ def ksum_counts(ctx, h):
             for x in ksums]
 
 
-def member(x, rf, c):
+def member(x, c):
     """ideal_membership's verdicts, bit i at the prime of
     factor_phi_mod2(k)[i], for a CycInt (its coordinates, at its conductor)
     or a list of N exponent counts (at conductor N), packed by numth.pack
     in slots that hold bit c + 1."""
     values, N = (x.coeffs, x.conductor) if isinstance(x, CycInt) else (x, len(x))
     plan = fold_plan(len(values), N, max(map(abs, values)), c + 1)
-    return ideal_membership(pack(values, plan), rf, c, plan)
+    return ideal_membership(pack(values, plan), c, plan)
 
 
 def embed(x):
@@ -73,7 +73,7 @@ class OwnContext:
     levels and matrix rows from its own character's K sums, packed in the N
     slots of Z[X]/(X^N - 1) and transformed by cyclic_dft after each K sum
     takes its sign eta_{j/2^h}(-1), and every element tested in the
-    canonical prime ctx.rf; thm1 sums chi(alpha^n) = z_k^(n e)."""
+    canonical prime; thm1 sums chi(alpha^n) = z_k^(n e)."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -98,7 +98,7 @@ class OwnContext:
     def verdict(self, check, index):
         """check's verdict at index, a name of ALL_CHECKS; props at t = index."""
         ctx = self.ctx
-        T, k, rf, q = ctx.seq.T, ctx.k, ctx.rf, ctx.field.q
+        T, k, q = ctx.seq.T, ctx.k, ctx.field.q
         if check == "thm1":
             zech = ctx.field.zech_log()
             counts = [0] * k
@@ -106,31 +106,31 @@ class OwnContext:
                 if n & index == index and n != T // 2:
                     counts[n * ctx.e % k] += 1 - 2 * (zech[n] & 1)
             counts[0] += binom_mod2(T // 2, index)
-            return member(counts, rf, 1) & 1 == 1
+            return member(counts, 1) & 1 == 1
         if check == "thm2":
             h = bit_length_h(index)
             plan, _ = self.level(h)
             rows = self.matrix_rows(h)
             acc = sum(rows[i] for i in index_set(index))
             acc += binom_mod2(T // 2, index) << (h + plan.top)
-            return ideal_membership(acc, rf, h + 1, plan) & 1 == 1
+            return ideal_membership(acc, h + 1, plan) & 1 == 1
         if check == "thm3":
             plan, _ = self.level(index)
             d = (T // 2) % (1 << index)
-            return all(ideal_membership(row + ((1 << index) << plan.top) * (i == d), rf,
+            return all(ideal_membership(row + ((1 << index) << plan.top) * (i == d),
                                         index + 1, plan) & 1
                        for i, row in enumerate(self.matrix_rows(index)))
         if check == "necessary":
             plan, ksums = self.level(index)
-            return all(ideal_membership(x + (1 << plan.top), rf, 1, plan) & 1 for x in ksums)
+            return all(ideal_membership(x + (1 << plan.top), 1, plan) & 1 for x in ksums)
         if check == "prop1":
             plan, (K0,) = self.level(0)
-            return ideal_membership(K0 + (1 << plan.top), rf, 1, plan) & 1 == 1
+            return ideal_membership(K0 + (1 << plan.top), 1, plan) & 1 == 1
         if check == "prop2":
             plan, (K0, K1) = self.level(1)
             acc = K0 - K1 if q % 4 == 1 else K0 + K1 + (2 << plan.top)
-            return ideal_membership(acc, rf, 2, plan) & 1 == 1
-        return member(prop34_value(ctx, int(check[-1])), rf, 3) & 1 == 1
+            return ideal_membership(acc, 2, plan) & 1 == 1
+        return member(prop34_value(ctx, int(check[-1])), 3) & 1 == 1
 
 
 def cyclic_rotate(x, s, plan):
@@ -185,7 +185,7 @@ def prop34_value(ctx, which):
 def coset_sum(ctx, i, h):
     """E_i = sum of s_n beta^n over n = i mod 2^h, one term at a time, as
     bits of the residue field."""
-    gp = ctx.rf.gamma_pow_bits()
+    gp = ctx.gp
     bits = 0
     for n, s_n in enumerate(ctx.seq.terms):
         if s_n and n % (1 << h) == i:
@@ -196,7 +196,7 @@ def coset_sum(ctx, i, h):
 def hasse_sum(ctx, t):
     """sum C(n,t) s_n beta^n, one term at a time, as bits of the residue
     field: by Lucas, C(n,t) is odd exactly when n & t == t."""
-    gp = ctx.rf.gamma_pow_bits()
+    gp = ctx.gp
     bits = 0
     for n, s_n in enumerate(ctx.seq.terms):
         if s_n and n & t == t:
@@ -204,12 +204,13 @@ def hasse_sum(ctx, t):
     return bits
 
 
-def horner(poly, rf, x):
+def horner(poly, modulus, x):
     """poly(x) for a GF(2) polynomial poly (an int bit-vector) and x the
-    bits of an element of the residue field rf, by Horner's rule."""
+    bits of an element of the residue field GF(2)[X]/(modulus), by Horner's
+    rule."""
     acc = 0
     for i in range(poly.bit_length() - 1, -1, -1):
-        acc = rf.mul_bits(acc, x) ^ (poly >> i & 1)
+        acc = polybin._mod2(polybin._mul2(acc, x), modulus) ^ (poly >> i & 1)
     return acc
 
 

@@ -25,7 +25,7 @@ from slce.cyclo import (
 from slce import polybin
 from slce.errors import CompositeP, ConductorMismatch, NotSemiprimitive, SizeExceeded
 from slce.criteria import odd_prime_powers
-from slce.ff import ExtField, build_field, build_residue_field
+from slce.ff import ExtField, build_field
 from slce.numth import (
     CONDUCTORS_HELD,
     _fold_plan,
@@ -723,23 +723,24 @@ class TestClosedForms:
         assert time.perf_counter() - start < 0.1
 
 
-def fcan_at_zk(rf, N):
+def fcan_at_zk(k, N):
     """f_can(z_k) as N exponent counts, N = 2^h k, with z_k = z_N^(N/k)."""
+    fcan = polybin.factor_phi_mod2(k)[0]
     counts = [0] * N
-    for i in range(rf.f + 1):
-        if (rf.modulus >> i) & 1:
-            counts[i * (N // rf.k)] += 1
+    for i in range(fcan.bit_length()):
+        if (fcan >> i) & 1:
+            counts[i * (N // k)] += 1
     return counts
 
 
-def reduce_mod_p(x, rf):
+def reduce_mod_p(x):
     """Test-local image of x in O_K / P = GF(2^f): z_k -> gamma, coefficients
     mod 2 (conductor k only)."""
     bits = 0
     for i, c in enumerate(x.coeffs):
         if c & 1:
             bits |= 1 << i
-    return polybin._mod2(bits, rf.modulus)
+    return polybin._mod2(bits, polybin.factor_phi_mod2(x.conductor)[0])
 
 
 @lru_cache(maxsize=None)
@@ -766,7 +767,7 @@ def remainders(y, gens):
     return [r for half in halves for r in remainders(polybin._mod2(y, product_mod2(half)), half)]
 
 
-def gcd_membership(x, rf, c):
+def gcd_membership(x, c):
     """Test-local membership in 2^c P_g O_L at every prime P_g = (2, g(z_k))
     over 2, as ideal_membership answers it: bit i for the factor g =
     factor_phi_mod2(k)[i], with the generator of P_g O_L mod 2 taken from
@@ -777,7 +778,8 @@ def gcd_membership(x, rf, c):
     for i, coef in enumerate(x.coeffs):
         if (coef >> c) & 1:
             ybits |= 1 << i
-    rems = remainders(ybits, gcd_generators(rf.k, x.conductor))
+    N = x.conductor
+    rems = remainders(ybits, gcd_generators(N // (N & -N), N))
     return sum(1 << i for i, r in enumerate(rems) if not r)
 
 
@@ -786,21 +788,18 @@ class TestReduceModP:
     exactly when x lies in P, which is membership at c = 0."""
 
     def test_examples(self):
-        rf = build_residue_field(3)
-        assert member([2, 0, 0], rf, 0) & 1
-        assert not member(root(3, 1), rf, 0) & 1
+        assert member([2, 0, 0], 0) & 1
+        assert not member(root(3, 1), 0) & 1
 
     def test_k7_collapse(self):
         # 1 + z7 + z7^3 lies in P: gamma^3 = gamma + 1 under X^3 + X + 1
-        rf = build_residue_field(7)
         x = CycInt.from_exponent_counts(7, [1, 1, 0, 1, 0, 0, 0])
-        assert member(x, rf, 0) & 1
+        assert member(x, 0) & 1
 
     def test_kernel_contains_generators(self):
         for k in (3, 5, 7, 9):
-            rf = build_residue_field(k)
-            assert member([2] + [0] * (k - 1), rf, 0) & 1
-            assert member(fcan_at_zk(rf, k), rf, 0) & 1
+            assert member([2] + [0] * (k - 1), 0) & 1
+            assert member(fcan_at_zk(k, k), 0) & 1
 
     def test_ring_homomorphism(self):
         # the kernel of a ring map is an ideal: closed under + and under
@@ -809,8 +808,7 @@ class TestReduceModP:
         import random
 
         rng = random.Random(7)
-        rf = build_residue_field(5)
-        f = fcan_at_zk(rf, 5)
+        f = fcan_at_zk(5, 5)
 
         def element():
             return [rng.randrange(-20, 20) for _ in range(5)]
@@ -828,55 +826,40 @@ class TestReduceModP:
         for _ in range(40):
             a = plus([2 * c for c in element()], times(f, element()))
             b = plus([2 * c for c in element()], times(f, element()))
-            assert member(a, rf, 0) & 1 and member(b, rf, 0) & 1
-            assert member(plus(a, b), rf, 0) & 1
-            assert member(times(a, element()), rf, 0) & 1
-            assert not member(plus(a, root(5, 0)), rf, 0) & 1
-
-    def test_conductor_checks(self):
-        rf = build_residue_field(3)
-        for N in (5, 9):
-            with pytest.raises(ConductorMismatch):
-                member(root(N, 1), rf, 0)
+            assert member(a, 0) & 1 and member(b, 0) & 1
+            assert member(plus(a, b), 0) & 1
+            assert member(times(a, element()), 0) & 1
+            assert not member(plus(a, root(5, 0)), 0) & 1
 
 
 class TestIdealMembership:
     def test_zero(self):
-        assert member([0, 0, 0], build_residue_field(3), 1) & 1
+        assert member([0, 0, 0], 1) & 1
 
     def test_twice_unit_not_in(self):
         x = CycInt.from_exponent_counts(3, [2, 2, 0])
-        assert not member(x, build_residue_field(3), 1) & 1
+        assert not member(x, 1) & 1
 
     def test_four_in_2p(self):
-        assert member([4, 0, 0], build_residue_field(3), 1) & 1
+        assert member([4, 0, 0], 1) & 1
 
     def test_agrees_with_reduction_at_h0(self):
         import random
 
         rng = random.Random(11)
-        rf = build_residue_field(7)
         for _ in range(60):
             x = CycInt(7, tuple(rng.randrange(-8, 8) for _ in range(6)))
             if any(c % 2 for c in x.coeffs):
                 expect = False
             else:
                 half = CycInt(7, tuple(c // 2 for c in x.coeffs))
-                expect = reduce_mod_p(half, rf) == 0
-            assert member(x, rf, 1) & 1 == expect
+                expect = reduce_mod_p(half) == 0
+            assert member(x, 1) & 1 == expect
 
     def test_h1_power_of_two_scaling(self):
-        rf = build_residue_field(7)
         # 4 * (root of unity) is not in 4 P O_L; 4 * f_can(z14^2) is
-        assert not member([4 * c for c in root(14, 1)], rf, 2) & 1
-        assert member([4 * c for c in fcan_at_zk(rf, 14)], rf, 2) & 1
-
-    def test_conductor_mismatch(self):
-        rf = build_residue_field(3)
-        member(root(12, 1), rf, 3)  # 12 = 2^2 * 3
-        for N in (10, 15, 18):
-            with pytest.raises(ConductorMismatch):
-                member(root(N, 1), rf, 1)
+        assert not member([4 * c for c in root(14, 1)], 2) & 1
+        assert member([4 * c for c in fcan_at_zk(7, 14)], 2) & 1
 
 
 class TestMembershipOracle:
@@ -885,10 +868,11 @@ class TestMembershipOracle:
     2^c Z[z_N]."""
 
     @staticmethod
-    def samples(rng, rf, h, c):
-        N = (1 << h) * rf.k
-        ratio = N // rf.k
-        fterms = [i * ratio for i in range(rf.f + 1) if (rf.modulus >> i) & 1]
+    def samples(rng, k, h, c):
+        N = (1 << h) * k
+        ratio = N // k
+        fcan = polybin.factor_phi_mod2(k)[0]
+        fterms = [i * ratio for i in range(fcan.bit_length()) if (fcan >> i) & 1]
         for kind in range(4):
             for _ in range(3):
                 counts = [0] * N
@@ -914,13 +898,12 @@ class TestMembershipOracle:
         import random
 
         rng = random.Random(k)
-        rf = build_residue_field(k)
         seen = set()
         for h in range(5):
             for c in sorted({0, 1, h + 1, h + 2}):
-                for x in self.samples(rng, rf, h, c):
-                    expect = gcd_membership(x, rf, c)
-                    assert member(x, rf, c) == expect, (k, h, c)
+                for x in self.samples(rng, k, h, c):
+                    expect = gcd_membership(x, c)
+                    assert member(x, c) == expect, (k, h, c)
                     seen.add(expect & 1 == 1)
         assert seen == {False, True}
 
@@ -940,22 +923,23 @@ class TestCountKernel:
     takes one (vector, addition) pair, in turn."""
 
     @staticmethod
-    def oracle(N, coords, rf, c):
-        return gcd_membership(CycInt(N, coords), rf, c)
+    def oracle(N, coords, c):
+        return gcd_membership(CycInt(N, coords), c)
 
-    def check_conductor(self, rng, rf, h, cs, seen):
-        N = rf.k << h
+    def check_conductor(self, rng, k, h, cs, seen):
+        N = k << h
+        fcan = polybin.factor_phi_mod2(k)[0]
         d = len(cyclotomic_polynomial(N)) - 1
         noise = [rng.randrange(-3, 4) for _ in range(N)]
         noise_coords = _int_divmod(noise, cyclotomic_polynomial(N))[1]
-        generator = polybin._gcd2(polybin._frobenius_pow(rf.modulus, 1 << h), polybin.phi_mod2(N))
+        generator = polybin._gcd2(polybin._frobenius_pow(fcan, 1 << h), polybin.phi_mod2(N))
         ybits = sum(1 << i for i, v in enumerate(noise_coords) if v & 1)
         r = polybin._mod2(ybits, generator)
         inside = [v - ((r >> i) & 1 if i < d else 0) for i, v in enumerate(noise)]
         bases = [(noise, noise_coords),
                  (inside, [v - ((r >> i) & 1) for i, v in enumerate(noise_coords)])]
         if N <= 600:
-            fterms = [i << h for i in range(rf.f + 1) if (rf.modulus >> i) & 1]
+            fterms = [i << h for i in range(fcan.bit_length()) if (fcan >> i) & 1]
             built = [0] * N
             for _ in range(rng.randrange(1, 4)):
                 j, a = rng.randrange(N), rng.randrange(-3, 4)
@@ -975,8 +959,8 @@ class TestCountKernel:
                 scaled = [v << c for v in coords]
                 counts[j] += extra
                 scaled[j] += extra
-                expect = self.oracle(N, scaled, rf, c)
-                assert member(counts, rf, c) == expect, (rf.k, h, c, extra)
+                expect = self.oracle(N, scaled, c)
+                assert member(counts, c) == expect, (k, h, c, extra)
                 seen[expect & 1 == 1] += 1
 
     def test_every_conductor_to_600(self):
@@ -985,9 +969,8 @@ class TestCountKernel:
         rng = random.Random(2024)
         seen = {False: 0, True: 0}
         for k in range(3, 601, 2):
-            rf = build_residue_field(k)
             for h in range((600 // k).bit_length()):
-                self.check_conductor(rng, rf, h, range(h + 3), seen)
+                self.check_conductor(rng, k, h, range(h + 3), seen)
         assert seen[True] > 1000 and seen[False] > 1000
 
     @pytest.mark.parametrize("k,h", [(2049, 1), (4095, 2), (4095, 4)],
@@ -996,7 +979,7 @@ class TestCountKernel:
         import random
 
         seen = {False: 0, True: 0}
-        self.check_conductor(random.Random(k << h), build_residue_field(k), h, range(h + 3), seen)
+        self.check_conductor(random.Random(k << h), k, h, range(h + 3), seen)
         assert seen[True] and seen[False]
 
     def test_k21_where_2_does_not_generate(self):
@@ -1004,12 +987,11 @@ class TestCountKernel:
         import random
 
         rng = random.Random(21)
-        rf = build_residue_field(21)
-        assert rf.f == 6
+        assert polybin._deg(polybin.factor_phi_mod2(21)[0]) == 6
         seen = {False: 0, True: 0}
         for h in range(5):
             for _ in range(10):
-                self.check_conductor(rng, rf, h, range(h + 3), seen)
+                self.check_conductor(rng, 21, h, range(h + 3), seen)
         assert seen[True] and seen[False]
 
     def test_edge_of_slot_width(self):
@@ -1018,7 +1000,7 @@ class TestCountKernel:
         import random
 
         seen = {False: 0, True: 0}
-        self.check_conductor(random.Random(5), build_residue_field(5), 13, [14] * 6, seen)
+        self.check_conductor(random.Random(5), 5, 13, [14] * 6, seen)
         assert seen[True] and seen[False]
 
     @pytest.mark.parametrize("k,h", [(3, 1), (7, 4), (15, 3), (2049, 1)])
@@ -1029,26 +1011,24 @@ class TestCountKernel:
         import random
 
         rng = random.Random(k)
-        rf = build_residue_field(k)
         N = k << h
         every = (1 << len(polybin.factor_phi_mod2(k))) - 1
         for c in range(25):
-            assert member([0] * N, rf, c) == every
+            assert member([0] * N, c) == every
             e = rng.randrange(N)
             for value, expect in [(1, 0), (1 << c, 0), (-(1 << (c + 1)), every)]:
                 counts = [0] * N
                 counts[e] = value
                 coords = _int_divmod(counts, cyclotomic_polynomial(N))[1]
-                assert self.oracle(N, coords, rf, c) == expect
-                assert member(counts, rf, c) == expect, (N, c, value)
+                assert self.oracle(N, coords, c) == expect
+                assert member(counts, c) == expect, (N, c, value)
 
     def test_depth_24_at_conductor_65520(self):
         # deeper than any field reaches (c <= 14): the slots are sized from
         # c as well as from the counts, so no depth is refused
         import random
 
-        rf = build_residue_field(4095)
-        assert member([0] * 65520, rf, 24) == (1 << 144) - 1
+        assert member([0] * 65520, 24) == (1 << 144) - 1
         seen = {False: 0, True: 0}
-        self.check_conductor(random.Random(24), rf, 4, [24] * 4, seen)
+        self.check_conductor(random.Random(24), 4095, 4, [24] * 4, seen)
         assert seen[True] and seen[False]

@@ -16,7 +16,6 @@ from slce.errors import (
     CompositeP,
     EvenK,
     InternalInconsistency,
-    KisOne,
     LogOfZero,
     SizeExceeded,
 )
@@ -28,7 +27,7 @@ from slce.ff import (
     odd_prime_powers,
 )
 from slce.numth import SIZE_CAP, divisors, prime_factors
-from slce.polybin import factor_phi_mod2, phi_mod2
+from slce.polybin import _mod2, factor_phi_mod2, phi_mod2
 from slce.seq import generate_slce
 
 from oracles import matrix_walk, primitive_elements, schoolbook_mulmod, with_primitive_element
@@ -537,29 +536,38 @@ class TestWithPrimitiveElement:
 
 
 class TestResidueField:
+    """build_residue_field(k) is the table of gamma^j, j < k, in
+    GF(2)[X]/(f_can): its entries name f_can, since gamma^f is f_can - X^f."""
+
     def test_k3(self):
-        rf = build_residue_field(3)
-        assert rf.f == 2 and rf.modulus == 0b111
+        # f_can = X^2 + X + 1: gamma^2 = gamma + 1 in GF(4)
+        assert build_residue_field(3) == (0b1, 0b10, 0b11)
 
     def test_k7_lex_choice(self):
-        rf = build_residue_field(7)
-        assert rf.f == 3 and rf.modulus == 0b1011
+        # f_can = X^3 + X + 1, not X^3 + X^2 + 1: gamma^3 = gamma + 1
+        assert build_residue_field(7) == (0b1, 0b10, 0b100, 0b11, 0b110, 0b111, 0b101)
 
     def test_k5(self):
-        rf = build_residue_field(5)
-        assert rf.f == 4 and rf.modulus == 0b11111
+        # f_can = X^4 + X^3 + X^2 + X + 1: gamma^4 = gamma^3 + gamma^2 + gamma + 1
+        assert build_residue_field(5) == (0b1, 0b10, 0b100, 0b1000, 0b1111)
+
+    def test_every_odd_k_below_600(self):
+        # Phi_1 = X + 1 mod 2, so gamma = 1 lies in GF(2)
+        assert build_residue_field(1) == (1,)
+        for k in range(1, 600, 2):
+            pows = build_residue_field(k)
+            fcan = factor_phi_mod2(k)[0]
+            assert len(pows) == k
+            assert pows == tuple(_mod2(1 << j, fcan) for j in range(k)), k
 
     def test_gamma_powers_distinct(self):
         for k in (3, 5, 7, 9, 15, 21):
-            rf = build_residue_field(k)
-            pows = rf.gamma_pow_bits()
-            assert len(set(pows)) == k
+            assert len(set(build_residue_field(k))) == k
 
     def test_rejects_bad_k(self):
-        with pytest.raises(EvenK):
-            build_residue_field(6)
-        with pytest.raises(KisOne):
-            build_residue_field(1)
+        for k in (2, 6, 600):
+            with pytest.raises(EvenK):
+                build_residue_field(k)
 
     @pytest.mark.parametrize("build", [build_residue_field, factor_phi_mod2, phi_mod2])
     def test_conductor_cap(self, build):
@@ -568,10 +576,3 @@ class TestResidueField:
         with pytest.raises(SizeExceeded, match="size cap 65536"):
             build(65537)
         assert time.perf_counter() - start < 0.5
-
-    def test_arithmetic(self):
-        rf = build_residue_field(3)
-        g = rf.gamma_pow_bits()[1]
-        assert g == 0b10  # gamma, the class of X
-        assert rf.mul_bits(g, g) == g ^ 1  # gamma^2 = gamma + 1 in GF(4)
-        assert rf.mul_bits(rf.mul_bits(g, g), g) == 1

@@ -44,7 +44,7 @@ def thm1_modulo_p(ctx, t):
     counts = [sum(row[j::k]) for j in range(k)]
     counts[0] += binom_mod2(ctx.seq.T // 2, t)
     plan = fold_plan(k, k, max(map(abs, counts)), 1)
-    return ideal_membership(pack(counts, plan), ctx.rf, 0, plan)
+    return ideal_membership(pack(counts, plan), 0, plan)
 
 
 def thm2_exact_binomial(ctx, t):
@@ -54,17 +54,17 @@ def thm2_exact_binomial(ctx, t):
     # membership in 2^(h+1) P reads the coordinates mod 2^(h+2) only, so
     # C mod 4 stands for C and stays inside the level's slots
     constant = math.comb(ctx.seq.T // 2, t) % 4 << (h + plan.top)
-    return ideal_membership(sum(rows[i] for i in index_set(t)) + constant, ctx.rf, h + 1, plan)
+    return ideal_membership(sum(rows[i] for i in index_set(t)) + constant, h + 1, plan)
 
 
 def thm3_without_indicator(ctx, h):
     plan, _ = ctx.level(h)
-    return _every(ideal_membership(row, ctx.rf, h + 1, plan) for row in ctx.matrix_rows(h))
+    return _every(ideal_membership(row, h + 1, plan) for row in ctx.matrix_rows(h))
 
 
 def necessary_modulo_4p(ctx, h):
     plan, ksums = ctx.level(h)
-    return _every(ideal_membership(x + (1 << plan.top), ctx.rf, 2, plan) for x in ksums)
+    return _every(ideal_membership(x + (1 << plan.top), 2, plan) for x in ksums)
 
 
 def rewrites_prop(which):
@@ -83,25 +83,25 @@ def rewrites_prop(which):
 @rewrites_prop(1)
 def prop1_modulo_p(ctx):
     plan, (K0,) = ctx.level(0)
-    return ideal_membership(K0 + (1 << plan.top), ctx.rf, 0, plan)
+    return ideal_membership(K0 + (1 << plan.top), 0, plan)
 
 
 @rewrites_prop(2)
 def prop2_one_form(ctx):
     plan, (K0, K1) = ctx.level(1)
-    return ideal_membership(K0 + K1 + (2 << plan.top), ctx.rf, 2, plan)
+    return ideal_membership(K0 + K1 + (2 << plan.top), 2, plan)
 
 
 @rewrites_prop(3)
 def prop3_unsigned(ctx):
     plan, (K0, K1, _, K3) = ctx.level(2)
-    return ideal_membership(2 * K0 - K1 - K3 + rotate(K1 - K3, ctx.k, plan), ctx.rf, 3, plan)
+    return ideal_membership(2 * K0 - K1 - K3 + rotate(K1 - K3, ctx.k, plan), 3, plan)
 
 
 @rewrites_prop(4)
 def prop4_unsigned(ctx):
     plan, (K0, K1, K2, K3) = ctx.level(2)
-    return ideal_membership(K0 - K2 + rotate(K1 - K3, ctx.k, plan), ctx.rf, 3, plan)
+    return ideal_membership(K0 - K2 + rotate(K1 - K3, ctx.k, plan), 3, plan)
 
 
 # (check replaced, variant, records' check name, smallest q where it fails as p^m)
@@ -156,7 +156,7 @@ def test_ground_truth_at_inverse_beta_is_caught(monkeypatch):
     argv = ["verify", "--p", "29", "--qmax", "29"]
     assert main(argv) == 0
     own = criteria._evaluate_mask
-    monkeypatch.setattr(criteria, "_evaluate_mask", lambda x, gp, k, e: own(x, gp, k, -e % k))
+    monkeypatch.setattr(criteria, "_evaluate_mask", lambda x, gp, e: own(x, gp, -e % len(gp)))
     wrong = [r for r in run_verify(128) if not r.match]
     assert wrong and min(r.q for r in wrong) == 29
     at_29 = {(r.k, r.check, r.index) for r in wrong if r.q == 29}

@@ -19,10 +19,11 @@ into every start. And the two routes keep their own per-sequence tables:
 the ground truth's parity masks and thm1's rho sums are each read by their
 own route only, and the ground truth names no factor of Phi_k mod 2. And
 the packed count format stays inside numth: ideal_membership takes packed
-counts with their plan and nothing else, and the criteria name no bias and
-import no private name of numth, so they add and rotate plain signed ints;
-the autocorrelation, which reads its lags off numth.cyclic_mul, names no
-bias and imports no private name of numth either. And GF(p^m) is built on
+counts, a depth and their plan, and reads k off the plan; the criteria
+name no bias and import no private name of numth, so they add and rotate
+plain signed ints; the autocorrelation, which reads its lags off
+numth.cyclic_mul, names no bias and imports no private name of numth
+either. And GF(p^m) is built on
 digit lists: ExtField._raw_mul, which turned codes into digits and back for
 every product made before the tables existed, is gone; the power table is
 walked through two half tables of packed digits, x alpha as the sum of
@@ -31,14 +32,18 @@ element. And GF(p)[X] irreducibility is by trial division through one
 remainder, with no GF(p) gcd. And the sequence type is binary: it holds no
 alphabet size, generate_slce takes the field alone, and d-ary terms exist
 only where the generate command prints them, so no analysis path has a
-d != 2 branch and NotBinary is gone. The README's Python example runs as
-written."""
+d != 2 branch and NotBinary is gone. And a residue field is the tuple of
+gamma's powers that build_residue_field returns, for every odd k including
+1, so ResidueField and KisOne are gone. The README's Python example runs as
+written, and so does every line of its shell example."""
 
 import ast
 import importlib
 import inspect
+import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import types
@@ -46,10 +51,11 @@ import types
 import pytest
 
 import slce
+from slce import cli
 
 EXPORTS = {
     "AnalysisContext", "Character", "CriterionRecord", "CycInt", "ExtField",
-    "LinearComplexityResult", "MultiplicityProfile", "ResidueField",
+    "LinearComplexityResult", "MultiplicityProfile",
     "SIZE_CAP", "SemiprimitiveParams", "SlceSequence", "autocorrelation",
     "berlekamp_massey", "binom_mod2", "bit_length_h",
     "build_field", "build_residue_field", "cyclotomic_polynomial", "derivative_vanishes_direct", "factor_phi_mod2",
@@ -104,6 +110,7 @@ DELETED = [
     ("ff", "ExtField.add_one_code"),
     ("ff", "ExtField._raw_mul"),
     ("ff", "_pp_gcd"),
+    ("ff", "ResidueField"),
     ("criteria", "admissible_contexts"),
     ("criteria", "coset_sum"),
     ("criteria", "AnalysisContext.ksum_counts"),
@@ -125,6 +132,7 @@ DELETED = [
     ("errors", "DivisionByZero"),
     ("errors", "ZeroPolynomial"),
     ("errors", "NotBinary"),
+    ("errors", "KisOne"),
     ("seq", "SlceSequence.to_json_str"),
     ("seq", "SlceSequence.to_json"),
     ("seq", "characteristic_poly"),
@@ -173,6 +181,26 @@ def test_readme_example_runs():
     examples = text.split("```python\n")[1:]
     assert len(examples) == 1
     exec(examples[0].split("```")[0], {})
+
+
+def test_readme_shell_example_runs(tmp_path, capsys):
+    # every line of the README's block of slce commands, through the command
+    # line's main, with --output under tmp_path; the printed values that the
+    # comments quote are checked as well
+    blocks = [block.split("```")[0] for block in README.read_text().split("```sh\n")[1:]]
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("slce ")]
+    assert len(lines) == 10
+    printed = {}
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        if "--output" in argv:
+            at = argv.index("--output") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert cli.main(argv) == 0, line
+        printed[" ".join(argv)] = capsys.readouterr().out
+    assert printed["generate --p 7 --m 1"] == "001011\n"
+    assert json.loads(printed["generate --p 5 --format json"])["terms"] == [1, 1, 0, 0]
+    assert (tmp_path / "report.csv").read_text().startswith("q,p,m,k,e,check,")
 
 
 def test_cycint_members_are_pinned():
@@ -234,7 +262,7 @@ def test_routes_read_their_own_tables():
 
 
 def test_packed_format_stays_in_numth():
-    assert list(inspect.signature(slce.ideal_membership).parameters) == ["x", "rf", "c", "plan"]
+    assert list(inspect.signature(slce.ideal_membership).parameters) == ["x", "c", "plan"]
     for module in ("criteria", "seq"):
         source = (pathlib.Path(slce.__file__).parent / f"{module}.py").read_text()
         assert "bias" not in source, module
